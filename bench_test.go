@@ -270,7 +270,7 @@ func BenchmarkDeploymentBuild(b *testing.B) {
 // Failure-repair benches: one node failure on an 800-node FA network,
 // with all three substrates either repaired incrementally
 // (core.RepairSubstrates — the serve /fail and Sim.Fail path) or
-// rebuilt from scratch (the FullRebuildOnFail oracle). Victims fail
+// rebuilt from scratch (what a repair must equal). Victims fail
 // cumulatively, so later iterations repair progressively damaged
 // networks; the state is rebuilt fresh (off-timer) when half the
 // network is gone.

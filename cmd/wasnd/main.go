@@ -112,7 +112,6 @@ func run(args []string, out io.Writer) error {
 		cacheSize = fs.Int("cache", 0, "route cache entries, 0 = default, negative disables")
 		shards    = fs.Int("shards", 0, "route cache shards (0 = default)")
 		workers   = fs.Int("workers", 0, "batch worker pool size (0 = NumCPU)")
-		fullRb    = fs.Bool("full-rebuild", false, "rebuild substrates from scratch on /fail and /revive instead of repairing incrementally (differential oracle)")
 		sampleEv  = fs.Int("sample-every", 1000, "flight-recorder timeline sampling period in ms (0 disables the sampler; /timeline and /debug/dash then stay empty)")
 
 		logLevel  = fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -164,7 +163,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := serve.Config{
-		CacheSize: *cacheSize, CacheShards: *shards, Workers: *workers, FullRebuildOnFail: *fullRb,
+		CacheSize: *cacheSize, CacheShards: *shards, Workers: *workers,
 		TraceSampleEvery: *traceN, StretchSampleEvery: *stretchN,
 		SampleEveryMS: *sampleEv,
 	}

@@ -77,9 +77,9 @@ func BuildSubstrates(net *topo.Network, needSafety, needBounds, needPlanar bool,
 // concurrently like BuildSubstrates (same panic propagation).
 //
 // Each repaired substrate is identical to what a from-scratch
-// BuildSubstrates on the mutated network would produce — the
-// differential oracle the serving layer keeps behind its
-// FullRebuildOnFail flag — but the work scales with the failure
+// BuildSubstrates on the mutated network would produce — pinned by the
+// differential tests and the FuzzRepairSubstrates battery — but the
+// work scales with the failure
 // neighborhood instead of the network. Repairs happen in place, so
 // routers already holding these substrate pointers serve the mutated
 // topology immediately and need not be rebuilt; callers must serialize

@@ -26,6 +26,8 @@
 // The Router ties them together as a thin proxy tier: replicas join
 // it, it health-checks them, forwards data-plane requests to each
 // deployment's owner, tracks the fleet's desired state (specs + churn
-// + moves), and on replica death re-shards and re-establishes the
-// displaced deployments on their new owners from its state table.
+// + moves, each accepted mutation folded in with
+// serve.DeploymentState.Apply), and on replica death re-shards and
+// re-establishes the displaced deployments on their new owners from
+// its state table.
 package fleet

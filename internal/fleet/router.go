@@ -13,7 +13,6 @@ import (
 
 	"github.com/straightpath/wasn/internal/obs"
 	"github.com/straightpath/wasn/internal/serve"
-	"github.com/straightpath/wasn/internal/topo"
 )
 
 // RouterConfig tunes a Router. The zero value is usable.
@@ -399,78 +398,15 @@ func (r *Router) recordDeploy(name string, spec serve.Spec) {
 	}
 }
 
-// recordFail folds a successful /fail into the desired state.
-func (r *Router) recordFail(name string, nodes []topo.NodeID) {
+// recordMutation folds a mutation the owner accepted into the
+// desired state. The fold is serve.DeploymentState.Apply, the replica's
+// own rule, so the desired epoch tracks the owner's.
+func (r *Router) recordMutation(name string, m serve.Mutation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.desired[name]
-	if !ok {
-		return
+	if st, ok := r.desired[name]; ok {
+		st.Apply(m)
 	}
-	dead := make(map[topo.NodeID]bool, len(st.Failed)+len(nodes))
-	for _, u := range st.Failed {
-		dead[u] = true
-	}
-	for _, u := range nodes {
-		dead[u] = true
-	}
-	st.Failed = sortedNodeSet(dead)
-	st.Epoch++
-}
-
-// recordRevive folds a successful /revive into the desired state.
-func (r *Router) recordRevive(name string, nodes []topo.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.desired[name]
-	if !ok {
-		return
-	}
-	dead := make(map[topo.NodeID]bool, len(st.Failed))
-	for _, u := range st.Failed {
-		dead[u] = true
-	}
-	for _, u := range nodes {
-		delete(dead, u)
-	}
-	st.Failed = sortedNodeSet(dead)
-	st.Epoch++
-}
-
-// recordMove folds a successful /move into the desired state (last
-// absolute position per node wins).
-func (r *Router) recordMove(name string, moves []topo.Move) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.desired[name]
-	if !ok {
-		return
-	}
-	pos := make(map[topo.NodeID]topo.Move, len(st.Moved)+len(moves))
-	for _, m := range st.Moved {
-		pos[m.Node] = m
-	}
-	for _, m := range moves {
-		pos[m.Node] = m
-	}
-	// Build a fresh slice: exported copies (transfers, DesiredState)
-	// alias the old backing array and must not see this mutation.
-	moved := make([]topo.Move, 0, len(pos))
-	for _, m := range pos {
-		moved = append(moved, m)
-	}
-	sort.Slice(moved, func(i, j int) bool { return moved[i].Node < moved[j].Node })
-	st.Moved = moved
-	st.Epoch++
-}
-
-func sortedNodeSet(set map[topo.NodeID]bool) []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DesiredState returns the desired-state table, sorted by name.

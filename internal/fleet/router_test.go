@@ -361,3 +361,91 @@ func TestRouterNoReplicas(t *testing.T) {
 		t.Fatalf("routing with no replicas = %d, want 502", resp.StatusCode)
 	}
 }
+
+// TestRouterDesiredStateMatchesOwner sends a history with no-op
+// mutations through the router — a repeated fail and a revive of an
+// alive node — and requires the router's desired state to equal the
+// owner's exported state, epoch included: the router must bump the
+// epoch exactly when the replica does.
+func TestRouterDesiredStateMatchesOwner(t *testing.T) {
+	f := newTestFleet(t, 2)
+	const dep = "FA-200-9"
+	if code, body := f.post(t, "/deploy", deployBody(dep, 200, 9)); code != 200 {
+		t.Fatalf("deploy through router: %d %s", code, body)
+	}
+	steps := []struct {
+		path string
+		body map[string]any
+	}{
+		{"/fail", map[string]any{"deployment": dep, "nodes": []int{3}}},
+		{"/fail", map[string]any{"deployment": dep, "nodes": []int{3}}},
+		{"/revive", map[string]any{"deployment": dep, "nodes": []int{7}}},
+		{"/move", map[string]any{"deployment": dep, "moves": []map[string]any{{"node": 10, "x": 50, "y": 50}}}},
+		{"/fail", map[string]any{"deployment": dep, "nodes": []int{10, 11, 10}}},
+		{"/revive", map[string]any{"deployment": dep, "nodes": []int{3, 3}}},
+	}
+	for _, st := range steps {
+		if code, body := f.post(t, st.path, st.body); code != 200 {
+			t.Fatalf("POST %s through router: %d %s", st.path, code, body)
+		}
+	}
+
+	var want, got *serve.DeploymentState
+	for _, st := range f.svcs[f.replicaFor(t, dep)].ExportState() {
+		if st.Name == dep {
+			want = &st
+		}
+	}
+	for _, st := range f.router.DesiredState() {
+		if st.Name == dep {
+			got = &st
+		}
+	}
+	if want == nil || got == nil {
+		t.Fatalf("state missing: owner %+v, router %+v", want, got)
+	}
+	if fmt.Sprint(got.Failed) != fmt.Sprint(want.Failed) ||
+		fmt.Sprint(got.Moved) != fmt.Sprint(want.Moved) || got.Epoch != want.Epoch {
+		t.Fatalf("router desired state = %+v\nowner exported state = %+v", *got, *want)
+	}
+}
+
+// TestRouterForwardsRequestID: a tagged /fail sent through the router
+// must reach the owner with its X-Request-Id, so the owner's journal
+// attributes the repair to the client's request.
+func TestRouterForwardsRequestID(t *testing.T) {
+	f := newTestFleet(t, 2)
+	const dep = "FA-200-9"
+	if code, body := f.post(t, "/deploy", deployBody(dep, 200, 9)); code != 200 {
+		t.Fatalf("deploy through router: %d %s", code, body)
+	}
+	req, err := http.NewRequest(http.MethodPost, f.rt.URL+"/fail",
+		strings.NewReader(`{"deployment":"FA-200-9","nodes":[3]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "via-router-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("tagged /fail through router: %d", resp.StatusCode)
+	}
+
+	resp, err = http.Get(f.servers[f.replicaFor(t, dep)].URL + "/events?kind=fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Events []obs.Event `json:"events"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Events) != 1 || body.Events[0].RequestID != "via-router-1" {
+		t.Fatalf("owner /events?kind=fail = %+v; want one event tagged via-router-1", body.Events)
+	}
+}

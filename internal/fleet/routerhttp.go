@@ -41,9 +41,9 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/deploy", r.handleDeploy)
 	mux.HandleFunc("/batch", r.handleBatch)
 	mux.HandleFunc("/route", r.proxyByField("deployment", nil))
-	mux.HandleFunc("/fail", r.proxyByField("deployment", r.afterFail))
-	mux.HandleFunc("/revive", r.proxyByField("deployment", r.afterRevive))
-	mux.HandleFunc("/move", r.proxyByField("deployment", r.afterMove))
+	mux.HandleFunc("/fail", r.proxyByField("deployment", r.afterMutation(serve.MutationFail)))
+	mux.HandleFunc("/revive", r.proxyByField("deployment", r.afterMutation(serve.MutationRevive)))
+	mux.HandleFunc("/move", r.proxyByField("deployment", r.afterMutation(serve.MutationMove)))
 	return mux
 }
 
@@ -204,7 +204,7 @@ func (r *Router) handleDeploy(w http.ResponseWriter, req *http.Request) {
 	}
 	dr.Name = name
 	body, _ := json.Marshal(dr)
-	status, resp, err := r.forward(name, "/deploy", body)
+	status, resp, err := r.forward(name, "/deploy", body, req.Header.Get("X-Request-Id"))
 	if err != nil {
 		routerError(w, http.StatusBadGateway, err)
 		return
@@ -219,7 +219,9 @@ func (r *Router) handleDeploy(w http.ResponseWriter, req *http.Request) {
 
 // proxyByField forwards a POST to the owner of the deployment named in
 // the given JSON body field, invoking after(body) on a 200 so the
-// desired-state table tracks what the replica applied.
+// desired-state table tracks what the replica applied. The client's
+// X-Request-Id travels with the request, so the owner's journal
+// carries it.
 func (r *Router) proxyByField(field string, after func([]byte)) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
@@ -244,7 +246,7 @@ func (r *Router) proxyByField(field string, after func([]byte)) http.HandlerFunc
 			routerError(w, http.StatusBadRequest, fmt.Errorf("missing %q field", field))
 			return
 		}
-		status, resp, err := r.forward(dep, req.URL.Path, body)
+		status, resp, err := r.forward(dep, req.URL.Path, body, req.Header.Get("X-Request-Id"))
 		if err != nil {
 			routerError(w, http.StatusBadGateway, err)
 			return
@@ -258,46 +260,33 @@ func (r *Router) proxyByField(field string, after func([]byte)) http.HandlerFunc
 	}
 }
 
-type nodesBody struct {
-	Deployment string        `json:"deployment"`
-	Nodes      []topo.NodeID `json:"nodes"`
-}
-
-type movesBody struct {
-	Deployment string      `json:"deployment"`
-	Moves      []topo.Move `json:"moves"`
-}
-
-func (r *Router) afterFail(body []byte) {
-	var b nodesBody
-	if json.Unmarshal(body, &b) == nil {
-		r.recordFail(b.Deployment, b.Nodes)
+// afterMutation returns the after-hook of a mutation endpoint: decode
+// the accepted body and fold it into the desired state.
+func (r *Router) afterMutation(kind serve.MutationKind) func([]byte) {
+	return func(body []byte) {
+		if dep, m, err := serve.DecodeMutation(kind, bytes.NewReader(body)); err == nil {
+			r.recordMutation(dep, m)
+		}
 	}
 }
 
-func (r *Router) afterRevive(body []byte) {
-	var b nodesBody
-	if json.Unmarshal(body, &b) == nil {
-		r.recordRevive(b.Deployment, b.Nodes)
-	}
-}
-
-func (r *Router) afterMove(body []byte) {
-	var b movesBody
-	if json.Unmarshal(body, &b) == nil {
-		r.recordMove(b.Deployment, b.Moves)
-	}
-}
-
-// forward POSTs body to the owning replica's endpoint and returns the
-// response verbatim.
-func (r *Router) forward(deployment, path string, body []byte) (int, []byte, error) {
+// forward POSTs body to the owning replica's endpoint, tagged with
+// requestID when non-empty, and returns the response verbatim.
+func (r *Router) forward(deployment, path string, body []byte, requestID string) (int, []byte, error) {
 	rep, ok := r.Map().Owner(deployment)
 	if !ok {
 		return 0, nil, fmt.Errorf("fleet: no alive replicas")
 	}
+	req, err := http.NewRequest(http.MethodPost, rep.Addr+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if requestID != "" {
+		req.Header.Set("X-Request-Id", requestID)
+	}
 	r.proxied.Inc()
-	resp, err := r.hc.Post(rep.Addr+path, "application/json", bytes.NewReader(body))
+	resp, err := r.hc.Do(req)
 	if err != nil {
 		r.proxyErrs.Inc()
 		return 0, nil, fmt.Errorf("fleet: owner %s unreachable: %w", rep.ID, err)

@@ -93,9 +93,6 @@ type Event struct {
 	// Dirty is the deduplicated dirty set handed to the repair pass —
 	// the work actually done, as opposed to the batch requested.
 	Dirty int `json:"dirty,omitempty"`
-	// Rebuild marks a full substrate rebuild (FullRebuildOnFail) as
-	// opposed to an incremental repair.
-	Rebuild bool `json:"rebuild,omitempty"`
 
 	// Epoch is the deployment epoch after the event's bump (0 when
 	// the event does not bump the epoch).

@@ -71,14 +71,10 @@ th { background: #f5f5f5; } td.l { text-align: left; }
 		const maxRows = 40
 		for i := len(events) - 1; i >= 0 && i >= len(events)-maxRows; i-- {
 			ev := events[i]
-			kind := ev.Kind.String()
-			if ev.Rebuild {
-				kind += "+rebuild"
-			}
 			fmt.Fprintf(&b,
 				"<tr><td>%d</td><td>%s</td><td class=\"l\">%s</td><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%dus</td><td>%dus</td><td>%dus</td><td>%dus</td></tr>\n",
 				ev.Seq, time.UnixMilli(ev.UnixMS).Format("15:04:05.000"),
-				html.EscapeString(kind), html.EscapeString(ev.Deployment), html.EscapeString(ev.RequestID),
+				html.EscapeString(ev.Kind.String()), html.EscapeString(ev.Deployment), html.EscapeString(ev.RequestID),
 				ev.Nodes, ev.Dirty, ev.Epoch, ev.Purged,
 				ev.DurationUS, ev.SafetyUS, ev.BoundUS, ev.PlanarUS)
 		}

@@ -18,18 +18,20 @@
 //   - HTTP/JSON handlers (see handler.go) that cmd/wasnd serves — the
 //     endpoint reference with curl examples lives in cmd/wasnd/README.md.
 //
-// # Failure handling
+// # Topology changes
 //
-// Topology mutations (node failures via Fail) take a per-deployment
-// write lock and repair all three substrates incrementally in place
-// through core.RepairSubstrates: the safety relabeling is seeded from
-// the failure neighborhood, BOUNDHOLE re-traces only the boundary walks
-// that swept it, and the Gabriel graph recomputes only the incident
-// rows. The routers hold pointers into the substrates and observe the
-// repair without being rebuilt. Repair latency therefore scales with
-// the failure neighborhood, not the deployment size; the
-// Config.FullRebuildOnFail flag retains the from-scratch rebuild as a
-// differential oracle (the results are identical).
+// Node failures, revivals and moves all arrive as one Mutation value
+// and take one path, Service.Mutate: under the per-deployment write
+// lock it applies the change and repairs all three substrates
+// incrementally in place (core.RepairSubstrates for liveness changes,
+// core.RepairSubstratesMoved for moves). The safety relabeling is
+// seeded from the changed neighborhood, BOUNDHOLE re-traces only the
+// boundary walks that swept it, and the Gabriel graph recomputes only
+// the affected rows. The routers hold pointers into the substrates and
+// observe the repair without being rebuilt. Repair latency therefore
+// scales with the changed neighborhood, not the deployment size; the
+// core differential and fuzz batteries pin each repaired substrate to
+// a from-scratch build.
 //
 // After the repair the deployment epoch is bumped — the epoch is part
 // of every cache key, so all previously cached routes of the deployment

@@ -51,7 +51,7 @@ func TestJournalRecordsTopologyChanges(t *testing.T) {
 
 	// A tagged fail journals the request ID, batch size, dirty count,
 	// epoch bump, purge count, and per-substrate repair spans.
-	if err := s.FailTagged(name, []topo.NodeID{pair[0]}, "req-123"); err != nil {
+	if err := s.Mutate(name, Mutation{Kind: MutationFail, Nodes: []topo.NodeID{pair[0]}}, "req-123"); err != nil {
 		t.Fatal(err)
 	}
 	evs = s.Events(0, 0)
@@ -65,15 +65,15 @@ func TestJournalRecordsTopologyChanges(t *testing.T) {
 	if ev.Purged == 0 {
 		t.Fatalf("fail event purged = 0; the cached route should have been purged (%+v)", ev)
 	}
-	if ev.Rebuild || ev.DurationUS < ev.SafetyUS {
+	if ev.DurationUS < ev.SafetyUS {
 		t.Fatalf("fail event spans look wrong: %+v", ev)
 	}
 
 	// Revive and move record their own kinds.
-	if err := s.ReviveTagged(name, []topo.NodeID{pair[0]}, ""); err != nil {
+	if err := s.Revive(name, []topo.NodeID{pair[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MoveTagged(name, []topo.Move{{Node: pair[0], X: 50, Y: 50}}, "req-456"); err != nil {
+	if err := s.Mutate(name, Mutation{Kind: MutationMove, Moves: []topo.Move{{Node: pair[0], X: 50, Y: 50}}}, "req-456"); err != nil {
 		t.Fatal(err)
 	}
 	evs = s.Events(0, 0)
@@ -82,22 +82,6 @@ func TestJournalRecordsTopologyChanges(t *testing.T) {
 	}
 	if evs[3].RequestID != "req-456" {
 		t.Fatalf("move event = %+v", evs[3])
-	}
-}
-
-func TestJournalRebuildEvent(t *testing.T) {
-	s, name := newTestService(t, Config{FullRebuildOnFail: true})
-	pair := alivePairs(t, s, name, 1)[0]
-	if err := s.Fail(name, []topo.NodeID{pair[0]}); err != nil {
-		t.Fatal(err)
-	}
-	evs := s.Events(0, 0)
-	last := evs[len(evs)-1]
-	if last.Kind != obs.EventFail || !last.Rebuild {
-		t.Fatalf("rebuild-mode fail event = %+v", last)
-	}
-	if last.SafetyUS != 0 || last.BoundUS != 0 || last.PlanarUS != 0 {
-		t.Fatalf("rebuild event carries repair spans: %+v", last)
 	}
 }
 
@@ -295,7 +279,7 @@ func TestFlightRecorderStorm(t *testing.T) {
 			default:
 			}
 			u := pairs[i%len(pairs)][0]
-			if err := s.FailTagged(name, []topo.NodeID{u}, fmt.Sprintf("storm-%d", i)); err != nil {
+			if err := s.Mutate(name, Mutation{Kind: MutationFail, Nodes: []topo.NodeID{u}}, fmt.Sprintf("storm-%d", i)); err != nil {
 				t.Errorf("fail: %v", err)
 				return
 			}

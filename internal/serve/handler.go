@@ -36,9 +36,9 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/deploy", s.instrument("/deploy", s.handleDeploy))
 	mux.HandleFunc("/route", s.instrument("/route", s.handleRoute))
 	mux.HandleFunc("/batch", s.instrument("/batch", s.handleBatch))
-	mux.HandleFunc("/fail", s.instrument("/fail", s.handleFail))
-	mux.HandleFunc("/revive", s.instrument("/revive", s.handleRevive))
-	mux.HandleFunc("/move", s.instrument("/move", s.handleMove))
+	mux.HandleFunc("/fail", s.instrument("/fail", s.handleMutation(MutationFail)))
+	mux.HandleFunc("/revive", s.instrument("/revive", s.handleMutation(MutationRevive)))
+	mux.HandleFunc("/move", s.instrument("/move", s.handleMutation(MutationMove)))
 	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
 	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.HandleFunc("/traces", s.instrument("/traces", s.handleTraces))
@@ -282,53 +282,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, batchResponse{Results: s.Batch(req.Requests)})
 }
 
-type failRequest struct {
-	Deployment string        `json:"deployment"`
-	Nodes      []topo.NodeID `json:"nodes"`
-}
-
 type failResponse struct {
 	Deployment string        `json:"deployment"`
 	Failed     []topo.NodeID `json:"failed"`
-}
-
-func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
-	var req failRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := s.FailTagged(req.Deployment, req.Nodes, requestIDOf(w, r)); err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	failed, err := s.Failed(req.Deployment)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, failResponse{Deployment: req.Deployment, Failed: failed})
-}
-
-func (s *Service) handleRevive(w http.ResponseWriter, r *http.Request) {
-	var req failRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := s.ReviveTagged(req.Deployment, req.Nodes, requestIDOf(w, r)); err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	failed, err := s.Failed(req.Deployment)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, failResponse{Deployment: req.Deployment, Failed: failed})
-}
-
-type moveRequest struct {
-	Deployment string      `json:"deployment"`
-	Moves      []topo.Move `json:"moves"`
 }
 
 type moveResponse struct {
@@ -336,16 +292,35 @@ type moveResponse struct {
 	Moved      int    `json:"moved"`
 }
 
-func (s *Service) handleMove(w http.ResponseWriter, r *http.Request) {
-	var req moveRequest
-	if !decodeBody(w, r, &req) {
-		return
+// handleMutation serves POST /fail, /revive and /move: decode the
+// body into a Mutation, apply it under the request's ID, and answer
+// with the dead set (fail, revive) or the move count (move).
+func (s *Service) handleMutation(kind MutationKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+			return
+		}
+		dep, m, err := DecodeMutation(kind, http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			return
+		}
+		if err := s.Mutate(dep, m, requestIDOf(w, r)); err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
+		if kind == MutationMove {
+			writeJSON(w, http.StatusOK, moveResponse{Deployment: dep, Moved: len(m.Moves)})
+			return
+		}
+		failed, err := s.Failed(dep)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, failResponse{Deployment: dep, Failed: failed})
 	}
-	if err := s.MoveTagged(req.Deployment, req.Moves, requestIDOf(w, r)); err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, moveResponse{Deployment: req.Deployment, Moved: len(req.Moves)})
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

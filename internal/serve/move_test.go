@@ -244,7 +244,7 @@ func TestHTTPMove(t *testing.T) {
 	}
 
 	var mr moveResponse
-	resp = post("/move", moveRequest{
+	resp = post("/move", movesRequest{
 		Deployment: dr.Name,
 		Moves:      []topo.Move{{Node: 3, X: 40, Y: 40}, {Node: 9, X: 60, Y: 55}},
 	}, &mr)
@@ -259,7 +259,7 @@ func TestHTTPMove(t *testing.T) {
 	}
 
 	// Bad node id surfaces as a 400.
-	resp = post("/move", moveRequest{
+	resp = post("/move", movesRequest{
 		Deployment: dr.Name,
 		Moves:      []topo.Move{{Node: 150, X: 1, Y: 1}},
 	}, nil)

@@ -84,7 +84,7 @@ func newServiceObs(cfg Config) *serviceObs {
 		buildDur: obs.NewHistogramVec("wasn_build_duration_us",
 			"Substrate build latency in microseconds, by deployment.", "deployment"),
 		repairDur: obs.NewHistogramVec("wasn_repair_duration_us",
-			"Topology-change repair latency in microseconds, by deployment and mode (repair|rebuild).",
+			"Topology-change repair latency in microseconds, by deployment and mode (always repair).",
 			"deployment", "mode"),
 		traces: obs.NewCounter("wasn_traces_recorded_total",
 			"Route decision traces recorded (sampled plus explicit trace requests)."),

@@ -416,9 +416,9 @@ func TestReviveRestoresAndMatchesFreshSim(t *testing.T) {
 }
 
 // TestStatsDerivedFields pins the server-side cache hit rate and the
-// rebuild counter under the full-rebuild oracle config.
+// per-deployment repair counter.
 func TestStatsDerivedFields(t *testing.T) {
-	s, name := newTestService(t, Config{FullRebuildOnFail: true})
+	s, name := newTestService(t, Config{})
 	pair := alivePairs(t, s, name, 1)[0]
 	for i := 0; i < 4; i++ {
 		if _, _, err := s.Route(name, "GF", pair[0], pair[1]); err != nil {
@@ -436,7 +436,7 @@ func TestStatsDerivedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := s.Stats().PerDeployment[0]
-	if ds.Rebuilds != 1 || ds.Repairs != 0 || ds.FailedNodes != 1 {
-		t.Fatalf("oracle DeploymentStats = %+v; want 1 rebuild", ds)
+	if ds.Repairs != 1 || ds.Rebuilds != 0 || ds.FailedNodes != 1 {
+		t.Fatalf("DeploymentStats = %+v; want 1 repair", ds)
 	}
 }

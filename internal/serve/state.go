@@ -130,19 +130,14 @@ func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
 		d.mu.Unlock()
 		return nil
 	}
-	// Live deployment: compute the liveness diff under the read side,
-	// then reconcile through the normal mutation paths (they repair
-	// substrates and bump the epoch like any churn).
+	// Live deployment: collect the dead nodes the target has alive,
+	// then reconcile through Mutate like any churn (it repairs the
+	// substrates, bumps the epoch, and skips what already matches).
 	targetDead := make(map[topo.NodeID]bool, len(st.Failed))
 	for _, u := range st.Failed {
 		targetDead[u] = true
 	}
-	var toFail, toRevive []topo.NodeID
-	for _, u := range st.Failed {
-		if !d.failed[u] {
-			toFail = append(toFail, u)
-		}
-	}
+	var toRevive []topo.NodeID
 	for u := range d.failed {
 		if !targetDead[u] {
 			toRevive = append(toRevive, u)
@@ -151,22 +146,65 @@ func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
 	sort.Slice(toRevive, func(i, j int) bool { return toRevive[i] < toRevive[j] })
 	d.mu.Unlock()
 
-	if len(st.Moved) > 0 {
-		if err := s.Move(d.name, st.Moved); err != nil {
-			return fmt.Errorf("serve: restore %q: %w", d.name, err)
-		}
-	}
-	if len(toFail) > 0 {
-		if err := s.Fail(d.name, toFail); err != nil {
-			return fmt.Errorf("serve: restore %q: %w", d.name, err)
-		}
-	}
-	if len(toRevive) > 0 {
-		if err := s.Revive(d.name, toRevive); err != nil {
+	for _, m := range []Mutation{
+		{Kind: MutationMove, Moves: st.Moved},
+		{Kind: MutationFail, Nodes: st.Failed},
+		{Kind: MutationRevive, Nodes: toRevive},
+	} {
+		if err := s.Mutate(d.name, m, ""); err != nil {
 			return fmt.Errorf("serve: restore %q: %w", d.name, err)
 		}
 	}
 	return nil
+}
+
+// Apply folds a mutation into the state the way Service.Mutate applies
+// it to a live deployment, and reports whether it changed anything.
+// The epoch is bumped exactly when it did — the replica's rule — so a
+// fleet router folding the mutations it proxied keeps the owner's
+// epoch. Failed and Moved are replaced with fresh sorted slices, never
+// updated in place, so copies handed out earlier stay unchanged. Node
+// ranges are not checked: the caller folds only mutations a replica
+// has accepted.
+func (st *DeploymentState) Apply(m Mutation) bool {
+	dead := make(map[topo.NodeID]bool, len(st.Failed)+len(m.Nodes))
+	for _, u := range st.Failed {
+		dead[u] = true
+	}
+	eff := m.effective(func(u topo.NodeID) bool { return dead[u] })
+	if eff.empty() {
+		return false
+	}
+	switch m.Kind {
+	case MutationFail, MutationRevive:
+		for _, u := range eff.Nodes {
+			dead[u] = m.Kind == MutationFail
+		}
+		failed := make([]topo.NodeID, 0, len(dead))
+		for u, isDead := range dead {
+			if isDead {
+				failed = append(failed, u)
+			}
+		}
+		sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
+		st.Failed = failed
+	case MutationMove:
+		pos := make(map[topo.NodeID]topo.Move, len(st.Moved)+len(m.Moves))
+		for _, mv := range st.Moved {
+			pos[mv.Node] = mv
+		}
+		for _, mv := range m.Moves {
+			pos[mv.Node] = mv
+		}
+		moved := make([]topo.Move, 0, len(pos))
+		for _, mv := range pos {
+			moved = append(moved, mv)
+		}
+		sort.Slice(moved, func(i, j int) bool { return moved[i].Node < moved[j].Node })
+		st.Moved = moved
+	}
+	st.Epoch++
+	return true
 }
 
 // notifyState invokes the Config.OnStateChange hook, if any. Callers

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/straightpath/wasn/internal/obs"
+	"github.com/straightpath/wasn/internal/serve"
 	"github.com/straightpath/wasn/internal/topo"
 	"github.com/straightpath/wasn/internal/workload"
 )
@@ -399,7 +400,7 @@ func reviveResidual(drv workload.Driver, rep *workload.Report) error {
 		nodes = append(nodes, u)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return drv.Revive(rep.Deployment, nodes)
+	return drv.Mutate(rep.Deployment, serve.Mutation{Kind: serve.MutationRevive, Nodes: nodes})
 }
 
 // bisect refines the knee between the last unsaturated and first

@@ -10,7 +10,7 @@
 //   - a traffic matrix — uniform random routable pairs, Zipf-skewed
 //     hotspot destinations, or convergecast (every source reports to
 //     its nearest of K sinks, the paper-native many-to-one pattern);
-//   - a churn schedule — timed Fail/Revive events injected mid-run,
+//   - a churn schedule — timed fail/revive mutations injected mid-run,
 //     driving the incremental substrate-repair path under live load;
 //   - a driver — in-process against a serve.Service, or HTTP against a
 //     running wasnd over keep-alive connections.

@@ -18,9 +18,9 @@ type Outcome struct {
 
 // Driver abstracts where a scenario's requests land: in-process against
 // a serve.Service, or over HTTP against a running wasnd. Route must be
-// safe for concurrent use; Fail/Revive may run concurrently with Route
-// (the serve layer serializes internally — that concurrency is the
-// point of churn-under-load scenarios).
+// safe for concurrent use; Mutate may run concurrently with Route (the
+// serve layer serializes internally — that concurrency is the point of
+// churn-under-load scenarios).
 //
 // A Route error means the request itself failed (unknown deployment,
 // out-of-range node, transport failure) — an *undelivered* route is a
@@ -32,13 +32,9 @@ type Driver interface {
 	Deploy(name string, spec DeploymentSpec) (string, error)
 	// Route routes one packet.
 	Route(deployment, algorithm string, src, dst topo.NodeID) (Outcome, error)
-	// Fail kills nodes.
-	Fail(deployment string, nodes []topo.NodeID) error
-	// Revive resurrects nodes.
-	Revive(deployment string, nodes []topo.NodeID) error
-	// Move relocates nodes; the serve layer repairs the substrates in
-	// place. Like Fail/Revive it may run concurrently with Route.
-	Move(deployment string, moves []topo.Move) error
+	// Mutate applies one topology change — nodes failing, reviving or
+	// moving; the serve layer repairs the substrates in place.
+	Mutate(deployment string, m serve.Mutation) error
 	// Stats snapshots the server counters for the report.
 	Stats() (serve.Stats, error)
 	// ScrapeMetrics parses the driver's current metrics exposition,
@@ -97,19 +93,9 @@ func (d *InProcess) Route(deployment, algorithm string, src, dst topo.NodeID) (O
 	return Outcome{Delivered: res.Delivered, Hops: res.Hops(), Cached: cached}, nil
 }
 
-// Fail implements Driver.
-func (d *InProcess) Fail(deployment string, nodes []topo.NodeID) error {
-	return d.svc.Fail(deployment, nodes)
-}
-
-// Revive implements Driver.
-func (d *InProcess) Revive(deployment string, nodes []topo.NodeID) error {
-	return d.svc.Revive(deployment, nodes)
-}
-
-// Move implements Driver.
-func (d *InProcess) Move(deployment string, moves []topo.Move) error {
-	return d.svc.Move(deployment, moves)
+// Mutate implements Driver.
+func (d *InProcess) Mutate(deployment string, m serve.Mutation) error {
+	return d.svc.Mutate(deployment, m, "")
 }
 
 // Stats implements Driver.

@@ -13,6 +13,7 @@ import (
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/metrics"
 	"github.com/straightpath/wasn/internal/obs"
+	"github.com/straightpath/wasn/internal/serve"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -545,7 +546,7 @@ func (r *run) runChurn(stop <-chan struct{}, done chan<- struct{}) {
 		}
 		applied := AppliedChurn{AtMS: ev.atMS}
 		if len(ev.fail) > 0 {
-			if err := r.drv.Fail(r.dep, ev.fail); err != nil {
+			if err := r.drv.Mutate(r.dep, serve.Mutation{Kind: serve.MutationFail, Nodes: ev.fail}); err != nil {
 				applied.Err = err.Error()
 			} else {
 				applied.Failed = ev.fail
@@ -555,7 +556,7 @@ func (r *run) runChurn(stop <-chan struct{}, done chan<- struct{}) {
 			}
 		}
 		if len(ev.revive) > 0 && applied.Err == "" {
-			if err := r.drv.Revive(r.dep, ev.revive); err != nil {
+			if err := r.drv.Mutate(r.dep, serve.Mutation{Kind: serve.MutationRevive, Nodes: ev.revive}); err != nil {
 				applied.Err = err.Error()
 			} else {
 				applied.Revived = ev.revive
@@ -592,7 +593,7 @@ func (r *run) runChurn(stop <-chan struct{}, done chan<- struct{}) {
 // runMobility drives the scenario's position churn: every IntervalMS it
 // advances the mobile sinks one step along their seeded random-waypoint
 // walks, redraws a seeded DriftFraction of the nodes with Gaussian
-// drift, and ships the batch through Driver.Move. The walk state lives
+// drift, and ships the batch through Driver.Mutate. The walk state lives
 // entirely on the offline position snapshot, so the k-th batch is a
 // pure function of the scenario — wall-clock only decides *when* a
 // batch applies, never what it contains — and the recorder logs each
@@ -683,7 +684,7 @@ func (r *run) runMobility(stop <-chan struct{}, done chan<- struct{}) {
 			return
 		case <-timer.C:
 		}
-		if err := r.drv.Move(r.dep, moves); err != nil {
+		if err := r.drv.Mutate(r.dep, serve.Mutation{Kind: serve.MutationMove, Moves: moves}); err != nil {
 			r.progressf("mobility @%dms failed to apply: %v", at/time.Millisecond, err)
 			continue
 		}

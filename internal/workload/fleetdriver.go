@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -51,14 +48,9 @@ type Fleet struct {
 // NewFleet builds a fleet driver against a router base URL. binary
 // selects the binary batch transport for routes where available.
 func NewFleet(routerURL string, binary bool) (*Fleet, error) {
-	tr := &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 256,
-		IdleConnTimeout:     90 * time.Second,
-	}
 	d := &Fleet{
 		routerURL: strings.TrimRight(routerURL, "/"),
-		hc:        &http.Client{Transport: tr, Timeout: 30 * time.Second},
+		hc:        newHTTPClient(),
 		binary:    binary,
 		pools:     make(map[string]*binPool),
 	}
@@ -209,35 +201,15 @@ func (d *Fleet) control(path string, req, out any) error {
 // Deploy implements Driver (via the router, so the desired-state table
 // learns the spec).
 func (d *Fleet) Deploy(name string, spec DeploymentSpec) (string, error) {
-	req := map[string]any{
-		"name": name, "model": spec.Model, "n": spec.N, "seed": spec.Seed,
-		"build": true,
-	}
-	if spec.Coverage > 0 {
-		req["coverage"] = spec.Coverage
-	}
-	var resp struct {
-		Name string `json:"name"`
-	}
-	if err := d.control("/deploy", req, &resp); err != nil {
-		return "", err
-	}
-	return resp.Name, nil
+	var resp deployResponse
+	err := d.control("/deploy", deployRequest(name, spec), &resp)
+	return resp.Name, err
 }
 
-// Fail implements Driver.
-func (d *Fleet) Fail(deployment string, nodes []topo.NodeID) error {
-	return d.control("/fail", churnRequest{Deployment: deployment, Nodes: nodes}, nil)
-}
-
-// Revive implements Driver.
-func (d *Fleet) Revive(deployment string, nodes []topo.NodeID) error {
-	return d.control("/revive", churnRequest{Deployment: deployment, Nodes: nodes}, nil)
-}
-
-// Move implements Driver.
-func (d *Fleet) Move(deployment string, moves []topo.Move) error {
-	return d.control("/move", moveRequest{Deployment: deployment, Moves: moves}, nil)
+// Mutate implements Driver (via the router, so the desired-state
+// table folds the change).
+func (d *Fleet) Mutate(deployment string, m serve.Mutation) error {
+	return d.control("/"+m.Kind.String(), m.Request(deployment), nil)
 }
 
 // Stats implements Driver by summing every numeric counter across the
@@ -315,17 +287,7 @@ func (d *Fleet) Timeline() (obs.TimelineWindow, error) {
 // Events implements Driver with the router's control-plane journal —
 // the joins, leaves, re-shards, and restore pushes of the run.
 func (d *Fleet) Events(max int) ([]obs.Event, error) {
-	url := d.routerURL + "/events"
-	if max > 0 {
-		url += fmt.Sprintf("?max=%d", max)
-	}
-	var body struct {
-		Events []obs.Event `json:"events"`
-	}
-	if err := getJSON(d.hc, url, &body); err != nil {
-		return nil, err
-	}
-	return body.Events, nil
+	return getEvents(d.hc, d.routerURL, max)
 }
 
 // Close implements Driver.
@@ -337,51 +299,6 @@ func (d *Fleet) Close() error {
 	}
 	d.pools = map[string]*binPool{}
 	d.hc.CloseIdleConnections()
-	return nil
-}
-
-// postJSON sends one JSON request and decodes the 200 response into
-// out, surfacing {"error": ...} bodies on other statuses.
-func postJSON(hc *http.Client, url string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("workload: encoding %s request: %w", url, err)
-	}
-	resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("workload: POST %s: %w", url, err)
-	}
-	return decodeJSON(url, resp, out)
-}
-
-func getJSON(hc *http.Client, url string, out any) error {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return fmt.Errorf("workload: GET %s: %w", url, err)
-	}
-	return decodeJSON(url, resp, out)
-}
-
-func decodeJSON(url string, resp *http.Response, out any) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("workload: %s: %s (HTTP %d)", url, e.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("workload: %s: HTTP %d", url, resp.StatusCode)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("workload: decoding %s response: %w", url, err)
-	}
 	return nil
 }
 

@@ -114,7 +114,7 @@ func TestFleetDriverBinaryRoutes(t *testing.T) {
 	}
 
 	// Churn through the driver updates the actual topology.
-	if err := d.Fail(name, []topo.NodeID{7, 8}); err != nil {
+	if err := d.Mutate(name, serve.Mutation{Kind: serve.MutationFail, Nodes: []topo.NodeID{7, 8}}); err != nil {
 		t.Fatal(err)
 	}
 	failed, err := h.svcs[idx].Failed(name)
@@ -176,7 +176,7 @@ func TestFleetDriverSurvivesOwnerKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Fail(name, []topo.NodeID{11, 12}); err != nil {
+	if err := d.Mutate(name, serve.Mutation{Kind: serve.MutationFail, Nodes: []topo.NodeID{11, 12}}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := d.Route(name, "SLGF2", 0, 130)

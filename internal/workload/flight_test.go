@@ -125,9 +125,6 @@ func TestChurnEventsAlignWithTimeline(t *testing.T) {
 			if ev.UnixMS < rep.StartUnixMs {
 				t.Fatalf("journal event %+v predates the run start %d", ev, rep.StartUnixMs)
 			}
-			if ev.Rebuild {
-				t.Fatalf("journal event unexpectedly a rebuild: %+v", ev)
-			}
 			if ev.DurationUS <= 0 {
 				t.Fatalf("journal event lacks a duration: %+v", ev)
 			}

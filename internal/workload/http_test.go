@@ -45,10 +45,10 @@ func TestHTTPDriverRoundTrip(t *testing.T) {
 	if !again.Cached || again.Hops != out.Hops || again.Delivered != out.Delivered {
 		t.Fatalf("cached route diverged: %+v vs %+v", again, out)
 	}
-	if err := drv.Fail(name, []topo.NodeID{10, 11}); err != nil {
+	if err := drv.Mutate(name, serve.Mutation{Kind: serve.MutationFail, Nodes: []topo.NodeID{10, 11}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := drv.Revive(name, []topo.NodeID{10, 11}); err != nil {
+	if err := drv.Mutate(name, serve.Mutation{Kind: serve.MutationRevive, Nodes: []topo.NodeID{10, 11}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := drv.Stats()
@@ -80,7 +80,7 @@ func TestHTTPDriverErrorPaths(t *testing.T) {
 	if _, err := drv.Route(name, "SLGF2", 0, topo.NodeID(tinyDeployment.N)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range error = %v", err)
 	}
-	if err := drv.Fail(name, []topo.NodeID{-1}); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if err := drv.Mutate(name, serve.Mutation{Kind: serve.MutationFail, Nodes: []topo.NodeID{-1}}); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("fail out-of-range error = %v", err)
 	}
 	if _, err := drv.Deploy("", DeploymentSpec{Model: "hex", N: 10, Seed: 1}); err == nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/straightpath/wasn/internal/serve"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -135,7 +136,7 @@ func Replay(drv Driver, tr *Trace, opt ReplayOptions) (*Report, error) {
 			// Mobility barrier: drain, move, resume inside the same phase.
 			close(queue)
 			wg.Wait()
-			if err := drv.Move(dep, ev.Moves); err == nil {
+			if err := drv.Mutate(dep, serve.Mutation{Kind: serve.MutationMove, Moves: ev.Moves}); err == nil {
 				r.moved.Add(int64(len(ev.Moves)))
 				if r.rec != nil {
 					r.rec.recordMove(at, ev.Moves)
@@ -148,19 +149,19 @@ func Replay(drv Driver, tr *Trace, opt ReplayOptions) (*Report, error) {
 			close(queue)
 			wg.Wait()
 			applied := AppliedChurn{AtMS: int(at / time.Millisecond)}
-			var cerr error
+			m := serve.Mutation{Kind: serve.MutationRevive, Nodes: ev.Nodes}
 			if ev.Kind == traceKindFail {
-				if cerr = drv.Fail(dep, ev.Nodes); cerr == nil {
-					applied.Failed = ev.Nodes
-				}
-			} else {
-				if cerr = drv.Revive(dep, ev.Nodes); cerr == nil {
-					applied.Revived = ev.Nodes
-				}
+				m.Kind = serve.MutationFail
 			}
-			if cerr != nil {
-				applied.Err = cerr.Error()
-			} else if r.rec != nil {
+			switch err := drv.Mutate(dep, m); {
+			case err != nil:
+				applied.Err = err.Error()
+			case m.Kind == serve.MutationFail:
+				applied.Failed = ev.Nodes
+			default:
+				applied.Revived = ev.Nodes
+			}
+			if applied.Err == "" && r.rec != nil {
 				r.rec.recordChurn(at, ev.Kind, ev.Nodes)
 			}
 			applied.AppliedMS = float64(time.Since(r.start).Microseconds()) / 1000

@@ -150,8 +150,8 @@ func (r *Report) Summary() string {
 	if r.Server != nil {
 		fmt.Fprintf(&b, "  server: cache hit rate %.1f%%", 100*r.Server.CacheHitRate)
 		for _, d := range r.Server.PerDeployment {
-			fmt.Fprintf(&b, "  [%s epoch=%d failed=%d repairs=%d rebuilds=%d]",
-				d.Name, d.Epoch, d.FailedNodes, d.Repairs, d.Rebuilds)
+			fmt.Fprintf(&b, "  [%s epoch=%d failed=%d repairs=%d]",
+				d.Name, d.Epoch, d.FailedNodes, d.Repairs)
 		}
 		b.WriteString("\n")
 	}
