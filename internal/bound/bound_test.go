@@ -129,11 +129,11 @@ func holeyNetwork(t *testing.T) (*topo.Network, geom.Point) {
 
 func TestStuckNodesOnRing(t *testing.T) {
 	net, center := holeyNetwork(t)
-	_, stuck := StuckNodes(net)
+	stuck := StuckNodes(net)
 	// At least one inner-ring node must be stuck toward the hole center.
 	found := false
 	for u := topo.NodeID(0); u < 16; u++ {
-		if r, ok := stuck[u]; ok && r.StuckToward(net.Pos(u), center) {
+		if stuck[u].StuckToward(net.Pos(u), center) {
 			found = true
 			break
 		}
@@ -235,10 +235,9 @@ func TestFindHolesCleanGrid(t *testing.T) {
 		}
 	}
 	net := buildNet(t, pts, 20)
-	_, stuck := StuckNodes(net)
-	for u := range stuck {
-		p := net.Pos(u)
-		if p.X > 70 && p.X < 130 && p.Y > 70 && p.Y < 130 {
+	for u, r := range StuckNodes(net) {
+		p := net.Pos(topo.NodeID(u))
+		if r.Stuck() && p.X > 70 && p.X < 130 && p.Y > 70 && p.Y < 130 {
 			t.Errorf("interior grid node %d at %v reported stuck", u, p)
 		}
 	}

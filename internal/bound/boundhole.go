@@ -33,9 +33,9 @@ func (h *Hole) indexOf(u topo.NodeID) int {
 
 // Boundaries is the output of BOUNDHOLE on a network: every hole found
 // plus a node→holes index, the "boundary information" that §5 constructs
-// for GF routing. It also retains the per-walk cache that lets Repair
-// re-derive the holes after a node failure by re-tracing only the walks
-// that passed through the failure neighborhood.
+// for GF routing. It also retains the per-walk cache and the successor
+// table that let Repair re-derive the holes after a topology change by
+// re-walking only the walks that passed through the changed region.
 type Boundaries struct {
 	Holes []*Hole
 	// byNode maps each boundary node to the holes it belongs to.
@@ -54,8 +54,16 @@ type Boundaries struct {
 	recs     []nodeRec
 	claimGen []uint32
 	claimG   uint32
+	// Successor table, indexed by CSR edge slot. A walk that arrived at
+	// cur over prev→cur leaves over out[b], where b is the slot of the
+	// back-edge cur→prev; rev[s] is the slot of the reverse of edge s.
+	// Both out[b] and b lie in cur's row, so a row of out depends only on
+	// that row's geometry and its neighbors' liveness. off holds the row
+	// offsets the table was laid out against, and spare is the second
+	// buffer position repair shifts clean rows into.
+	out, rev, off, spare []int32
 	// Repair scratch reused across calls (repairs are serialized by the
-	// caller, like claimGen): the dirty-node marks and the re-trace job
+	// caller, like claimGen): the dirty-node marks and the re-walk job
 	// list, grown to the current node count on demand.
 	tentDirty []bool
 	walkDirty []bool
@@ -64,14 +72,17 @@ type Boundaries struct {
 
 // traceRec caches the outcome of one BOUNDHOLE walk (one stuck interval
 // of one stuck node): the closed cycle (nil when the walk failed to
-// close or was overlong) and the touched set — every node whose
+// close or was overlong), the touched set — every node whose
 // neighborhood the walk swept, cycle nodes for a closed walk and the
-// visited prefix for a failed one. A liveness change at node x can only
-// alter sweeps at x or its static neighbors, so a cached walk stays
-// valid exactly while its touched set avoids {x} ∪ N(x).
+// visited prefix for a failed one — and first, the column of the first
+// hop in the start node's row (-1 when the gap has no way in). A
+// liveness change at node x can only alter sweeps at x or its static
+// neighbors, so a cached walk stays valid exactly while its touched set
+// avoids {x} ∪ N(x).
 type traceRec struct {
 	cycle   []topo.NodeID
 	touched []topo.NodeID
+	first   int32
 }
 
 // nodeRec caches the stuck analysis of one node: its TENT result and
@@ -125,12 +136,19 @@ func FindHoles(net *topo.Network) *Boundaries {
 		net:    net,
 		maxLen: boundaryLenCap(net),
 		recs:   make([]nodeRec, net.N()),
+		out:    make([]int32, net.AdjSlots()),
+		rev:    make([]int32, net.AdjSlots()),
+		off:    rowOffsets(net, nil),
 	}
-	_, stuck := StuckNodes(net)
+	par.For(net.N(), func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			b.fillRow(topo.NodeID(u))
+			b.fillRev(topo.NodeID(u))
+		}
+	})
 	var jobs []traceJob
-	for i := range net.Nodes {
-		res, ok := stuck[topo.NodeID(i)]
-		if !ok {
+	for i, res := range StuckNodes(net) {
+		if !res.Stuck() {
 			continue
 		}
 		b.recs[i] = nodeRec{tent: res, traces: make([]traceRec, len(res.Intervals))}
@@ -138,59 +156,77 @@ func FindHoles(net *topo.Network) *Boundaries {
 			jobs = append(jobs, traceJob{u: res.Node, k: k})
 		}
 	}
-	b.runTraces(jobs, nil)
+	b.runTraces(jobs)
 	b.assemble()
 	return b
 }
 
+// rowOffsets copies the network's CSR row offsets (n+1 entries) into buf.
+func rowOffsets(net *topo.Network, buf []int32) []int32 {
+	buf = slices.Grow(buf[:0], net.N()+1)
+	for u := 0; u <= net.N(); u++ {
+		buf = append(buf, int32(net.AdjOffset(topo.NodeID(u))))
+	}
+	return buf
+}
+
+// fillRow computes row u of the successor table: for the back-edge to
+// each neighbor prev, the CW sweep at u from prev's bearing, excluding
+// prev, bouncing back to prev at a dead end.
+func (b *Boundaries) fillRow(u topo.NodeID) {
+	off := b.net.AdjOffset(u)
+	angs := b.net.AdjacencyAngles(u)
+	for j, prev := range b.net.AdjacencyRow(u) {
+		_, s := sweepCW(b.net, u, angs[j], prev)
+		if s < 0 {
+			s = int32(off + j)
+		}
+		b.out[off+j] = s
+	}
+}
+
+// fillRev computes row u of the reverse-slot table. Rows are sorted
+// ascending and the adjacency is symmetric, so u sits in each
+// neighbor's row at its binary-search position.
+func (b *Boundaries) fillRev(u topo.NodeID) {
+	off := b.net.AdjOffset(u)
+	for j, v := range b.net.AdjacencyRow(u) {
+		k, _ := slices.BinarySearch(b.net.AdjacencyRow(v), u)
+		b.rev[off+j] = int32(b.net.AdjOffset(v) + k)
+	}
+}
+
 // traceJob identifies one walk to run: stuck interval k of node u. The
-// destination slot recs[u].traces[k] must already exist. hint, set only
-// by position repair, is the walk's previous outcome: the re-trace
-// replays it and sweeps only at dirty nodes (traceHinted).
+// destination slot recs[u].traces[k] must already exist.
 type traceJob struct {
-	u    topo.NodeID
-	k    int
-	hint *traceRec
+	u topo.NodeID
+	k int
 }
 
 // runTraces executes the walks. Every walk is independent (it reads the
-// network and writes only its own trace slot), so the jobs fan out
-// across GOMAXPROCS with one tracer — the walk scratch — per chunk.
-func (b *Boundaries) runTraces(jobs []traceJob, dirty []bool) {
+// network and the successor table and writes only its own trace slot),
+// so the jobs fan out across GOMAXPROCS with one tracer — the walk
+// scratch — per chunk. A walk that reproduces the record already in its
+// slot keeps it and allocates nothing.
+func (b *Boundaries) runTraces(jobs []traceJob) {
 	par.For(len(jobs), func(lo, hi int) {
-		tr := newTracer(b.net, b.maxLen)
+		tr := newTracer(b)
 		for i := lo; i < hi; i++ {
 			j := jobs[i]
 			rec := &b.recs[j.u]
-			iv := rec.tent.Intervals[j.k]
-			if j.hint == nil {
-				rec.traces[j.k] = traceOne(tr, j.u, iv)
-				continue
-			}
-			changed, cycle, touched := tr.traceHinted(j.u, iv, j.hint, dirty)
+			t := &rec.traces[j.k]
+			cycle, touched, first := tr.trace(j.u, rec.tent.Intervals[j.k])
 			switch {
-			case !changed:
-				rec.traces[j.k] = *j.hint
+			case (cycle != nil) == (t.cycle != nil) && slices.Equal(touched, t.touched):
+				t.first = first
 			case cycle != nil:
-				kept := append([]topo.NodeID(nil), cycle...)
-				rec.traces[j.k] = traceRec{cycle: kept, touched: kept}
+				kept := slices.Clone(cycle)
+				*t = traceRec{cycle: kept, touched: kept, first: first}
 			default:
-				rec.traces[j.k] = traceRec{touched: append([]topo.NodeID(nil), touched...)}
+				*t = traceRec{touched: slices.Clone(touched), first: first}
 			}
 		}
 	})
-}
-
-// traceOne runs one walk and copies its outcome out of the tracer
-// scratch. A closed walk sweeps exactly its cycle nodes, so the touched
-// set shares the cycle slice.
-func traceOne(tr *tracer, u topo.NodeID, iv StuckInterval) traceRec {
-	cycle, touched := tr.trace(u, iv)
-	if cycle != nil {
-		kept := append([]topo.NodeID(nil), cycle...)
-		return traceRec{cycle: kept, touched: kept}
-	}
-	return traceRec{touched: append([]topo.NodeID(nil), touched...)}
 }
 
 // assemble rebuilds Holes, the node index, and MessageCount from the
@@ -231,9 +267,18 @@ func (b *Boundaries) assemble() {
 			// stayed unclaimed, so a third walk of the same hole entering
 			// through those edges was kept as a phantom second hole. Every
 			// emitted cycle claims its edges, dropped or not, making the
-			// duplicate relation transitive.
-			dup := b.claimed(t.cycle)
-			b.claim(t.cycle)
+			// duplicate relation transitive. The cycle's edges are replayed
+			// from the successor table: a cached walk is valid, so following
+			// the table from its first hop retraces it edge for edge, and
+			// a walk never repeats a directed edge, so claiming as it goes
+			// cannot make a cycle its own duplicate.
+			dup := false
+			s := int32(b.net.AdjOffset(topo.NodeID(i))) + t.first
+			for range t.cycle {
+				dup = dup || b.claimGen[s] == b.claimG
+				b.claimGen[s] = b.claimG
+				s = b.out[b.rev[s]]
+			}
 			if dup {
 				continue
 			}
@@ -280,7 +325,15 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 			}
 		}
 	}
-	b.repairDirty(tentDirty, walkDirty, false)
+	// SetAlive leaves the CSR layout alone, so rev stays valid; the
+	// successor rows whose candidates' liveness changed — exactly the
+	// TENT-dirty rows — are recomputed.
+	for u, d := range tentDirty {
+		if d {
+			b.fillRow(topo.NodeID(u))
+		}
+	}
+	b.repairDirty(tentDirty, walkDirty)
 }
 
 // RepairMoved incrementally re-derives the boundaries after node
@@ -297,7 +350,29 @@ func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
 	for _, x := range dirty {
 		mark[x] = true
 	}
-	b.repairDirty(mark, mark, true)
+	// SetPositions moved the CSR slots: dirty rows are recomputed, clean
+	// rows keep their successors shifted by their row's offset delta, and
+	// the reverse slots are re-derived for every row.
+	slots := b.net.AdjSlots()
+	oldOut := b.out
+	b.out = slices.Grow(b.spare[:0], slots)[:slots]
+	b.rev = slices.Grow(b.rev[:0], slots)[:slots]
+	par.For(b.net.N(), func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if mark[u] {
+				b.fillRow(topo.NodeID(u))
+			} else {
+				delta := int32(b.net.AdjOffset(topo.NodeID(u))) - b.off[u]
+				for s := b.off[u]; s < b.off[u+1]; s++ {
+					b.out[s+delta] = oldOut[s] + delta
+				}
+			}
+			b.fillRev(topo.NodeID(u))
+		}
+	})
+	b.spare = oldOut
+	b.off = rowOffsets(b.net, b.off)
+	b.repairDirty(mark, mark)
 }
 
 // growClear returns buf grown to at least n and cleared — the dirty-mark
@@ -310,16 +385,10 @@ func growClear(buf []bool, n int) []bool {
 	return buf
 }
 
-// repairDirty re-runs TENT on the tentDirty nodes, re-traces every walk
-// that swept a walkDirty node, and reassembles the hole set. moved
-// selects the position-repair fast path: each touched walk re-traces
-// with its cached outcome as an oracle (traceHinted), which skips every
-// sweep at a clean row and usually proves the walk unchanged without
-// re-walking it. Sound only for moves, where every sweep a change could
-// affect reads a dirty row; liveness changes flip sweep outcomes
-// through the Alive bits at rows that are not marked dirty, so those
-// walks re-trace from scratch.
-func (b *Boundaries) repairDirty(tentDirty, walkDirty []bool, moved bool) {
+// repairDirty re-runs TENT on the tentDirty nodes, re-walks every walk
+// that swept a walkDirty node, and reassembles the hole set. The
+// successor table must already describe the current network.
+func (b *Boundaries) repairDirty(tentDirty, walkDirty []bool) {
 	jobs := b.jobs[:0]
 	for i := range b.recs {
 		u := topo.NodeID(i)
@@ -336,73 +405,32 @@ func (b *Boundaries) repairDirty(tentDirty, walkDirty []bool, moved bool) {
 			// When the stuck intervals survived the change, the cached
 			// walks stay valid too (walk outcomes depend on the seed
 			// interval and the swept rows only); fall through to the
-			// per-walk check. For moves the intervals rarely survive
-			// bit-for-bit — every bearing of a dirty row jitters the
-			// float endpoints — but a walk is a function of its start
-			// node and FIRST HOP alone (the interval only seeds the
-			// first sweep), so jittered and even re-partitioned
-			// interval lists still replay their old walks: each new
-			// interval is matched to the cached walk that starts with
-			// the same first hop and re-traced against it.
+			// per-walk check. Otherwise every walk of the node re-runs,
+			// into the old records when the interval count held (each
+			// keeps its record if it reproduces it).
 			if !slices.Equal(res.Intervals, b.recs[i].tent.Intervals) {
-				if !moved {
-					b.recs[i] = nodeRec{tent: res, traces: make([]traceRec, len(res.Intervals))}
-					for k := range res.Intervals {
-						jobs = append(jobs, traceJob{u: u, k: k})
-					}
-					continue
-				}
 				if len(res.Intervals) != len(b.recs[i].traces) {
-					old := b.recs[i].traces
 					b.recs[i] = nodeRec{tent: res, traces: make([]traceRec, len(res.Intervals))}
-					for k := range res.Intervals {
-						jobs = append(jobs, traceJob{u: u, k: k, hint: matchHint(b.net, u, res.Intervals[k], old)})
-					}
-					continue
+				} else {
+					b.recs[i].tent = res
 				}
+				for k := range res.Intervals {
+					jobs = append(jobs, traceJob{u: u, k: k})
+				}
+				continue
 			}
 			b.recs[i].tent = res
 		}
-		// Re-trace only the walks that swept a walk-dirty node.
+		// Re-walk only the walks that swept a walk-dirty node.
 		for k := range b.recs[i].traces {
-			tr := &b.recs[i].traces[k]
-			if !touchesDirty(tr.touched, walkDirty) {
-				continue
-			}
-			if moved {
-				jobs = append(jobs, traceJob{u: u, k: k, hint: tr})
-			} else {
+			if touchesDirty(b.recs[i].traces[k].touched, walkDirty) {
 				jobs = append(jobs, traceJob{u: u, k: k})
 			}
 		}
 	}
 	b.jobs = jobs
-	b.runTraces(jobs, walkDirty)
+	b.runTraces(jobs)
 	b.assemble()
-	// Drop the hint pointers so retired trace records can be collected
-	// (the jobs buffer is retained across repairs).
-	for i := range jobs {
-		jobs[i].hint = nil
-	}
-}
-
-// matchHint picks the cached walk a fresh walk seeded by iv would
-// replay. The whole course of a walk is a function of its start node
-// and first hop — the interval steers nothing past the first sweep —
-// so the cached walk with the same first hop is the right oracle even
-// when the interval list was re-partitioned. nil (no way into the gap,
-// or a genuinely new first hop) re-traces from scratch.
-func matchHint(net *topo.Network, u topo.NodeID, iv StuckInterval, old []traceRec) *traceRec {
-	first := sweepCW(net, u, iv.MidDirection(), topo.NoNode)
-	if first == topo.NoNode {
-		return nil
-	}
-	for m := range old {
-		if t := old[m].touched; len(t) >= 2 && t[1] == first {
-			return &old[m]
-		}
-	}
-	return nil
 }
 
 // touchesDirty reports whether any of the nodes is marked dirty.
@@ -413,27 +441,6 @@ func touchesDirty(nodes []topo.NodeID, dirty []bool) bool {
 		}
 	}
 	return false
-}
-
-// claimed reports whether any directed edge of the cycle is already part
-// of a recorded hole (meaning this traversal found the same hole again
-// from a different stuck node). Walk cycles move along adjacency edges,
-// so every directed edge has a CSR slot.
-func (b *Boundaries) claimed(cycle []topo.NodeID) bool {
-	for i := 0; i < len(cycle); i++ {
-		j := (i + 1) % len(cycle)
-		if b.claimGen[b.net.AdjSlotOf(cycle[i], cycle[j])] == b.claimG {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *Boundaries) claim(cycle []topo.NodeID) {
-	for i := 0; i < len(cycle); i++ {
-		j := (i + 1) % len(cycle)
-		b.claimGen[b.net.AdjSlotOf(cycle[i], cycle[j])] = b.claimG
-	}
 }
 
 func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
@@ -451,65 +458,34 @@ func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
 // walk is a counter bump and each step costs one array write instead of
 // a map insert.
 type tracer struct {
-	net     *topo.Network
-	maxLen  int
+	b       *Boundaries
 	cycle   []topo.NodeID
 	edgeGen []uint32
 	gen     uint32
-	// Hint re-convergence index for position-repair replays: node →
-	// position in the current hint sequence, generation-stamped like
-	// edgeGen and allocated on the first divergent hinted walk.
-	hintIdx []int32
-	hintGen []uint32
-	hintG   uint32
-	// Successor memo for position-repair replays, keyed by the in-edge
-	// CSR slot of a walk state (prev, cur): the boundary successor and
-	// its out-edge slot, both pure functions of the state on the
-	// round's frozen network (resumeLive). Allocated on first use.
-	succNext []topo.NodeID
-	succSlot []int32
-	succSet  []bool
 }
 
-func newTracer(net *topo.Network, maxLen int) *tracer {
+func newTracer(b *Boundaries) *tracer {
 	return &tracer{
-		net:     net,
-		maxLen:  maxLen,
-		cycle:   make([]topo.NodeID, 0, maxLen+1),
-		edgeGen: make([]uint32, net.AdjSlots()),
+		b:       b,
+		cycle:   make([]topo.NodeID, 0, b.maxLen+1),
+		edgeGen: make([]uint32, b.net.AdjSlots()),
 	}
 }
 
-// beginWalk starts a fresh visited-edge generation.
-func (tr *tracer) beginWalk() {
-	tr.gen++
-	if tr.gen == 0 {
-		clear(tr.edgeGen)
-		tr.gen = 1
+// walked stamps the directed edge in slot s as walked this walk,
+// reporting whether it already was.
+func (tr *tracer) walked(s int32) bool {
+	if tr.edgeGen[s] == tr.gen {
+		return true
 	}
-}
-
-// walkEdge stamps the directed edge u→v as walked, reporting whether it
-// had already been walked this generation.
-func (tr *tracer) walkEdge(u, v topo.NodeID) (again bool) {
-	_, again = tr.walkEdgeSlot(u, v)
-	return again
-}
-
-// walkEdgeSlot is walkEdge returning the edge's CSR slot as well, for
-// callers that keep walking from it.
-func (tr *tracer) walkEdgeSlot(u, v topo.NodeID) (slot int32, again bool) {
-	slot = int32(tr.net.AdjSlotOf(u, v))
-	if tr.edgeGen[slot] == tr.gen {
-		return slot, true
-	}
-	tr.edgeGen[slot] = tr.gen
-	return slot, false
+	tr.edgeGen[s] = tr.gen
+	return false
 }
 
 // trace walks the hole boundary starting at stuck node t0, heading into
 // the stuck angular gap and sweeping clockwise (keeping the hole on the
-// left), until the walk returns to t0. cycle is nil when no closed
+// left), until the walk returns to t0. Only the first hop sweeps; every
+// later step is a successor-table lookup. cycle is nil when no closed
 // boundary forms: the original protocol's edge-crossing refinement is
 // approximated by aborting on any repeated directed edge — a repeat
 // means the walk fell into a sub-cycle that can never close at t0.
@@ -518,321 +494,55 @@ func (tr *tracer) walkEdgeSlot(u, v topo.NodeID) (slot int32, again bool) {
 //
 // touched is every node visited by the walk — a superset of the nodes
 // whose neighborhoods were swept — and is returned for both closed and
-// failed walks so Repair can tell which liveness changes invalidate
-// this outcome. Both returned slices alias the tracer's buffer and are
-// only valid until the next trace call.
-func (tr *tracer) trace(t0 topo.NodeID, iv StuckInterval) (cycle, touched []topo.NodeID) {
-	net := tr.net
+// failed walks so Repair can tell which changes invalidate this
+// outcome. first is the column of the first hop in t0's row, -1 when
+// the gap has no way in. Both returned slices alias the tracer's buffer
+// and are only valid until the next trace call.
+func (tr *tracer) trace(t0 topo.NodeID, iv StuckInterval) (cycle, touched []topo.NodeID, first int32) {
+	b := tr.b
+	net := b.net
 	buf := append(tr.cycle[:0], t0)
+	defer func() { tr.cycle = buf[:0] }()
 	// First hop: sweep CW from the middle of the stuck gap; the first
 	// neighbor hit is the gap's boundary node.
-	first := sweepCW(net, t0, iv.MidDirection(), topo.NoNode)
-	if first == topo.NoNode {
-		tr.cycle = buf[:0]
-		return nil, buf
+	cur, s := sweepCW(net, t0, iv.MidDirection(), topo.NoNode)
+	if cur == topo.NoNode {
+		return nil, buf, -1
 	}
-	tr.beginWalk()
-	tr.walkEdge(t0, first)
-	prev, cur := t0, first
+	first = s - int32(net.AdjOffset(t0))
+	tr.gen++
+	if tr.gen == 0 {
+		clear(tr.edgeGen)
+		tr.gen = 1
+	}
+	tr.walked(s)
 	budget := maxBoundarySteps(net)
 	for step := 0; step < budget; step++ {
 		if cur == t0 {
-			tr.cycle = buf[:0]
-			return buf, buf
+			return buf, buf, first
 		}
 		buf = append(buf, cur)
-		if len(buf) > tr.maxLen {
-			tr.cycle = buf[:0]
-			return nil, buf // overlong: assemble would drop it
+		if len(buf) > b.maxLen {
+			return nil, buf, first // overlong: assemble would drop it
 		}
-		// Sweep CW from the back-edge direction: the next boundary edge
-		// is the first neighbor encountered rotating clockwise from
-		// cur→prev, excluding an immediate bounce unless forced. The
-		// walk arrived over edge prev→cur, so the back-edge bearing is a
-		// precomputed CSR lookup, not an atan2.
-		from, _ := net.EdgeBearing(cur, prev)
-		next := sweepCW(net, cur, from, prev)
-		if next == topo.NoNode {
-			next = prev // dead end: bounce back
+		// The walk arrived over s = prev→cur; the next boundary edge is
+		// the table's successor of the back-edge cur→prev.
+		s = b.out[b.rev[s]]
+		if tr.walked(s) {
+			return nil, buf, first // sub-cycle: the walk cannot close at t0
 		}
-		if tr.walkEdge(cur, next) {
-			tr.cycle = buf[:0]
-			return nil, buf // sub-cycle: the walk cannot close at t0
-		}
-		prev, cur = cur, next
+		cur = net.AdjacencyRow(cur)[int(s)-net.AdjOffset(cur)]
 	}
-	tr.cycle = buf[:0]
-	return nil, buf
-}
-
-// traceHinted re-runs the walk (t0, iv) after a position batch, using
-// its cached outcome as an oracle. Soundness: a CW sweep at a node
-// whose adjacency row the batch did not touch (dirty=false) reads
-// exactly the neighbor ids, bearings, and liveness it read when the
-// cache was built — position batches change no Alive bit — so from an
-// identical walk state (prev, cur) it must reproduce the cached
-// successor without being re-run. The walk is therefore REPLAYED
-// index by index, sweeping only at dirty nodes, and the first
-// mismatched successor is the divergence point: the fresh walk equals
-// the cached prefix up to it and resumes live from there (resumeLive),
-// free to re-converge onto the cached sequence. A touched walk whose
-// dirty sweeps all match replays to its cached end and is proven
-// unchanged in O(dirty·deg) instead of being re-walked in O(len·deg).
-//
-// Visited-edge stamps are skipped during the replay: the prefix edges
-// are a sub-path of the cached walk, which never repeats a directed
-// edge, so the repeat-edge abort cannot fire before the divergence
-// point; resumeLive stamps the prefix in bulk when it takes over. The
-// step budget cannot bind either — the visit buffer grows every step,
-// so the length cap (maxLen ≪ budget) always trips first, and the
-// cached walk already respected it.
-//
-// changed=false reports that the fresh walk reproduces the cached
-// outcome bit for bit: the caller keeps the cached record and
-// allocates nothing. Sound for position repair only — a liveness flip
-// at x alters sweeps at x's neighbors through the Alive bits, which
-// row-dirtiness does not capture.
-func (tr *tracer) traceHinted(t0 topo.NodeID, iv StuckInterval, hint *traceRec, dirty []bool) (changed bool, cycle, touched []topo.NodeID) {
-	nodes := hint.touched // == cycle for closed walks (they share the slice)
-	closed := hint.cycle != nil
-	n := len(nodes)
-	// First hop. A clean t0 keeps its cached (bit-equal) interval and
-	// row, so the first sweep reproduces unswept; a dirty t0 — or a
-	// jittered/re-matched interval, which implies a dirty t0 — sweeps
-	// live against the new seed direction.
-	var first topo.NodeID
-	if !dirty[t0] {
-		if n < 2 {
-			return false, nil, nil // still no way into the gap
-		}
-		first = nodes[1]
-	} else {
-		first = sweepCW(tr.net, t0, iv.MidDirection(), topo.NoNode)
-		if first == topo.NoNode {
-			if n < 2 && !closed {
-				return false, nil, nil
-			}
-			buf := append(tr.cycle[:0], t0)
-			tr.cycle = buf[:0]
-			return true, nil, buf
-		}
-	}
-	if n < 2 || first != nodes[1] {
-		return tr.resumeLive(t0, nodes, closed, dirty, 0, first)
-	}
-	for j := 1; ; j++ {
-		cur := nodes[j]
-		if j == n-1 {
-			if !closed && n > tr.maxLen {
-				// The cached walk aborted overlong at the append of its
-				// last node; the fresh walk appends and aborts there
-				// too, before ever sweeping at it.
-				return false, nil, nil
-			}
-			if !dirty[cur] {
-				// Closed: the clean final sweep returns to t0 as
-				// cached. Failed: the aborting sweep replays against an
-				// identical row and stamp history, aborting identically.
-				return false, nil, nil
-			}
-			next := tr.succOf(nodes[j-1], cur)
-			if closed && next == t0 {
-				return false, nil, nil
-			}
-			return tr.resumeLive(t0, nodes, closed, dirty, j, next)
-		}
-		if !dirty[cur] {
-			continue
-		}
-		next := tr.succOf(nodes[j-1], cur)
-		if next != nodes[j+1] {
-			return tr.resumeLive(t0, nodes, closed, dirty, j, next)
-		}
-	}
-}
-
-// resumeLive continues a hinted walk that diverged at the sweep at
-// nodes[j], which picked next instead of the cached successor (j=0:
-// the first hop itself diverged). The fresh walk's prefix equals
-// nodes[:j+1]; its edges are stamped in bulk and the walk proceeds
-// exactly as trace would — except that whenever the live state
-// (prev, cur) matches a cached state at a clean node, the next hop is
-// read from the cache instead of swept, an O(1) fast-forward that
-// carries the walk along unchanged stretches of a re-joined boundary.
-// Repeat-edge aborts, the length cap, and the closing return stay live:
-// only sweep outcomes are oracled, never the walk bookkeeping.
-// resumeLive continues a hinted walk that diverged at the sweep at
-// nodes[j], which picked next instead of the cached successor (j=0: the
-// first hop itself diverged). The fresh walk's prefix equals
-// nodes[:j+1]; its edges are stamped in bulk and the walk proceeds
-// exactly as trace would, with two accelerations that change no
-// outcome:
-//
-//   - Successor memo: one repair round runs against one frozen network,
-//     so the boundary successor of a walk state (prev, cur) — the CW
-//     sweep from the back-edge bearing — is a pure function of the
-//     state. Every successor computed this round is memoized under the
-//     in-edge's CSR slot, and diverged walks re-walking the same
-//     stretch (hole rims and the overlong outer-face orbits are
-//     re-walked by many stuck intervals) replay it at O(1) per step
-//     instead of O(deg). The memo also stores the out-edge slot, making
-//     the visited-edge stamp O(1) on a hit.
-//   - Hint fast-forward: whenever the live state matches a cached state
-//     at a clean node (beginHint/hintAt), the cached successor is valid
-//     by the row-identity argument (traceHinted) and is taken — and
-//     memoized — without sweeping.
-//
-// Repeat-edge aborts, the length cap, and the closing return stay live:
-// only sweep outcomes are oracled, never the walk bookkeeping.
-func (tr *tracer) resumeLive(t0 topo.NodeID, nodes []topo.NodeID, closed bool, dirty []bool, j int, next topo.NodeID) (bool, []topo.NodeID, []topo.NodeID) {
-	buf := append(tr.cycle[:0], nodes[:j+1]...)
-	tr.beginWalk()
-	for i := 0; i < j; i++ {
-		tr.walkEdge(nodes[i], nodes[i+1])
-	}
-	inSlot, again := tr.walkEdgeSlot(nodes[j], next)
-	if again {
-		tr.cycle = buf[:0]
-		return true, nil, buf
-	}
-	tr.beginHint(nodes)
-	tr.ensureMemo()
-	prev, cur := nodes[j], next
-	budget := maxBoundarySteps(tr.net)
-	for step := j; step < budget; step++ {
-		if cur == t0 {
-			tr.cycle = buf[:0]
-			return true, buf, buf
-		}
-		buf = append(buf, cur)
-		if len(buf) > tr.maxLen {
-			tr.cycle = buf[:0]
-			return true, nil, buf
-		}
-		var nxt topo.NodeID
-		var outSlot int32
-		if tr.succSet[inSlot] {
-			nxt, outSlot = tr.succNext[inSlot], tr.succSlot[inSlot]
-		} else {
-			if k := tr.hintAt(cur); k > 0 && nodes[k-1] == prev && !dirty[cur] && (k < len(nodes)-1 || closed) {
-				if k == len(nodes)-1 {
-					nxt = t0 // the cached closing sweep
-				} else {
-					nxt = nodes[k+1]
-				}
-				outSlot = int32(tr.net.AdjSlotOf(cur, nxt))
-			} else {
-				nxt, outSlot = tr.sweepFromSlot(cur, prev)
-			}
-			tr.succSet[inSlot] = true
-			tr.succNext[inSlot] = nxt
-			tr.succSlot[inSlot] = outSlot
-		}
-		if tr.stampSlot(outSlot) {
-			tr.cycle = buf[:0]
-			return true, nil, buf
-		}
-		prev, cur, inSlot = cur, nxt, outSlot
-	}
-	tr.cycle = buf[:0]
-	return true, nil, buf
-}
-
-// sweepFromSlot runs one boundary step live — sweep CW from the
-// back-edge direction, bouncing off dead ends, exactly as trace does —
-// and also reports the CSR slot of the chosen out-edge cur→next.
-func (tr *tracer) sweepFromSlot(cur, prev topo.NodeID) (topo.NodeID, int32) {
-	from, _ := tr.net.EdgeBearing(cur, prev)
-	next, slot := sweepCWSlot(tr.net, cur, from, prev)
-	if next == topo.NoNode {
-		return prev, int32(tr.net.AdjSlotOf(cur, prev)) // dead end: bounce back
-	}
-	return next, slot
-}
-
-// succOf resolves the boundary successor of the state (prev, cur)
-// through the round's memo — the replay-phase counterpart of the
-// resumeLive step, used where no visited-edge stamp is needed.
-func (tr *tracer) succOf(prev, cur topo.NodeID) topo.NodeID {
-	tr.ensureMemo()
-	inSlot := tr.net.AdjSlotOf(prev, cur)
-	if tr.succSet[inSlot] {
-		return tr.succNext[inSlot]
-	}
-	next, outSlot := tr.sweepFromSlot(cur, prev)
-	tr.succSet[inSlot] = true
-	tr.succNext[inSlot] = next
-	tr.succSlot[inSlot] = outSlot
-	return next
-}
-
-// ensureMemo allocates the successor memo on first use. The tracer
-// lives for one runTraces call — one repair round on one frozen
-// network — so entries never need invalidating within its lifetime.
-func (tr *tracer) ensureMemo() {
-	if tr.succSet == nil {
-		n := tr.net.AdjSlots()
-		tr.succSet = make([]bool, n)
-		tr.succNext = make([]topo.NodeID, n)
-		tr.succSlot = make([]int32, n)
-	}
-}
-
-// stampSlot stamps a directed edge by its known CSR slot, reporting
-// whether it had already been walked this generation — walkEdge minus
-// the slot search.
-func (tr *tracer) stampSlot(slot int32) (again bool) {
-	if tr.edgeGen[slot] == tr.gen {
-		return true
-	}
-	tr.edgeGen[slot] = tr.gen
-	return false
-}
-
-// beginHint indexes the hint sequence by node so a diverged walk can
-// re-converge onto it: hintAt returns a node's position, or 0 when the
-// node is absent or visited more than once (an ambiguous position
-// cannot identify a unique walk state).
-func (tr *tracer) beginHint(nodes []topo.NodeID) {
-	if len(tr.hintIdx) < tr.net.N() {
-		tr.hintIdx = make([]int32, tr.net.N())
-		tr.hintGen = make([]uint32, tr.net.N())
-	}
-	tr.hintG++
-	if tr.hintG == 0 {
-		clear(tr.hintGen)
-		tr.hintG = 1
-	}
-	for i := 1; i < len(nodes); i++ {
-		v := nodes[i]
-		if tr.hintGen[v] == tr.hintG {
-			tr.hintIdx[v] = 0
-			continue
-		}
-		tr.hintGen[v] = tr.hintG
-		tr.hintIdx[v] = int32(i)
-	}
-}
-
-func (tr *tracer) hintAt(v topo.NodeID) int {
-	if tr.hintGen[v] != tr.hintG {
-		return 0
-	}
-	return int(tr.hintIdx[v])
+	return nil, buf, first
 }
 
 // sweepCW returns the neighbor of u whose direction is first reached when
 // rotating clockwise from the angle `from`, skipping `exclude` (pass
-// topo.NoNode to allow all neighbors). It runs on the network's
-// precomputed edge bearings, so a sweep step performs no trigonometry.
-func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) topo.NodeID {
-	next, _ := sweepCWSlot(net, u, from, exclude)
-	return next
-}
-
-// sweepCWSlot is sweepCW returning the winning edge's CSR slot as well
-// (-1 when no neighbor qualifies).
-func sweepCWSlot(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) (topo.NodeID, int32) {
+// topo.NoNode to allow all neighbors), and the CSR slot of the edge to
+// it (NoNode and -1 when no neighbor qualifies). It runs on the
+// network's precomputed edge bearings, so a sweep performs no
+// trigonometry.
+func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) (topo.NodeID, int32) {
 	row := net.AdjacencyRow(u)
 	angs := net.AdjacencyAngles(u)
 	checkAlive := net.DeadCount() > 0

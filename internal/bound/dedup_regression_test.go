@@ -14,11 +14,11 @@ import (
 // no edge with any earlier KEPT hole but does share one with an earlier
 // DROPPED duplicate. The pre-fix dedup (only kept holes claimed edges)
 // wrongly kept exactly those cycles as phantom second holes.
-func refAssemble(b *Boundaries) (kept [][]topo.NodeID, phantomChain bool) {
+func refAssemble(recs []nodeRec) (kept [][]topo.NodeID, phantomChain bool) {
 	claimed := map[[2]topo.NodeID]bool{}
 	keptClaimed := map[[2]topo.NodeID]bool{}
-	for i := range b.recs {
-		for _, t := range b.recs[i].traces {
+	for i := range recs {
+		for _, t := range recs[i].traces {
 			if len(t.cycle) < 3 {
 				continue
 			}
@@ -50,7 +50,7 @@ func refAssemble(b *Boundaries) (kept [][]topo.NodeID, phantomChain bool) {
 
 func requireRefMatch(t *testing.T, b *Boundaries, wantPhantom bool) {
 	t.Helper()
-	kept, phantom := refAssemble(b)
+	kept, phantom := refAssemble(b.recs)
 	if len(kept) != len(b.Holes) {
 		t.Fatalf("assembled %d holes; transitive-dedup reference keeps %d", len(b.Holes), len(kept))
 	}

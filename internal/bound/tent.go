@@ -131,10 +131,10 @@ func stuckBetween(net *topo.Network, up geom.Point, v1, v2 topo.NodeID) bool {
 }
 
 // StuckNodes runs the TENT rule on every alive node and returns the
-// results of the stuck ones, index by node in the second return. The
-// per-node tests are independent and fan out across GOMAXPROCS; the
-// returned list stays in ascending node order.
-func StuckNodes(net *topo.Network) ([]TentResult, map[topo.NodeID]TentResult) {
+// results indexed by node id; dead and never-stuck nodes hold results
+// without intervals. The per-node tests are independent and fan out
+// across GOMAXPROCS.
+func StuckNodes(net *topo.Network) []TentResult {
 	perNode := make([]TentResult, net.N())
 	par.For(net.N(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -145,15 +145,7 @@ func StuckNodes(net *topo.Network) ([]TentResult, map[topo.NodeID]TentResult) {
 			perNode[i] = Tent(net, u)
 		}
 	})
-	var list []TentResult
-	byNode := make(map[topo.NodeID]TentResult)
-	for i := range perNode {
-		if r := perNode[i]; r.Stuck() {
-			list = append(list, r)
-			byNode[topo.NodeID(i)] = r
-		}
-	}
-	return list, byNode
+	return perNode
 }
 
 // MidDirection returns the middle direction of the interval, useful for

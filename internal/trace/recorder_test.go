@@ -113,7 +113,8 @@ func TestRecorderObserveAllocFree(t *testing.T) {
 		}
 		Release(rec)
 	})
-	if allocs != 0 {
+	// The race runtime allocates on its own; CI pins this without -race.
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("observe cycle allocates %.1f/op, want 0", allocs)
 	}
 }

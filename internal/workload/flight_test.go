@@ -67,33 +67,48 @@ func TestChurnEventsAlignWithTimeline(t *testing.T) {
 	failedRate := series("failed_nodes_per_s")
 	revivedRate := series("revived_nodes_per_s")
 
-	// reflected reports whether the rate series is positive in the
-	// sampled window that closed at index i (or the one before — an
-	// event applied concurrently with a tick may land a hair earlier).
-	reflected := func(rate []float64, i int) bool {
-		if rate[i] > 0 {
-			return true
+	// Each churn event here applies exactly one mutation, so the
+	// journal's fail/revive events pair with rep.Churn in order.
+	var mutations []obs.Event
+	for _, ev := range rep.Journal {
+		if ev.Kind == obs.EventFail || ev.Kind == obs.EventRevive {
+			mutations = append(mutations, ev)
 		}
-		return i > 0 && rate[i-1] > 0
+	}
+	if len(mutations) != len(rep.Churn) {
+		t.Fatalf("journal has %d fail/revive events for %d churn events: %+v", len(mutations), len(rep.Churn), rep.Journal)
 	}
 
-	for _, ev := range rep.Churn {
-		tEv := rep.StartUnixMs + int64(ev.AppliedMS)
+	// reflected reports whether the rate series is positive in the
+	// sampled window that closed at index i or the next one. The sampler
+	// stamps a sample when its scrape finishes, so sample i — the first
+	// stamped at or after the mutation completed — may have read the
+	// counters just before the repair bumped them; sample i+1's scrape
+	// began after that stamp and must see them.
+	reflected := func(rate []float64, i int) bool {
+		return rate[i] > 0 || (i+1 < len(rate) && rate[i+1] > 0)
+	}
+
+	for k, ev := range rep.Churn {
+		// Anchor on the time the mutation completed — the journal's
+		// timestamp plus the repair's duration — not on when the engine
+		// got to record it.
+		done := mutations[k].UnixMS + mutations[k].DurationUS/1000
 		// The event must fall inside the sampled window: some sample
 		// closed soon after it (the engine's end-of-run flush guarantees
 		// one even for events near the end).
 		i := -1
 		for j, ts := range win.TUnixMS {
-			if ts >= tEv {
+			if ts >= done {
 				i = j
 				break
 			}
 		}
 		if i < 0 {
-			t.Fatalf("churn at +%.0fms (t=%d) is after the last sample %d",
-				ev.AppliedMS, tEv, win.TUnixMS[len(win.TUnixMS)-1])
+			t.Fatalf("churn at +%.0fms (completed t=%d) is after the last sample %d",
+				ev.AppliedMS, done, win.TUnixMS[len(win.TUnixMS)-1])
 		}
-		if slack := win.TUnixMS[i] - tEv; slack > 4*everyMS {
+		if slack := win.TUnixMS[i] - done; slack > 4*everyMS {
 			t.Fatalf("churn at +%.0fms waited %dms for a sample; want <= %dms",
 				ev.AppliedMS, slack, 4*everyMS)
 		}
