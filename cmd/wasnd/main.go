@@ -1,7 +1,7 @@
 // Command wasnd serves routes over deployed sensor networks: an
 // HTTP/JSON frontend on the internal/serve routing service (deployment
-// registry, sharded LRU route cache, batch engine, incremental
-// substrate repair).
+// registry, sharded set-associative route cache, batch engine,
+// incremental substrate repair).
 //
 // Server mode (SIGINT/SIGTERM drain in-flight requests and exit):
 //

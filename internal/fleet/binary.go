@@ -78,13 +78,23 @@ func appendString16(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func (r *snapReader) string16() (string, bool) {
+// string16 reads a u16-length-prefixed string. It returns prev itself,
+// not a fresh copy, when the bytes equal it: a batch repeats its
+// deployment and algorithm names, so passing the previous request's
+// decodes them without an allocation per request.
+func (r *snapReader) string16(prev string) (string, bool) {
 	n, ok := r.u16()
 	if !ok {
 		return "", false
 	}
 	b, ok := r.take(int(n))
-	return string(b), ok
+	if !ok {
+		return "", false
+	}
+	if string(b) == prev {
+		return prev, true
+	}
+	return string(b), true
 }
 
 // encodeBatchRequest builds a frameBatch payload.
@@ -117,12 +127,13 @@ func decodeBatchRequest(payload []byte) (id uint32, reqs []serve.RouteRequest, e
 		return id, nil, fmt.Errorf("fleet: batch count %d exceeds frame", count)
 	}
 	reqs = make([]serve.RouteRequest, 0, count)
+	var prev serve.RouteRequest
 	for i := uint32(0); i < count; i++ {
 		var q serve.RouteRequest
-		if q.Deployment, ok = r.string16(); !ok {
+		if q.Deployment, ok = r.string16(prev.Deployment); !ok {
 			return id, nil, fmt.Errorf("fleet: batch request %d truncated", i)
 		}
-		if q.Algorithm, ok = r.string16(); !ok {
+		if q.Algorithm, ok = r.string16(prev.Algorithm); !ok {
 			return id, nil, fmt.Errorf("fleet: batch request %d truncated", i)
 		}
 		src, ok1 := r.u64()
@@ -133,6 +144,7 @@ func decodeBatchRequest(payload []byte) (id uint32, reqs []serve.RouteRequest, e
 		q.Src = topo.NodeID(int64(src))
 		q.Dst = topo.NodeID(int64(dst))
 		reqs = append(reqs, q)
+		prev = q
 	}
 	if r.off != len(payload) {
 		return id, nil, fmt.Errorf("fleet: %d trailing bytes in batch frame", len(payload)-r.off)
@@ -196,12 +208,12 @@ func (r *snapReader) result() (serve.RouteResponse, bool) {
 	res.Hops = int(hops)
 	res.Length = length
 	if flags&flagReason != 0 {
-		if res.Reason, ok = r.string16(); !ok {
+		if res.Reason, ok = r.string16(""); !ok {
 			return res, false
 		}
 	}
 	if flags&flagErr != 0 {
-		if res.Err, ok = r.string16(); !ok {
+		if res.Err, ok = r.string16(""); !ok {
 			return res, false
 		}
 	}
@@ -271,7 +283,7 @@ func encodeError(id uint32, msg string) []byte {
 func decodeError(payload []byte) (uint32, string) {
 	r := &snapReader{b: payload}
 	id, _ := r.u32()
-	msg, _ := r.string16()
+	msg, _ := r.string16("")
 	if msg == "" {
 		msg = "unspecified protocol error"
 	}

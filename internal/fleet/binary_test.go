@@ -218,3 +218,24 @@ func TestBinaryClientBrokenAfterServerClose(t *testing.T) {
 		t.Fatal("broken client did not stay broken")
 	}
 }
+
+// TestDecodeBatchRequestAllocs pins the batch decoder's allocations to
+// a constant: requests that repeat the previous request's deployment
+// and algorithm reuse its strings instead of copying them.
+func TestDecodeBatchRequestAllocs(t *testing.T) {
+	reqs := make([]serve.RouteRequest, 256)
+	for i := range reqs {
+		reqs[i] = serve.RouteRequest{Deployment: "FA-800-42", Algorithm: serve.Algorithms()[i/128], Src: topo.NodeID(i), Dst: 1}
+	}
+	payload := encodeBatchRequest(1, reqs)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := decodeBatchRequest(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The request slice, plus the names of the first request and of the
+	// one request where the algorithm changes.
+	if allocs > 4 {
+		t.Fatalf("decoding 256 requests: %v allocs; want ≤ 4", allocs)
+	}
+}

@@ -8,8 +8,11 @@
 //     graph, routers) are built lazily and deduplicated with
 //     singleflight, so a stampede of first requests builds each
 //     substrate exactly once;
-//   - a sharded LRU route cache keyed by (deployment, epoch, algorithm,
-//     src, dst) with hit/miss/eviction counters — entries store the
+//   - a sharded, set-associative route cache keyed by (deployment,
+//     epoch, algorithm, src, dst) with hit/miss/eviction counters: a
+//     fixed array of pointer-free slots per shard, 8-way sets evicting
+//     their least recently used slot (so eviction is LRU within a set
+//     and can start before the cache is full), each slot holding the
 //     aggregate outcome only (no paths), keeping cache memory flat;
 //   - a batch engine fanning request slices across a worker pool while
 //     preserving request order, each worker routing into its own

@@ -83,7 +83,7 @@ func TestMoveRepairsAndMatchesFreshSim(t *testing.T) {
 	refRouters := s.buildRouters(refNet, safety.Build(refNet),
 		bound.FindHoles(refNet), planar.Build(refNet, planar.GabrielGraph))
 
-	for _, alg := range Algorithms() {
+	for ai, alg := range Algorithms() {
 		for _, p := range pairs {
 			got, cached, err := s.Route(name, alg, p[0], p[1])
 			if err != nil {
@@ -92,7 +92,7 @@ func TestMoveRepairsAndMatchesFreshSim(t *testing.T) {
 			if cached {
 				t.Fatalf("%s %v served from cache after Move", alg, p)
 			}
-			want := refRouters[alg].Route(p[0], p[1])
+			want := refRouters[ai].Route(p[0], p[1])
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %v diverges from fresh substrate after move:\nserve %+v\nfresh %+v", alg, p, got, want)
 			}
@@ -166,13 +166,13 @@ func TestConcurrentBatchAndMove(t *testing.T) {
 	}
 	refRouters := s.buildRouters(refNet, safety.Build(refNet),
 		bound.FindHoles(refNet), planar.Build(refNet, planar.GabrielGraph))
-	for _, alg := range Algorithms() {
+	for ai, alg := range Algorithms() {
 		for _, p := range pairs {
 			got, _, err := s.Route(name, alg, p[0], p[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := refRouters[alg].Route(p[0], p[1])
+			want := refRouters[ai].Route(p[0], p[1])
 			// The batch goroutines may have re-warmed the cache after the
 			// final move, so compare the pathless aggregates.
 			got.Path, want.Path = nil, nil

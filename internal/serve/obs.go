@@ -26,7 +26,7 @@ type serviceObs struct {
 	// Route outcome families. Recorded when a route is computed; cache
 	// hits replay a known outcome and are visible through the cache
 	// series instead, keeping the hit path free of extra work.
-	alg map[string]*algObs
+	alg [numAlgorithms]*algObs
 
 	// Per-deployment substrate timings (label resolved per build /
 	// repair, which are rare).
@@ -92,7 +92,6 @@ func newServiceObs(cfg Config) *serviceObs {
 		stretchEach: int64(cfg.StretchSampleEvery),
 		stretchDur: obs.NewHistogram("wasn_stretch_sample_duration_us",
 			"Latency of the pooled reference hop-count search each stretch sample pays, in microseconds."),
-		alg: make(map[string]*algObs, len(Algorithms())),
 	}
 	so.ring.init(cfg.TraceRingSize)
 
@@ -113,7 +112,7 @@ func newServiceObs(cfg Config) *serviceObs {
 	stretch := obs.NewHistogramVec("wasn_route_hop_stretch_hundredths",
 		"Sampled hop stretch of delivered routes versus the minimum-hop ideal, in hundredths (100 = optimal).",
 		"algorithm")
-	for _, name := range Algorithms() {
+	for i, name := range algorithmNames {
 		a := &algObs{
 			delivered: routesTotal.With(name, "delivered"),
 			dropped:   routesTotal.With(name, "dropped"),
@@ -123,7 +122,7 @@ func newServiceObs(cfg Config) *serviceObs {
 		for p := core.Phase(1); p <= core.Phase(core.NumPhases); p++ {
 			a.phase[p] = phaseHops.With(name, phaseLabel(p))
 		}
-		so.alg[name] = a
+		so.alg[i] = a
 	}
 
 	so.reg.MustRegister(
@@ -152,11 +151,8 @@ func (so *serviceObs) observeSubstrates(t core.SubstrateTimings) {
 // recordComputed folds one freshly computed route into the outcome
 // series. Called on the cache-miss path only: the route computation
 // (microseconds) dwarfs these few uncontended atomic adds.
-func (so *serviceObs) recordComputed(algorithm string, res core.Result) {
-	a := so.alg[algorithm]
-	if a == nil {
-		return
-	}
+func (so *serviceObs) recordComputed(alg int, res core.Result) {
+	a := so.alg[alg]
 	if res.Delivered {
 		a.delivered.Inc()
 		a.hops.Observe(int64(res.Hops()))
@@ -183,13 +179,11 @@ func (so *serviceObs) sampleStretch() bool {
 }
 
 // observeStretch records hops/idealHops in hundredths.
-func (so *serviceObs) observeStretch(algorithm string, hops, idealHops int) {
+func (so *serviceObs) observeStretch(alg, hops, idealHops int) {
 	if idealHops <= 0 || hops <= 0 {
 		return
 	}
-	if a := so.alg[algorithm]; a != nil {
-		a.stretch.Observe(int64(hops) * 100 / int64(idealHops))
-	}
+	so.alg[alg].stretch.Observe(int64(hops) * 100 / int64(idealHops))
 }
 
 // TraceEvent is one forwarding decision of a traced route, as served

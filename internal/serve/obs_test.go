@@ -143,8 +143,9 @@ func TestRouteTracedMatchesTracePackage(t *testing.T) {
 		}
 		// Differential: drive the router directly with a Recorder (the
 		// trace package's observer) and require the same hop sequence.
+		ai, _ := algorithmIndex(alg)
 		d.mu.RLock()
-		r := d.routers[alg]
+		r := d.routers[ai]
 		d.mu.RUnlock()
 		rec := trace.Acquire()
 		ref := routeObserved(r, p[0], p[1], nil, rec)

@@ -250,7 +250,7 @@ func TestFailInvalidatesCacheAndMatchesFreshSim(t *testing.T) {
 	refRouters := s.buildRouters(refDep.Net, safety.Build(refDep.Net),
 		bound.FindHoles(refDep.Net), planar.Build(refDep.Net, planar.GabrielGraph))
 
-	for _, alg := range Algorithms() {
+	for ai, alg := range Algorithms() {
 		for _, p := range pairs {
 			got, cached, err := s.Route(name, alg, p[0], p[1])
 			if err != nil {
@@ -259,7 +259,7 @@ func TestFailInvalidatesCacheAndMatchesFreshSim(t *testing.T) {
 			if cached {
 				t.Fatalf("%s %v served from cache after Fail", alg, p)
 			}
-			want := refRouters[alg].Route(p[0], p[1])
+			want := refRouters[ai].Route(p[0], p[1])
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %v diverges from fresh substrate:\nserve %+v\nfresh %+v", alg, p, got, want)
 			}
@@ -337,12 +337,13 @@ func TestConcurrentBatchAndFail(t *testing.T) {
 	}
 	refRouters := s.buildRouters(refDep.Net, safety.Build(refDep.Net),
 		bound.FindHoles(refDep.Net), planar.Build(refDep.Net, planar.GabrielGraph))
+	slgf2, _ := algorithmIndex("SLGF2")
 	for _, p := range pairs {
 		got, cached, err := s.Route(name, "SLGF2", p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refRouters["SLGF2"].Route(p[0], p[1])
+		want := refRouters[slgf2].Route(p[0], p[1])
 		// The storm may have left this pair cached (pathless); compare
 		// the aggregates, and the path too when one was computed.
 		if cached {
@@ -384,7 +385,7 @@ func TestReviveRestoresAndMatchesFreshSim(t *testing.T) {
 	}
 	refRouters := s.buildRouters(refDep.Net, safety.Build(refDep.Net),
 		bound.FindHoles(refDep.Net), planar.Build(refDep.Net, planar.GabrielGraph))
-	for _, alg := range Algorithms() {
+	for ai, alg := range Algorithms() {
 		for _, p := range pairs {
 			got, cached, err := s.Route(name, alg, p[0], p[1])
 			if err != nil {
@@ -393,7 +394,7 @@ func TestReviveRestoresAndMatchesFreshSim(t *testing.T) {
 			if cached {
 				t.Fatalf("%s %v served from cache right after revive", alg, p)
 			}
-			want := refRouters[alg].Route(p[0], p[1])
+			want := refRouters[ai].Route(p[0], p[1])
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %v diverges from pristine substrate after revive:\nserve %+v\nfresh %+v", alg, p, got, want)
 			}

@@ -161,7 +161,7 @@ func New(cfg Config) *Service {
 				"Route cache lookups that required a route computation.", obs.KindCounter,
 				func() float64 { return float64(s.cache.stats().misses) }),
 			obs.NewFunc("wasn_route_cache_evictions_total",
-				"Route cache entries evicted by the per-shard LRU.", obs.KindCounter,
+				"Route cache entries evicted by LRU within their 8-way set (eviction can start before the cache is full).", obs.KindCounter,
 				func() float64 { return float64(s.cache.stats().evicted) }),
 			obs.NewFunc("wasn_route_cache_purged_total",
 				"Route cache entries purged by topology changes.", obs.KindCounter,
@@ -215,6 +215,9 @@ func (s *Service) Traces() []TraceRecord { return s.so.ring.snapshot() }
 type deployment struct {
 	name string
 	spec Spec
+	// id is the deployment's registry index, assigned once at Deploy
+	// (deployments are never removed); it keys the route cache.
+	id uint32
 
 	mu    sync.RWMutex
 	epoch atomic.Uint64
@@ -226,7 +229,7 @@ type deployment struct {
 	model   *safety.Model
 	bounds  *bound.Boundaries
 	planarg *planar.Graph
-	routers map[string]core.Router
+	routers [numAlgorithms]core.Router
 	failed  map[topo.NodeID]bool
 	// moved retains the last applied position per ever-moved node —
 	// with Failed, the churn half of the deployment's portable state
@@ -274,7 +277,7 @@ func (s *Service) deploy(name string, spec Spec) (string, bool, error) {
 		}
 		return name, false, nil
 	}
-	s.deps[name] = &deployment{name: name, spec: spec}
+	s.deps[name] = &deployment{name: name, spec: spec, id: uint32(len(s.deps))}
 	return name, true, nil
 }
 
@@ -365,9 +368,10 @@ func (s *Service) ensureBuilt(d *deployment) error {
 	})
 }
 
-// buildRouters constructs the full router set over a network, mirroring
-// the facade's Sim (wasn.NewSim) algorithm table.
-func (s *Service) buildRouters(net *topo.Network, m *safety.Model, b *bound.Boundaries, g *planar.Graph) map[string]core.Router {
+// buildRouters constructs the full router set over a network, indexed
+// like algorithmNames and mirroring the facade's Sim (wasn.NewSim)
+// algorithm table.
+func (s *Service) buildRouters(net *topo.Network, m *safety.Model, b *bound.Boundaries, g *planar.Graph) [numAlgorithms]core.Router {
 	gf := core.NewGF(net, b)
 	gf.TTLFactor = s.cfg.TTLFactor
 	lgf := core.NewLGF(net)
@@ -378,14 +382,10 @@ func (s *Service) buildRouters(net *topo.Network, m *safety.Model, b *bound.Boun
 	slgf2.TTLFactor = s.cfg.TTLFactor
 	gpsr := core.NewGPSR(net, g)
 	gpsr.TTLFactor = s.cfg.TTLFactor
-	return map[string]core.Router{
-		"GF":           gf,
-		"LGF":          lgf,
-		"SLGF":         slgf,
-		"SLGF2":        slgf2,
-		"GPSR":         gpsr,
-		"Ideal-hops":   core.NewIdeal(net, core.IdealMinHop),
-		"Ideal-length": core.NewIdeal(net, core.IdealMinLength),
+	return [numAlgorithms]core.Router{
+		gf, lgf, slgf, slgf2, gpsr,
+		core.NewIdeal(net, core.IdealMinHop),
+		core.NewIdeal(net, core.IdealMinLength),
 	}
 }
 
@@ -437,7 +437,8 @@ func (s *Service) route(deployment, algorithm string, src, dst topo.NodeID, path
 	if src < 0 || dst < 0 || int(src) >= d.spec.N || int(dst) >= d.spec.N {
 		return core.Result{}, false, fmt.Errorf("serve: node out of range [0,%d): src=%d dst=%d", d.spec.N, src, dst)
 	}
-	if !knownAlgorithm(algorithm) {
+	ai, ok := algorithmIndex(algorithm)
+	if !ok {
 		return core.Result{}, false, fmt.Errorf("serve: unknown algorithm %q (want one of %v)", algorithm, Algorithms())
 	}
 	if err := s.ensureBuilt(d); err != nil {
@@ -446,9 +447,9 @@ func (s *Service) route(deployment, algorithm string, src, dst topo.NodeID, path
 
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	r := d.routers[algorithm]
+	r := d.routers[ai]
 
-	key := cacheKey{dep: d.name, epoch: d.epoch.Load(), alg: algorithm, src: src, dst: dst}
+	key := cacheKey{epoch: d.epoch.Load(), src: src, dst: dst, dep: d.id, alg: uint32(ai)}
 	if s.cache != nil && !skipCacheRead {
 		if res, hit := s.cache.get(key); hit {
 			s.routes.Inc()
@@ -468,7 +469,7 @@ func (s *Service) route(deployment, algorithm string, src, dst topo.NodeID, path
 	default:
 		res = r.RouteInto(src, dst, pathBuf)
 	}
-	s.so.recordComputed(algorithm, res)
+	s.so.recordComputed(ai, res)
 	if res.Delivered && !isIdealAlgorithm(algorithm) && s.so.sampleStretch() {
 		// One pathless reference BFS per sample (pooled scratch, no
 		// route materialized — the comparison only needs the count);
@@ -478,7 +479,7 @@ func (s *Service) route(deployment, algorithm string, src, dst topo.NodeID, path
 		ihops := topo.HopCount(d.dep.Net, src, dst)
 		s.so.stretchDur.Observe(time.Since(start).Microseconds())
 		if ihops > 0 {
-			s.so.observeStretch(algorithm, res.Hops(), ihops)
+			s.so.observeStretch(ai, res.Hops(), ihops)
 		}
 	}
 	if s.cache != nil {
@@ -611,7 +612,7 @@ func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (boo
 	ev.PlanarUS = spans.Planar.Microseconds()
 	ev.Epoch = d.epoch.Add(1)
 	if s.cache != nil {
-		ev.Purged = s.cache.purgeDeployment(d.name)
+		ev.Purged = s.cache.purgeDeployment(d.id)
 	}
 	s.journal.Record(ev)
 	s.mutated[m.Kind].Add(int64(len(eff.Nodes) + len(eff.Moves)))
@@ -684,19 +685,28 @@ func (s *Service) NodeCount(deployment string) (int, error) {
 	return d.dep.Net.N(), nil
 }
 
+// algorithmNames is the served algorithm set in the figure-legend order
+// of the facade; an algorithm's index here indexes deployment.routers,
+// the per-algorithm metrics and the route cache key.
+var algorithmNames = [...]string{"GF", "LGF", "SLGF", "SLGF2", "GPSR", "Ideal-hops", "Ideal-length"}
+
+const numAlgorithms = len(algorithmNames)
+
 // Algorithms lists the algorithm names every deployment serves, in the
 // figure-legend order of the facade.
 func Algorithms() []string {
-	return []string{"GF", "LGF", "SLGF", "SLGF2", "GPSR", "Ideal-hops", "Ideal-length"}
+	return append([]string(nil), algorithmNames[:]...)
 }
 
-func knownAlgorithm(name string) bool {
-	for _, a := range Algorithms() {
+// algorithmIndex returns name's index in Algorithms(), or false for an
+// unknown algorithm.
+func algorithmIndex(name string) (int, bool) {
+	for i, a := range algorithmNames {
 		if a == name {
-			return true
+			return i, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Stats is a point-in-time snapshot of the service counters.

@@ -20,8 +20,9 @@
 // Beyond one-shot simulation, the package serves route queries as a
 // long-lived concurrent service: a deployment registry of named
 // (model, n, seed) deployments built lazily (deduplicated with
-// singleflight), a sharded LRU route cache invalidated on topology
-// mutations, and a batch engine fanning requests across a worker pool.
+// singleflight), a sharded, set-associative route cache (LRU within
+// each 8-way set) invalidated on topology mutations, and a batch engine
+// fanning requests across a worker pool.
 //
 //	svc := wasn.NewService()
 //	name, _ := svc.Deploy("", wasn.DeploymentSpec{Model: wasn.FA, N: 500, Seed: 42})
@@ -231,8 +232,10 @@ func (s *Sim) Algorithms() []Algorithm {
 }
 
 // Service is the concurrent routing service: deployment registry,
-// sharded LRU route cache, batch engine, and HTTP handlers. All methods
-// are safe for concurrent use. See the "Serving routes" section above.
+// sharded set-associative route cache (LRU within each 8-way set, so
+// eviction can start before the cache is full), batch engine, and HTTP
+// handlers. All methods are safe for concurrent use. See the "Serving
+// routes" section above.
 type Service = serve.Service
 
 // ServiceConfig tunes a Service; the zero value is production-ready.
