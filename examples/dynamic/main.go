@@ -3,7 +3,7 @@
 // This example streams packets while nodes on the active path randomly
 // fail, repairing every routing substrate incrementally after each
 // failure (Sim.Fail: safety relabeling seeded from the failure
-// neighborhood, local BOUNDHOLE re-traces, planar row recomputation),
+// neighborhood, local BOUNDHOLE re-analysis, planar row recomputation),
 // and shows SLGF2 re-routing around the growing hole.
 package main
 

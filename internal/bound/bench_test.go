@@ -2,6 +2,7 @@ package bound
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"github.com/straightpath/wasn/internal/topo"
@@ -91,4 +92,78 @@ func BenchmarkBoundRepairMove(bb *testing.B) {
 		bb.StartTimer()
 		b.RepairMoved(dirty)
 	}
+}
+
+// mallocs counts the heap allocations f makes, single-threaded like
+// testing.AllocsPerRun so par.For runs inline.
+func mallocs(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
+}
+
+// TestBoundRepairAllocs pins the steady-state allocations of a repair on
+// FA-800-42: a 4-node fail or revive and an 8-node drift. What remains
+// is retained state — the re-run TENT results and the rebuilt hole set
+// (one array each for holes, cycles and the node index) — plus Tent's
+// scratch. A per-walk cache (every re-traced walk copying its cycle)
+// costs over 7k here.
+func TestBoundRepairAllocs(t *testing.T) {
+	net := benchNet(t)
+	b := FindHoles(net)
+	rng := rand.New(rand.NewPCG(1, 2))
+	nodes := make([]topo.NodeID, 4)
+	const rounds, warm = 20, 4
+	var fail, revive float64
+	for i := 0; i < rounds+warm; i++ {
+		for j, u := range rng.Perm(net.N())[:len(nodes)] {
+			nodes[j] = topo.NodeID(u)
+		}
+		for _, alive := range []bool{false, true} {
+			for _, u := range nodes {
+				net.SetAlive(u, alive)
+			}
+			n := mallocs(func() { b.Repair(nodes) })
+			if i < warm {
+				continue
+			}
+			if alive {
+				revive += n / rounds
+			} else {
+				fail += n / rounds
+			}
+		}
+	}
+	if fail > 3000 || revive > 3000 {
+		t.Fatalf("4-node repair allocates %.0f (fail) / %.0f (revive) objects; budget 3000", fail, revive)
+	}
+
+	away := make([]topo.Move, 8)
+	home := make([]topo.Move, len(away))
+	for i, u := range rng.Perm(net.N())[:len(away)] {
+		p := net.Pos(topo.NodeID(u))
+		home[i] = topo.Move{Node: topo.NodeID(u), X: p.X, Y: p.Y}
+		away[i] = topo.Move{Node: topo.NodeID(u), X: p.X + 2*rng.NormFloat64(), Y: p.Y + 2*rng.NormFloat64()}
+	}
+	var move float64
+	for i := 0; i < rounds+warm; i++ {
+		batch := away
+		if i%2 == 1 {
+			batch = home
+		}
+		dirty, err := net.SetPositions(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := mallocs(func() { b.RepairMoved(dirty) }); i >= warm {
+			move += n / rounds
+		}
+	}
+	if move > 5000 {
+		t.Fatalf("8-node move repair allocates %.0f objects; budget 5000", move)
+	}
+	t.Logf("allocs per repair: fail %.0f, revive %.0f, move %.0f", fail, revive, move)
 }

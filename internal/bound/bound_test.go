@@ -191,24 +191,6 @@ func TestFollowBoundary(t *testing.T) {
 	}
 }
 
-func TestMergeIntervals(t *testing.T) {
-	ivs := []StuckInterval{
-		{Lo: 0, Hi: 1},
-		{Lo: 0.5, Hi: 2},
-		{Lo: 3, Hi: 4},
-	}
-	merged := mergeIntervals(ivs)
-	if len(merged) != 2 {
-		t.Fatalf("merged = %+v, want 2 intervals", merged)
-	}
-	if merged[0].Lo != 0 || merged[0].Hi != 2 {
-		t.Errorf("first merged interval = %+v", merged[0])
-	}
-	if got := mergeIntervals(nil); got != nil {
-		t.Error("nil merge should stay nil")
-	}
-}
-
 func TestStuckIntervalHelpers(t *testing.T) {
 	iv := StuckInterval{Lo: 3 * math.Pi / 2, Hi: math.Pi / 2} // wraps through 0
 	if !iv.Contains(0) {

@@ -33,27 +33,26 @@ func (h *Hole) indexOf(u topo.NodeID) int {
 
 // Boundaries is the output of BOUNDHOLE on a network: every hole found
 // plus a node→holes index, the "boundary information" that §5 constructs
-// for GF routing. It also retains the per-walk cache and the successor
-// table that let Repair re-derive the holes after a topology change by
-// re-walking only the walks that passed through the changed region.
+// for GF routing. It also retains the per-node TENT analysis, the
+// successor table and its orbit labels, from which Repair re-derives the
+// holes after a topology change.
 type Boundaries struct {
 	Holes []*Hole
-	// byNode maps each boundary node to the holes it belongs to.
-	byNode map[topo.NodeID][]*Hole
+	// holeOff/holeIdx index the holes by boundary node (see derive).
+	holeOff []int32
+	holeIdx []*Hole
 	// MessageCount estimates construction traffic: one message per
 	// traversal step, the cost model used when comparing against the
 	// safety-information construction. After a Repair it equals what a
 	// from-scratch run on the mutated network would report.
 	MessageCount int
 
-	// Repair state: the network the boundaries were traced on, the
-	// boundary length cap, the cached TENT results and walk outcomes per
-	// node, and the generation-stamped claimed-edge scratch of assemble.
-	net      *topo.Network
-	maxLen   int
-	recs     []nodeRec
-	claimGen []uint32
-	claimG   uint32
+	// The network the boundaries were traced on, the boundary length
+	// cap, and per node the TENT result plus the first hop of each
+	// stuck interval's walk.
+	net    *topo.Network
+	maxLen int
+	recs   []nodeRec
 	// Successor table, indexed by CSR edge slot. A walk that arrived at
 	// cur over prev→cur leaves over out[b], where b is the slot of the
 	// back-edge cur→prev; rev[s] is the slot of the reverse of edge s.
@@ -62,62 +61,44 @@ type Boundaries struct {
 	// offsets the table was laid out against, and spare is the second
 	// buffer position repair shifts clean rows into.
 	out, rev, off, spare []int32
-	// Repair scratch reused across calls (repairs are serialized by the
-	// caller, like claimGen): the dirty-node marks and the re-walk job
-	// list, grown to the current node count on demand.
-	tentDirty []bool
-	walkDirty []bool
-	jobs      []traceJob
+	// σ's orbit labels and the dedup claims, rebuilt by every derive.
+	orbits
+	// Scratch reused across calls (repairs are serialized by the
+	// caller): the dirty-node marks and list, and derive's kept walks.
+	mark  []bool
+	dirty []topo.NodeID
+	kept  []walk
 }
 
-// traceRec caches the outcome of one BOUNDHOLE walk (one stuck interval
-// of one stuck node): the closed cycle (nil when the walk failed to
-// close or was overlong), the touched set — every node whose
-// neighborhood the walk swept, cycle nodes for a closed walk and the
-// visited prefix for a failed one — and first, the column of the first
-// hop in the start node's row (-1 when the gap has no way in). A
-// liveness change at node x can only alter sweeps at x or its static
-// neighbors, so a cached walk stays valid exactly while its touched set
-// avoids {x} ∪ N(x).
-type traceRec struct {
-	cycle   []topo.NodeID
-	touched []topo.NodeID
-	first   int32
+// walk is a closed BOUNDHOLE walk: n darts from t0, leaving over slot s0.
+type walk struct {
+	t0 topo.NodeID
+	s0 int32
+	n  int
 }
 
-// nodeRec caches the stuck analysis of one node: its TENT result and
-// the walk outcome of each stuck interval (index-aligned with
-// tent.Intervals). The zero value marks a node that is dead or not
-// stuck.
+// nodeRec is the stuck analysis of one node: its TENT result and, per
+// stuck interval, the column of the walk's first hop in the node's row
+// (-1 when the gap has no way in). Dead and never-stuck nodes have no
+// first hops.
 type nodeRec struct {
-	tent   TentResult
-	traces []traceRec
+	tent  TentResult
+	first []int32
 }
 
-// HolesAt returns the holes whose boundary contains u (nil if none).
-func (b *Boundaries) HolesAt(u topo.NodeID) []*Hole { return b.byNode[u] }
+// HolesAt returns the holes whose boundary contains u (empty if none).
+func (b *Boundaries) HolesAt(u topo.NodeID) []*Hole {
+	return b.holeIdx[b.holeOff[u]:b.holeOff[u+1]:b.holeOff[u+1]]
+}
 
 // OnBoundary reports whether u lies on any hole boundary.
-func (b *Boundaries) OnBoundary(u topo.NodeID) bool { return len(b.byNode[u]) > 0 }
-
-// maxBoundarySteps caps one traversal; BOUNDHOLE boundaries cannot visit a
-// directed edge twice, so 4|V| is far beyond any legitimate cycle and only
-// trips on pathological float geometry.
-func maxBoundarySteps(net *topo.Network) int { return 4 * net.N() }
+func (b *Boundaries) OnBoundary(u topo.NodeID) bool { return b.holeOff[u] < b.holeOff[u+1] }
 
 // boundaryLenCap bounds the length of a kept boundary. Boundaries longer
 // than this are walk artifacts, not hole rims: a genuine hole boundary
 // cannot involve more than a fraction of the network. They would only
-// mislead detours, so they are dropped — and the tracer aborts as soon
-// as a walk exceeds the cap rather than burning its full step budget on
-// a cycle that cannot be kept.
-func boundaryLenCap(net *topo.Network) int {
-	maxLen := net.N() / 4
-	if maxLen < 16 {
-		maxLen = 16
-	}
-	return maxLen
-}
+// mislead detours, so they are dropped.
+func boundaryLenCap(net *topo.Network) int { return max(net.N()/4, 16) }
 
 // FindHoles runs the TENT rule and then BOUNDHOLE from every stuck
 // direction, deduplicating holes that share boundary edges.
@@ -128,9 +109,8 @@ func boundaryLenCap(net *topo.Network) int {
 // edge, which yields the same closed boundary on the unit-disk graphs used
 // here (the refinement only matters under lossy/asymmetric links).
 //
-// The returned Boundaries retain every walk outcome, so a later Repair
-// after node failures re-traces only the walks whose swept region the
-// failure touched.
+// The returned Boundaries retain the TENT analysis and the successor
+// table, so a later Repair re-analyzes only the changed neighborhood.
 func FindHoles(net *topo.Network) *Boundaries {
 	b := &Boundaries{
 		net:    net,
@@ -144,20 +124,10 @@ func FindHoles(net *topo.Network) *Boundaries {
 		for u := lo; u < hi; u++ {
 			b.fillRow(topo.NodeID(u))
 			b.fillRev(topo.NodeID(u))
+			b.analyze(topo.NodeID(u))
 		}
 	})
-	var jobs []traceJob
-	for i, res := range StuckNodes(net) {
-		if !res.Stuck() {
-			continue
-		}
-		b.recs[i] = nodeRec{tent: res, traces: make([]traceRec, len(res.Intervals))}
-		for k := range res.Intervals {
-			jobs = append(jobs, traceJob{u: res.Node, k: k})
-		}
-	}
-	b.runTraces(jobs)
-	b.assemble()
+	b.derive()
 	return b
 }
 
@@ -177,7 +147,7 @@ func (b *Boundaries) fillRow(u topo.NodeID) {
 	off := b.net.AdjOffset(u)
 	angs := b.net.AdjacencyAngles(u)
 	for j, prev := range b.net.AdjacencyRow(u) {
-		_, s := sweepCW(b.net, u, angs[j], prev)
+		s := sweepCW(b.net, u, angs[j], prev)
 		if s < 0 {
 			s = int32(off + j)
 		}
@@ -196,159 +166,130 @@ func (b *Boundaries) fillRev(u topo.NodeID) {
 	}
 }
 
-// traceJob identifies one walk to run: stuck interval k of node u. The
-// destination slot recs[u].traces[k] must already exist.
-type traceJob struct {
-	u topo.NodeID
-	k int
-}
-
-// runTraces executes the walks. Every walk is independent (it reads the
-// network and the successor table and writes only its own trace slot),
-// so the jobs fan out across GOMAXPROCS with one tracer — the walk
-// scratch — per chunk. A walk that reproduces the record already in its
-// slot keeps it and allocates nothing.
-func (b *Boundaries) runTraces(jobs []traceJob) {
-	par.For(len(jobs), func(lo, hi int) {
-		tr := newTracer(b)
-		for i := lo; i < hi; i++ {
-			j := jobs[i]
-			rec := &b.recs[j.u]
-			t := &rec.traces[j.k]
-			cycle, touched, first := tr.trace(j.u, rec.tent.Intervals[j.k])
-			switch {
-			case (cycle != nil) == (t.cycle != nil) && slices.Equal(touched, t.touched):
-				t.first = first
-			case cycle != nil:
-				kept := slices.Clone(cycle)
-				*t = traceRec{cycle: kept, touched: kept, first: first}
-			default:
-				*t = traceRec{touched: slices.Clone(touched), first: first}
-			}
-		}
-	})
-}
-
-// assemble rebuilds Holes, the node index, and MessageCount from the
-// cached walks, replaying the discovery order of a from-scratch run:
-// nodes ascending, intervals in TENT order, first claim of a directed
-// edge wins. An incremental Repair therefore assigns the same hole ids,
-// cycles, and message counts as FindHoles on the mutated network.
-func (b *Boundaries) assemble() {
-	b.Holes = b.Holes[:0]
-	if b.byNode == nil {
-		b.byNode = make(map[topo.NodeID][]*Hole)
-	} else {
-		clear(b.byNode)
+// analyze re-runs TENT at u and sweeps the first hop of each stuck
+// interval: CW from the middle of the gap, the first neighbor hit is the
+// gap's boundary node. The column is row-relative, so it survives a CSR
+// shift of a row whose geometry did not change.
+func (b *Boundaries) analyze(u topo.NodeID) {
+	rec := &b.recs[u]
+	rec.tent, rec.first = TentResult{}, rec.first[:0]
+	if !b.net.Alive(u) {
+		return
 	}
+	rec.tent = Tent(b.net, u)
+	for _, iv := range rec.tent.Intervals {
+		s := sweepCW(b.net, u, iv.MidDirection(), topo.NoNode)
+		if s >= 0 {
+			s -= int32(b.net.AdjOffset(u))
+		}
+		rec.first = append(rec.first, s)
+	}
+}
+
+// derive labels the successor table's orbits and rebuilds Holes, the
+// node index and MessageCount from them in the discovery order of the
+// protocol: nodes ascending, intervals in TENT order, the first claim of
+// a directed edge wins. Every walk that closes into a cycle of at least
+// three nodes is counted and claims its edges, kept or not — a walk
+// that shares an edge with ANY earlier walk re-found the same hole from
+// another stuck direction, and claiming a dropped duplicate's edges too
+// keeps a third walk of that hole from surfacing as a phantom. Only
+// kept holes materialize their cycle, all into one fresh array.
+func (b *Boundaries) derive() {
+	b.label()
 	b.MessageCount = 0
-	// Claimed directed boundary edges live in a generation-stamped array
-	// indexed by CSR edge slot — O(1) to reset, no hashing per edge.
-	// Position repair can grow the slot count, so resize by length (the
-	// generation bump makes any slot-shifted stale stamps harmless).
-	if len(b.claimGen) < b.net.AdjSlots() {
-		b.claimGen = make([]uint32, b.net.AdjSlots())
-	}
-	b.claimG++
-	if b.claimG == 0 {
-		clear(b.claimGen)
-		b.claimG = 1
-	}
+	kept, total := b.kept[:0], 0
 	for i := range b.recs {
-		for _, t := range b.recs[i].traces {
-			if len(t.cycle) < 3 {
+		u := topo.NodeID(i)
+		for _, col := range b.recs[i].first {
+			if col < 0 {
 				continue
 			}
-			b.MessageCount += len(t.cycle)
-			// A trace that shares a directed edge with ANY earlier trace —
-			// kept or itself deduplicated — re-found the same hole from
-			// another stuck direction. Claiming only kept holes' edges was
-			// a long-standing bug: a dropped duplicate's remaining edges
-			// stayed unclaimed, so a third walk of the same hole entering
-			// through those edges was kept as a phantom second hole. Every
-			// emitted cycle claims its edges, dropped or not, making the
-			// duplicate relation transitive. The cycle's edges are replayed
-			// from the successor table: a cached walk is valid, so following
-			// the table from its first hop retraces it edge for edge, and
-			// a walk never repeats a directed edge, so claiming as it goes
-			// cannot make a cycle its own duplicate.
-			dup := false
-			s := int32(b.net.AdjOffset(topo.NodeID(i))) + t.first
-			for range t.cycle {
-				dup = dup || b.claimGen[s] == b.claimG
-				b.claimGen[s] = b.claimG
-				s = b.out[b.rev[s]]
-			}
-			if dup {
+			s0 := b.off[u] + col
+			n := b.walkLen(u, s0)
+			if n < 3 {
 				continue
 			}
-			hole := &Hole{ID: len(b.Holes), Cycle: t.cycle, BBox: cycleBBox(b.net, t.cycle)}
-			b.Holes = append(b.Holes, hole)
-			for _, v := range t.cycle {
-				b.byNode[v] = append(b.byNode[v], hole)
+			b.MessageCount += n
+			if !b.claim(s0, n) {
+				kept, total = append(kept, walk{u, s0, n}), total+n
 			}
 		}
 	}
+	b.kept = kept
+	holes := make([]Hole, len(kept))
+	nodes := make([]topo.NodeID, 0, total)
+	holeOff := make([]int32, b.net.N()+1)
+	b.Holes = b.Holes[:0]
+	for k, w := range kept {
+		start := len(nodes)
+		nodes = b.appendCycle(nodes, w.t0, w.s0, w.n)
+		cycle := nodes[start:len(nodes):len(nodes)]
+		holes[k] = Hole{ID: k, Cycle: cycle, BBox: cycleBBox(b.net, cycle)}
+		b.Holes = append(b.Holes, &holes[k])
+		for _, v := range cycle {
+			holeOff[v+1]++
+		}
+	}
+	// The node index is CSR too: HolesAt(v) is holeIdx[holeOff[v]:
+	// holeOff[v+1]], in hole id order.
+	for v := range b.net.N() {
+		holeOff[v+1] += holeOff[v]
+	}
+	holeIdx := make([]*Hole, total)
+	for _, h := range b.Holes {
+		for _, v := range h.Cycle {
+			holeIdx[holeOff[v]] = h
+			holeOff[v]++
+		}
+	}
+	copy(holeOff[1:], holeOff)
+	holeOff[0] = 0
+	b.holeOff, b.holeIdx = holeOff, holeIdx
 }
 
 // Repair incrementally re-derives the boundaries after the liveness of
 // the given nodes changed (topo.Network.SetAlive already applied; both
-// failures and revivals are handled). The TENT rule re-runs only on the
-// changed nodes and their static neighbors — the only nodes whose
-// angular gaps moved — and only walks whose swept region intersects
-// that dirty set are re-traced; every other walk replays from the
-// cache. The resulting hole set is identical to FindHoles on the
-// mutated network at a small fraction of the cost: repair work scales
-// with the failure neighborhood and the boundaries through it, not with
-// the network.
+// failures and revivals are handled). A changed node alters the sweeps
+// and the TENT analysis only at itself and its static neighbors, so
+// exactly those successor rows and stuck analyses are recomputed
+// (SetAlive leaves the CSR layout, and so rev, alone); the orbits are
+// then re-derived. The resulting hole set is identical to FindHoles on
+// the mutated network.
 func (b *Boundaries) Repair(changed []topo.NodeID) {
-	// Two dirt notions. tentDirty marks nodes whose TENT analysis must
-	// re-run: the changed nodes and their static neighbors (TENT reads
-	// the full neighborhood). walkDirty marks nodes whose presence in a
-	// walk's touched set invalidates the walk — and is finer for
-	// failures: a CW sweep's outcome changes on candidate removal only
-	// if the removed node was the sweep's winner, i.e. the walk's next
-	// hop, so a failed node deflects exactly the walks that visited it.
-	// A revived node can newly win any sweep at its neighbors, so it
-	// dirties its whole neighborhood.
-	b.tentDirty = growClear(b.tentDirty, b.net.N())
-	b.walkDirty = growClear(b.walkDirty, b.net.N())
-	tentDirty, walkDirty := b.tentDirty, b.walkDirty
+	b.mark = growClear(b.mark, b.net.N())
+	dirty := b.dirty[:0]
+	add := func(u topo.NodeID) {
+		if !b.mark[u] {
+			b.mark[u] = true
+			dirty = append(dirty, u)
+		}
+	}
 	for _, x := range changed {
-		tentDirty[x] = true
-		walkDirty[x] = true
-		revived := b.net.Alive(x)
+		add(x)
 		for _, v := range b.net.AdjacencyRow(x) {
-			tentDirty[v] = true
-			if revived {
-				walkDirty[v] = true
-			}
+			add(v)
 		}
 	}
-	// SetAlive leaves the CSR layout alone, so rev stays valid; the
-	// successor rows whose candidates' liveness changed — exactly the
-	// TENT-dirty rows — are recomputed.
-	for u, d := range tentDirty {
-		if d {
-			b.fillRow(topo.NodeID(u))
+	b.dirty = dirty
+	par.For(len(dirty), func(lo, hi int) {
+		for _, u := range dirty[lo:hi] {
+			b.fillRow(u)
+			b.analyze(u)
 		}
-	}
-	b.repairDirty(tentDirty, walkDirty)
+	})
+	b.derive()
 }
 
 // RepairMoved incrementally re-derives the boundaries after node
 // positions changed (topo.Network.SetPositions already applied). dirty
-// is the geometric dirty set SetPositions returned. Both the TENT
-// analysis at a node and a CW sweep at a visited walk node read exactly
-// that node's row geometry — neighbor ids, bearings, packed positions —
-// so a node's cached analysis and the walks that swept it are invalid
-// precisely when the node is in the dirty set: tentDirty and walkDirty
-// coincide for moves.
+// is the geometric dirty set SetPositions returned: both the TENT
+// analysis and a successor row read exactly their node's row geometry,
+// so they are recomputed there and nowhere else.
 func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
-	b.tentDirty = growClear(b.tentDirty, b.net.N())
-	mark := b.tentDirty
+	b.mark = growClear(b.mark, b.net.N())
 	for _, x := range dirty {
-		mark[x] = true
+		b.mark[x] = true
 	}
 	// SetPositions moved the CSR slots: dirty rows are recomputed, clean
 	// rows keep their successors shifted by their row's offset delta, and
@@ -359,8 +300,9 @@ func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
 	b.rev = slices.Grow(b.rev[:0], slots)[:slots]
 	par.For(b.net.N(), func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			if mark[u] {
+			if b.mark[u] {
 				b.fillRow(topo.NodeID(u))
+				b.analyze(topo.NodeID(u))
 			} else {
 				delta := int32(b.net.AdjOffset(topo.NodeID(u))) - b.off[u]
 				for s := b.off[u]; s < b.off[u+1]; s++ {
@@ -372,75 +314,16 @@ func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
 	})
 	b.spare = oldOut
 	b.off = rowOffsets(b.net, b.off)
-	b.repairDirty(mark, mark)
+	b.derive()
 }
 
-// growClear returns buf grown to at least n and cleared — the dirty-mark
-// scratch shared by the repair entry points.
-func growClear(buf []bool, n int) []bool {
+// growClear returns buf grown to at least n and cleared.
+func growClear[T any](buf []T, n int) []T {
 	if len(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	clear(buf)
 	return buf
-}
-
-// repairDirty re-runs TENT on the tentDirty nodes, re-walks every walk
-// that swept a walkDirty node, and reassembles the hole set. The
-// successor table must already describe the current network.
-func (b *Boundaries) repairDirty(tentDirty, walkDirty []bool) {
-	jobs := b.jobs[:0]
-	for i := range b.recs {
-		u := topo.NodeID(i)
-		if tentDirty[i] {
-			if !b.net.Alive(u) {
-				b.recs[i] = nodeRec{}
-				continue
-			}
-			res := Tent(b.net, u)
-			if !res.Stuck() {
-				b.recs[i] = nodeRec{}
-				continue
-			}
-			// When the stuck intervals survived the change, the cached
-			// walks stay valid too (walk outcomes depend on the seed
-			// interval and the swept rows only); fall through to the
-			// per-walk check. Otherwise every walk of the node re-runs,
-			// into the old records when the interval count held (each
-			// keeps its record if it reproduces it).
-			if !slices.Equal(res.Intervals, b.recs[i].tent.Intervals) {
-				if len(res.Intervals) != len(b.recs[i].traces) {
-					b.recs[i] = nodeRec{tent: res, traces: make([]traceRec, len(res.Intervals))}
-				} else {
-					b.recs[i].tent = res
-				}
-				for k := range res.Intervals {
-					jobs = append(jobs, traceJob{u: u, k: k})
-				}
-				continue
-			}
-			b.recs[i].tent = res
-		}
-		// Re-walk only the walks that swept a walk-dirty node.
-		for k := range b.recs[i].traces {
-			if touchesDirty(b.recs[i].traces[k].touched, walkDirty) {
-				jobs = append(jobs, traceJob{u: u, k: k})
-			}
-		}
-	}
-	b.jobs = jobs
-	b.runTraces(jobs)
-	b.assemble()
-}
-
-// touchesDirty reports whether any of the nodes is marked dirty.
-func touchesDirty(nodes []topo.NodeID, dirty []bool) bool {
-	for _, v := range nodes {
-		if dirty[v] {
-			return true
-		}
-	}
-	return false
 }
 
 func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
@@ -451,105 +334,18 @@ func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
 	return bb
 }
 
-// tracer holds the reusable scratch of BOUNDHOLE traversals: the cycle
-// buffer and the visited directed-edge stamps, allocated once per walk
-// worker and reused across its traces. Visited edges live in a
-// generation-stamped array indexed by CSR edge slot, so starting a new
-// walk is a counter bump and each step costs one array write instead of
-// a map insert.
-type tracer struct {
-	b       *Boundaries
-	cycle   []topo.NodeID
-	edgeGen []uint32
-	gen     uint32
-}
-
-func newTracer(b *Boundaries) *tracer {
-	return &tracer{
-		b:       b,
-		cycle:   make([]topo.NodeID, 0, b.maxLen+1),
-		edgeGen: make([]uint32, b.net.AdjSlots()),
-	}
-}
-
-// walked stamps the directed edge in slot s as walked this walk,
-// reporting whether it already was.
-func (tr *tracer) walked(s int32) bool {
-	if tr.edgeGen[s] == tr.gen {
-		return true
-	}
-	tr.edgeGen[s] = tr.gen
-	return false
-}
-
-// trace walks the hole boundary starting at stuck node t0, heading into
-// the stuck angular gap and sweeping clockwise (keeping the hole on the
-// left), until the walk returns to t0. Only the first hop sweeps; every
-// later step is a successor-table lookup. cycle is nil when no closed
-// boundary forms: the original protocol's edge-crossing refinement is
-// approximated by aborting on any repeated directed edge — a repeat
-// means the walk fell into a sub-cycle that can never close at t0.
-// Walks exceeding maxLen abort immediately (assemble would discard the
-// cycle anyway).
-//
-// touched is every node visited by the walk — a superset of the nodes
-// whose neighborhoods were swept — and is returned for both closed and
-// failed walks so Repair can tell which changes invalidate this
-// outcome. first is the column of the first hop in t0's row, -1 when
-// the gap has no way in. Both returned slices alias the tracer's buffer
-// and are only valid until the next trace call.
-func (tr *tracer) trace(t0 topo.NodeID, iv StuckInterval) (cycle, touched []topo.NodeID, first int32) {
-	b := tr.b
-	net := b.net
-	buf := append(tr.cycle[:0], t0)
-	defer func() { tr.cycle = buf[:0] }()
-	// First hop: sweep CW from the middle of the stuck gap; the first
-	// neighbor hit is the gap's boundary node.
-	cur, s := sweepCW(net, t0, iv.MidDirection(), topo.NoNode)
-	if cur == topo.NoNode {
-		return nil, buf, -1
-	}
-	first = s - int32(net.AdjOffset(t0))
-	tr.gen++
-	if tr.gen == 0 {
-		clear(tr.edgeGen)
-		tr.gen = 1
-	}
-	tr.walked(s)
-	budget := maxBoundarySteps(net)
-	for step := 0; step < budget; step++ {
-		if cur == t0 {
-			return buf, buf, first
-		}
-		buf = append(buf, cur)
-		if len(buf) > b.maxLen {
-			return nil, buf, first // overlong: assemble would drop it
-		}
-		// The walk arrived over s = prev→cur; the next boundary edge is
-		// the table's successor of the back-edge cur→prev.
-		s = b.out[b.rev[s]]
-		if tr.walked(s) {
-			return nil, buf, first // sub-cycle: the walk cannot close at t0
-		}
-		cur = net.AdjacencyRow(cur)[int(s)-net.AdjOffset(cur)]
-	}
-	return nil, buf, first
-}
-
-// sweepCW returns the neighbor of u whose direction is first reached when
-// rotating clockwise from the angle `from`, skipping `exclude` (pass
-// topo.NoNode to allow all neighbors), and the CSR slot of the edge to
-// it (NoNode and -1 when no neighbor qualifies). It runs on the
-// network's precomputed edge bearings, so a sweep performs no
-// trigonometry.
-func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) (topo.NodeID, int32) {
-	row := net.AdjacencyRow(u)
+// sweepCW returns the CSR slot of the edge from u to the neighbor whose
+// direction is first reached when rotating clockwise from the angle
+// `from`, skipping `exclude` (pass topo.NoNode to allow all neighbors),
+// or -1 when no neighbor qualifies. Among neighbors sharing a bearing
+// the first in row order wins. It runs on the network's precomputed
+// edge bearings, so a sweep performs no trigonometry.
+func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) int32 {
 	angs := net.AdjacencyAngles(u)
 	checkAlive := net.DeadCount() > 0
-	best := topo.NoNode
 	bestDelta := geom.TwoPi + 1
 	bestJ := -1
-	for j, v := range row {
+	for j, v := range net.AdjacencyRow(u) {
 		if v == exclude || (checkAlive && !net.Alive(v)) {
 			continue
 		}
@@ -558,15 +354,13 @@ func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID
 			delta = geom.TwoPi
 		}
 		if delta < bestDelta {
-			bestDelta = delta
-			best = v
-			bestJ = j
+			bestDelta, bestJ = delta, j
 		}
 	}
 	if bestJ < 0 {
-		return topo.NoNode, -1
+		return -1
 	}
-	return best, int32(net.AdjOffset(u) + bestJ)
+	return int32(net.AdjOffset(u) + bestJ)
 }
 
 // FollowBoundary returns the boundary successor of u on hole h moving in

@@ -7,29 +7,29 @@ import (
 	"github.com/straightpath/wasn/internal/topo"
 )
 
-// refAssemble replays the cached walks in assemble's discovery order
+// refAssemble replays the reference walks in the discovery order
 // with an independent map-based transitive dedup — every emitted cycle
 // claims its directed edges whether kept or dropped — and returns the
 // kept cycles plus whether a phantom chain occurred: a cycle that shares
 // no edge with any earlier KEPT hole but does share one with an earlier
 // DROPPED duplicate. The pre-fix dedup (only kept holes claimed edges)
 // wrongly kept exactly those cycles as phantom second holes.
-func refAssemble(recs []nodeRec) (kept [][]topo.NodeID, phantomChain bool) {
+func refAssemble(recs []refNode) (kept [][]topo.NodeID, phantomChain bool) {
 	claimed := map[[2]topo.NodeID]bool{}
 	keptClaimed := map[[2]topo.NodeID]bool{}
 	for i := range recs {
-		for _, t := range recs[i].traces {
-			if len(t.cycle) < 3 {
+		for _, cycle := range recs[i].cycles {
+			if len(cycle) < 3 {
 				continue
 			}
 			dupAny, dupKept := false, false
-			for i2 := range t.cycle {
-				e := [2]topo.NodeID{t.cycle[i2], t.cycle[(i2+1)%len(t.cycle)]}
+			for i2 := range cycle {
+				e := [2]topo.NodeID{cycle[i2], cycle[(i2+1)%len(cycle)]}
 				dupAny = dupAny || claimed[e]
 				dupKept = dupKept || keptClaimed[e]
 			}
-			for i2 := range t.cycle {
-				e := [2]topo.NodeID{t.cycle[i2], t.cycle[(i2+1)%len(t.cycle)]}
+			for i2 := range cycle {
+				e := [2]topo.NodeID{cycle[i2], cycle[(i2+1)%len(cycle)]}
 				claimed[e] = true
 			}
 			if dupAny {
@@ -38,11 +38,11 @@ func refAssemble(recs []nodeRec) (kept [][]topo.NodeID, phantomChain bool) {
 				}
 				continue
 			}
-			for i2 := range t.cycle {
-				e := [2]topo.NodeID{t.cycle[i2], t.cycle[(i2+1)%len(t.cycle)]}
+			for i2 := range cycle {
+				e := [2]topo.NodeID{cycle[i2], cycle[(i2+1)%len(cycle)]}
 				keptClaimed[e] = true
 			}
-			kept = append(kept, t.cycle)
+			kept = append(kept, cycle)
 		}
 	}
 	return kept, phantomChain
@@ -50,9 +50,9 @@ func refAssemble(recs []nodeRec) (kept [][]topo.NodeID, phantomChain bool) {
 
 func requireRefMatch(t *testing.T, b *Boundaries, wantPhantom bool) {
 	t.Helper()
-	kept, phantom := refAssemble(b.recs)
+	kept, phantom := refAssemble(refRecs(b.net))
 	if len(kept) != len(b.Holes) {
-		t.Fatalf("assembled %d holes; transitive-dedup reference keeps %d", len(b.Holes), len(kept))
+		t.Fatalf("derived %d holes; transitive-dedup reference keeps %d", len(b.Holes), len(kept))
 	}
 	for i, h := range b.Holes {
 		if !slices.Equal(h.Cycle, kept[i]) {
@@ -69,8 +69,8 @@ func requireRefMatch(t *testing.T, b *Boundaries, wantPhantom bool) {
 // from a third stuck direction — sharing edges only with an already
 // dropped duplicate — was emitted again as a phantom second hole. The
 // obstacle-field seeds here are ones where that chain occurs (the
-// pre-fix assemble kept 25 resp. phantom-extra holes); the fixed
-// assemble must agree with an independent transitive dedup, cycle for
+// pre-fix dedup kept 25 resp. phantom-extra holes); the derived hole
+// set must agree with an independent transitive dedup, cycle for
 // cycle, on the initial build and across liveness churn.
 func TestNoPhantomDuplicateHoles(t *testing.T) {
 	// Initial-build phantom: OB n=110 seed=2 (pre-fix: 25 holes, 2 phantom).

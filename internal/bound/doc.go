@@ -13,45 +13,44 @@
 //
 // # Lifecycle: build once, repair on change
 //
-// A BOUNDHOLE step is a pure function of the directed edge it arrived
-// on: from the back-edge cur→prev, sweep clockwise at cur, skipping
-// prev (bouncing back to it at a dead end). [Boundaries] keep that
-// function as a persistent successor table over the network's CSR edge
-// slots — out[b] is the next boundary edge for back-edge slot b, rev[s]
-// the reverse of edge s — so after the first hop every walk step is two
-// lookups plus a visited-edge stamp. A row of out lies entirely in one
-// node's CSR row and reads only that row's geometry and its neighbors'
-// liveness.
+// A BOUNDHOLE step is a pure function of the directed edge (dart) it
+// arrived on: from the back-edge cur→prev, sweep clockwise at cur,
+// skipping prev (bouncing back to it at a dead end). [Boundaries] keep
+// that function as a successor table over the network's CSR edge slots
+// — σ(s) = out[rev[s]] — whose row at a node reads only that node's row
+// geometry and its neighbors' liveness.
 //
-// [FindHoles] is the full build: the successor table and TENT on every
-// node (both parallel across GOMAXPROCS), one walk per stuck interval
-// (parallel, one scratch tracer per worker), then an assembly pass that
-// deduplicates holes claiming the same directed boundary edges, replaying
-// each kept cycle's edges from the table. The returned [Boundaries]
-// retain every walk outcome together with the set of nodes each walk
-// swept.
+// A walk from stuck node t0 follows σ from its first-hop dart and closes
+// at the first dart whose head is t0: the dart before the next one whose
+// tail is t0. So one O(live darts) pass that labels σ's cycles (orbits)
+// and, per dart, the distance to the next dart with the same tail,
+// resolves every walk in O(1): its length is a lookup and its cycle a
+// range of the orbit. The dedup claims ranges of a bitset over the
+// orbits, in the protocol's discovery order (nodes ascending, intervals
+// in TENT order, first claim of a directed edge wins, dropped duplicates
+// claiming too), and only kept holes materialize their cycle.
 //
-// Repairs exploit that TENT, the table rows and the walks are all
-// neighborhood-local, and differ per kind only in what they invalidate:
+// σ is a bijection except at sweep ties: when two neighbors of a node
+// share a bearing (nodes clamped onto a field edge, say), two back-edges
+// get one successor and the darts upstream of the merge lie off every
+// cycle. A walk starting there is stepped explicitly, stopping when it
+// comes round its cycle or passes the length cap.
+//
+// [FindHoles] fills the table and runs TENT plus the first-hop sweeps on
+// every node in one pass parallel across GOMAXPROCS, then derives the
+// holes from the orbits. A repair recomputes the table rows, TENT and
+// first hops only where they changed, then derives again:
 //
 //   - Fail/revive of x ([Boundaries.Repair]): SetAlive leaves the CSR
-//     layout alone, so rev stays valid and only the out rows of {x} ∪
-//     N(x) — the rows that list x as a sweep candidate — are recomputed.
-//     TENT re-runs on the same nodes. A failure re-walks the walks that
-//     visited x (a removed candidate changes a sweep only where it won);
-//     a revival re-walks those that swept any node of {x} ∪ N(x).
+//     layout (and so rev) alone; the nodes of {x} ∪ N(x) are recomputed.
 //   - Move ([Boundaries.RepairMoved]): SetPositions moves slots, so the
-//     out rows of the geometric dirty set are recomputed, clean rows are
-//     shifted by their row's offset delta, and rev is re-derived. TENT
-//     re-runs on the dirty set and the walks that swept a dirty node
-//     re-walk.
+//     geometric dirty set is recomputed, clean rows are shifted by their
+//     row's offset delta (first hops are row-relative and survive), and
+//     rev is re-derived.
 //
-// A re-walk that reproduces its cached record keeps it and allocates
-// nothing. The assembly then replays from the cache, so a repair yields
-// boundaries identical to a from-scratch FindHoles on the mutated
+// The result is identical to a from-scratch FindHoles on the mutated
 // network — hole ids, cycles, bounding boxes and message counts
-// included — at a cost that scales with the changed neighborhood and
-// the boundaries through it. The serving layer's mutations and the
-// facade's Sim.Fail route through these repairs via
-// core.RepairSubstrates and core.RepairSubstratesMoved.
+// included. The serving layer's mutations and the facade's Sim.Fail
+// route through these repairs via core.RepairSubstrates and
+// core.RepairSubstratesMoved.
 package bound

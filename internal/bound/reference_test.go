@@ -33,23 +33,23 @@ func refSweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.Nod
 
 // refTrace is the reference BOUNDHOLE walk: one CW sweep per step from
 // the back-edge bearing, visited directed edges in a map. It returns the
-// closed cycle (nil when the walk repeats an edge, runs over maxLen or
-// out of budget) and the nodes the walk visited.
-func refTrace(net *topo.Network, maxLen int, t0 topo.NodeID, iv StuckInterval) (cycle, touched []topo.NodeID) {
-	buf := []topo.NodeID{t0}
+// closed cycle, nil when the walk repeats an edge, runs over maxLen or
+// out of budget.
+func refTrace(net *topo.Network, maxLen int, t0 topo.NodeID, iv StuckInterval) []topo.NodeID {
+	cycle := []topo.NodeID{t0}
 	first := refSweepCW(net, t0, iv.MidDirection(), topo.NoNode)
 	if first == topo.NoNode {
-		return nil, buf
+		return nil
 	}
 	walked := map[[2]topo.NodeID]bool{{t0, first}: true}
 	prev, cur := t0, first
 	for step := 0; step < 4*net.N(); step++ {
 		if cur == t0 {
-			return buf, buf
+			return cycle
 		}
-		buf = append(buf, cur)
-		if len(buf) > maxLen {
-			return nil, buf
+		cycle = append(cycle, cur)
+		if len(cycle) > maxLen {
+			return nil
 		}
 		from, _ := net.EdgeBearing(cur, prev)
 		next := refSweepCW(net, cur, from, prev)
@@ -57,55 +57,90 @@ func refTrace(net *topo.Network, maxLen int, t0 topo.NodeID, iv StuckInterval) (
 			next = prev
 		}
 		if walked[[2]topo.NodeID{cur, next}] {
-			return nil, buf
+			return nil
 		}
 		walked[[2]topo.NodeID{cur, next}] = true
 		prev, cur = cur, next
 	}
-	return nil, buf
+	return nil
+}
+
+// refNode is the reference analysis of one node: its TENT result and
+// the reference walk's cycle per stuck interval (nil when dropped).
+type refNode struct {
+	tent   TentResult
+	cycles [][]topo.NodeID
 }
 
 // refRecs runs TENT and the reference walk from every stuck interval of
 // every alive node.
-func refRecs(net *topo.Network) []nodeRec {
-	recs := make([]nodeRec, net.N())
+func refRecs(net *topo.Network) []refNode {
+	recs := make([]refNode, net.N())
 	maxLen := boundaryLenCap(net)
 	for i := range recs {
 		u := topo.NodeID(i)
 		if !net.Alive(u) {
 			continue
 		}
-		res := Tent(net, u)
-		if !res.Stuck() {
-			continue
-		}
-		recs[i] = nodeRec{tent: res, traces: make([]traceRec, len(res.Intervals))}
-		for k, iv := range res.Intervals {
-			cycle, touched := refTrace(net, maxLen, u, iv)
-			recs[i].traces[k] = traceRec{cycle: cycle, touched: touched}
+		recs[i].tent = Tent(net, u)
+		for _, iv := range recs[i].tent.Intervals {
+			recs[i].cycles = append(recs[i].cycles, refTrace(net, maxLen, u, iv))
 		}
 	}
 	return recs
 }
 
-// requireReference checks b against the reference on its network: every
-// cached walk record (cycle and touched set), then the hole set, the
-// node index and the message count assembled from the reference walks.
+// derivedCycle is b's outcome for stuck interval k of node u: the cycle
+// its orbit labels give the walk, nil when the walk is dropped.
+func derivedCycle(b *Boundaries, u topo.NodeID, k int) []topo.NodeID {
+	col := b.recs[u].first[k]
+	if col < 0 {
+		return nil
+	}
+	s0 := b.off[u] + col
+	n := b.walkLen(u, s0)
+	if n == 0 {
+		return nil
+	}
+	return b.appendCycle(nil, u, s0, n)
+}
+
+// offCycle counts the live darts that lie off every orbit of b's
+// successor permutation — zero unless a sweep tie merged two darts —
+// and the walks that start on one of them.
+func offCycle(b *Boundaries) (darts, walks int) {
+	for u := range b.net.Nodes {
+		for j, v := range b.net.AdjacencyRow(topo.NodeID(u)) {
+			if b.net.Alive(topo.NodeID(u)) && b.net.Alive(v) && b.at[b.off[u]+int32(j)] < 0 {
+				darts++
+			}
+		}
+		for _, col := range b.recs[u].first {
+			if col >= 0 && b.at[b.off[u]+col] < 0 {
+				walks++
+			}
+		}
+	}
+	return darts, walks
+}
+
+// requireReference checks b against the reference on its network: the
+// TENT result of every node and the derived outcome of every stuck
+// interval's walk, then the hole set, the node index and the message
+// count assembled from the reference walks.
 func requireReference(t *testing.T, label string, b *Boundaries) {
 	t.Helper()
 	net := b.net
 	want := refRecs(net)
 	for i := range want {
 		got, w := b.recs[i], want[i]
-		if !slices.Equal(got.tent.Intervals, w.tent.Intervals) || len(got.traces) != len(w.traces) {
+		if !slices.Equal(got.tent.Intervals, w.tent.Intervals) || len(got.first) != len(w.cycles) {
 			t.Fatalf("%s: node %d TENT %v (%d walks); reference %v (%d walks)",
-				label, i, got.tent.Intervals, len(got.traces), w.tent.Intervals, len(w.traces))
+				label, i, got.tent.Intervals, len(got.first), w.tent.Intervals, len(w.cycles))
 		}
-		for k := range w.traces {
-			g, r := got.traces[k], w.traces[k]
-			if !slices.Equal(g.cycle, r.cycle) || (g.cycle == nil) != (r.cycle == nil) || !slices.Equal(g.touched, r.touched) {
-				t.Fatalf("%s: walk %d/%d cycle %v touched %v; reference cycle %v touched %v",
-					label, i, k, g.cycle, g.touched, r.cycle, r.touched)
+		for k, r := range w.cycles {
+			if g := derivedCycle(b, topo.NodeID(i), k); !slices.Equal(g, r) || (g == nil) != (r == nil) {
+				t.Fatalf("%s: walk %d/%d cycle %v; reference %v", label, i, k, g, r)
 			}
 		}
 	}
@@ -113,9 +148,9 @@ func requireReference(t *testing.T, label string, b *Boundaries) {
 	kept, _ := refAssemble(want)
 	messages := 0
 	for i := range want {
-		for _, tr := range want[i].traces {
-			if len(tr.cycle) >= 3 {
-				messages += len(tr.cycle)
+		for _, c := range want[i].cycles {
+			if len(c) >= 3 {
+				messages += len(c)
 			}
 		}
 	}
@@ -154,7 +189,8 @@ func requireReference(t *testing.T, label string, b *Boundaries) {
 // TestBoundariesMatchReference pins FindHoles and all three repair
 // kinds to the sweep-per-step reference walk on IA, FA and OB
 // deployments: fresh, then after every step of an interleaved
-// fail/revive/move sequence. The repairs are thus checked against an
+// fail/revive/move sequence, and through moves that clamp nodes onto a
+// field edge (edge-ties). The repairs are thus checked against an
 // independent walk, not only against FindHoles.
 func TestBoundariesMatchReference(t *testing.T) {
 	for _, tc := range []struct {
@@ -216,4 +252,43 @@ func TestBoundariesMatchReference(t *testing.T) {
 			}
 		})
 	}
+	// Sweep ties: moves push nodes of the left strip onto the field
+	// edge, where neighbors on the edge line share an exact bearing from
+	// each other. The tie rule then sends two back-edges to one
+	// successor, so σ stops being a bijection and walks start off every
+	// σ-cycle; each step is still checked against the reference.
+	t.Run("edge-ties", func(t *testing.T) {
+		dep, err := topo.Deploy(topo.DefaultDeployConfig(topo.ModelOB, 300, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := dep.Net
+		b := FindHoles(net)
+		var strip []topo.NodeID
+		for u := range net.Nodes {
+			if net.Pos(topo.NodeID(u)).X < net.Field.Min.X+30 {
+				strip = append(strip, topo.NodeID(u))
+			}
+		}
+		var darts, walks int
+		for len(strip) > 0 {
+			k := min(4, len(strip))
+			moves := make([]topo.Move, k)
+			for i, u := range strip[:k] {
+				moves[i] = topo.Move{Node: u, X: max(net.Pos(u).X-40, net.Field.Min.X), Y: net.Pos(u).Y}
+			}
+			strip = strip[k:]
+			dirty, err := net.SetPositions(moves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.RepairMoved(dirty)
+			requireReference(t, "edge move", b)
+			d, w := offCycle(b)
+			darts, walks = max(darts, d), max(walks, w)
+		}
+		if darts == 0 || walks == 0 {
+			t.Fatalf("scenario puts %d darts and %d walk starts off the σ-cycles; both must be positive, pick a new seed", darts, walks)
+		}
+	})
 }

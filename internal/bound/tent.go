@@ -156,23 +156,3 @@ func (s StuckInterval) MidDirection() float64 {
 
 // Width returns the angular width of the interval.
 func (s StuckInterval) Width() float64 { return geom.CCWDelta(s.Lo, s.Hi) }
-
-// mergeIntervals is exposed for tests: overlapping CCW intervals merge.
-func mergeIntervals(ivs []StuckInterval) []StuckInterval {
-	if len(ivs) <= 1 {
-		return ivs
-	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].Lo < ivs[b].Lo })
-	out := []StuckInterval{ivs[0]}
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if geom.InCCWInterval(iv.Lo, last.Lo, last.Hi) {
-			if !geom.InCCWInterval(iv.Hi, last.Lo, last.Hi) {
-				last.Hi = iv.Hi
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}

@@ -57,17 +57,17 @@ func (mc *moveCycle) next() []topo.Move {
 // TestMoveRepairSteadyStateAllocs pins the allocation profile of a
 // steady-state position batch — SetPositions plus RepairSubstratesMoved
 // over all three substrates. The repair scratch (dirty marks, job
-// lists, claim stamps) is reused across batches, but the bulk of the
-// remaining allocations are retained *state*, not scratch: every
-// re-traced BOUNDHOLE walk copies its cycle out of the tracer, every
-// re-run TENT analysis allocates its interval list, every rebuilt
-// planar row allocates its kept/angle slices, and assemble() rebuilds
-// the node→holes index — all of which outlive the call, so a literal
-// zero pin is not achievable without restructuring the substrates'
-// ownership model. What the ceiling guards instead is the incremental
-// contract itself: this batch measures ~3.5k allocs while a silent
-// fall-back to full rebuild costs ~9.4k on the same deployment, so any
-// regression to O(N) re-derivation trips the budget.
+// lists, orbit labels, claim bits) is reused across batches, but the
+// bulk of the remaining allocations are retained *state*, not scratch:
+// every re-run TENT analysis allocates its interval list, every rebuilt
+// planar row allocates its kept/angle slices, and BOUNDHOLE's derive
+// allocates the fresh hole set (holes, cycles, node index) — all of
+// which outlive the call, so a literal zero pin is not achievable
+// without restructuring the substrates' ownership model. What the
+// ceiling guards instead is the incremental contract itself: this batch
+// measures ~1.4k allocs while a silent fall-back to full rebuild costs
+// ~7.0k on the same deployment, so any regression to O(N)
+// re-derivation trips the budget.
 //
 // SetPositions alone is genuinely steady-state (packed-array and CSR
 // row rewrites in place) and gets a near-zero pin of its own.
@@ -92,9 +92,9 @@ func TestMoveRepairSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		step()
 	}
-	const budget = 6000 // incremental ~3.2k, full-rebuild fallback ~9.4k
+	const budget = 6000 // incremental ~1.4k, full-rebuild fallback ~7.0k
 	if avg := testing.AllocsPerRun(50, step); avg > budget {
-		t.Fatalf("steady-state move+repair allocates %.1f objects per batch; budget %d (a full rebuild costs ~9400 — did incremental repair regress to O(N)?)", avg, budget)
+		t.Fatalf("steady-state move+repair allocates %.1f objects per batch; budget %d (a full rebuild costs ~7000 — did incremental repair regress to O(N)?)", avg, budget)
 	}
 
 	// The CSR/position rewrite itself must stay allocation-free apart

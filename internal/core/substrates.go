@@ -71,9 +71,9 @@ func BuildSubstrates(net *topo.Network, needSafety, needBounds, needPlanar bool,
 // RepairSubstrates incrementally repairs previously built substrates
 // after the liveness of the given nodes changed (topo.Network.SetAlive
 // already applied): the safety model relabels from the failure
-// neighborhood, BOUNDHOLE re-traces only the boundary walks that swept
-// it, and the planar graph recomputes only the rows whose witness sets
-// changed. Nil substrates are skipped. The three repairs run
+// neighborhood, BOUNDHOLE re-analyzes only that neighborhood before
+// re-deriving its walks, and the planar graph recomputes only the rows
+// whose witness sets changed. Nil substrates are skipped. The three repairs run
 // concurrently like BuildSubstrates (same panic propagation).
 //
 // Each repaired substrate is identical to what a from-scratch
@@ -107,7 +107,7 @@ func RepairSubstrates(m *safety.Model, b *bound.Boundaries, g *planar.Graph, cha
 // returned — every node whose own position, in-range set, or neighbor
 // coordinates changed. The safety model relabels a reset region grown
 // from the dirty set, BOUNDHOLE re-analyzes the dirty nodes and
-// re-traces the walks that swept them, and the planar graph rebuilds
+// re-derives its walks, and the planar graph rebuilds
 // exactly the dirty rows. Nil substrates are skipped; the repairs run
 // concurrently like BuildSubstrates (same panic propagation).
 //

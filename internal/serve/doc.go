@@ -28,9 +28,9 @@
 // lock it applies the change and repairs all three substrates
 // incrementally in place (core.RepairSubstrates for liveness changes,
 // core.RepairSubstratesMoved for moves). The safety relabeling is
-// seeded from the changed neighborhood, BOUNDHOLE re-traces only the
-// boundary walks that swept it, and the Gabriel graph recomputes only
-// the affected rows. The routers hold pointers into the substrates and
+// seeded from the changed neighborhood, BOUNDHOLE re-analyzes only that
+// neighborhood before re-deriving its walks, and the Gabriel graph
+// recomputes only the affected rows. The routers hold pointers into the substrates and
 // observe the repair without being rebuilt. Repair latency therefore
 // scales with the changed neighborhood, not the deployment size; the
 // core differential and fuzz batteries pin each repaired substrate to

@@ -249,7 +249,7 @@ func (net *Network) AdjOffset(u NodeID) int { return int(net.adjOff[u]) }
 // AdjSlots returns the number of directed CSR edge slots (the length of
 // the flat adjacency array). Together with AdjSlotOf it lets callers
 // keep O(1)-clearable per-edge state in flat arrays instead of maps —
-// the BOUNDHOLE walker stamps visited edges this way.
+// BOUNDHOLE keeps its successor table and orbit labels this way.
 func (net *Network) AdjSlots() int { return len(net.adjList) }
 
 // AdjSlotOf returns the global CSR slot index of the directed edge u→v,

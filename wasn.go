@@ -163,8 +163,9 @@ func NewSim(dep *Deployment) (*Sim, error) {
 
 // Fail kills the given nodes and repairs every substrate incrementally
 // (core.RepairSubstrates): the safety relabeling is seeded from the
-// failure neighborhood, BOUNDHOLE re-traces only the boundary walks
-// through it, and the Gabriel graph recomputes only the incident rows.
+// failure neighborhood, BOUNDHOLE re-analyzes only that neighborhood
+// and re-derives its walks from the successor table's orbits, and the
+// Gabriel graph recomputes only the incident rows.
 // The repaired substrates are identical to rebuilding the Sim from
 // scratch over the damaged topology, and the repairs happen in place,
 // so the Sim's routers serve the new topology immediately. Nodes that
