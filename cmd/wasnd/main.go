@@ -25,8 +25,8 @@
 // 1s) samples the registry into a fixed-memory timeline served at
 // /timeline, every build/fail/revive/move lands in the /events journal
 // with request IDs and per-substrate repair spans, /debug/dash charts
-// both live, and -render turns report/curve/BENCH JSON artifacts into
-// SVG trajectory figures:
+// both live, and -render turns a load report (-load/-replay -out) or a
+// capacity curve (-sweep -out) into an SVG trajectory figure:
 //
 //	wasnd -addr :8080 -sample-every 250
 //	curl 'localhost:8080/events?kind=fail'
@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 		progressF = fs.Bool("progress", false, "load/sweep: stream live progress lines to stderr")
 		checkURL  = fs.String("check-metrics", "", "scrape this /metrics URL, verify the required series exist, and exit (CI gate)")
 		checkFlt  = fs.Bool("fleet", false, "check-metrics: gate the router's wasn_fleet_* series instead of the replica contract")
-		renderIn  = fs.String("render", "", "render this report/curve/BENCH JSON file to an SVG trajectory figure and exit (-out names the SVG; default input with .svg)")
+		renderIn  = fs.String("render", "", "render a load report (-load/-replay -out) or capacity curve (-sweep -out) JSON file to an SVG trajectory figure and exit (-out names the SVG; default input with .svg)")
 
 		routerOn  = fs.Bool("router", false, "run the fleet router (consistent-hash proxy tier) instead of a replica")
 		joinURL   = fs.String("join", "", "replica: register with the fleet router at this base URL on startup")
@@ -134,8 +134,8 @@ func run(args []string, out io.Writer) error {
 		load     = fs.Bool("load", false, "run the workload engine instead of serving")
 		preset   = fs.String("preset", "steady", "load: canned scenario (steady, hotspot, convergecast, churn-storm)")
 		scenario = fs.String("scenario", "", "load: scenario JSON file (overrides -preset)")
-		driver   = fs.String("driver", "inprocess", "load/sweep/replay: inprocess or http")
-		target   = fs.String("target", "", "load/sweep/replay: wasnd base URL for -driver http")
+		driver   = fs.String("driver", "inprocess", "load/sweep/replay: inprocess, http or fleet")
+		target   = fs.String("target", "", "load/sweep/replay: wasnd base URL for -driver http, fleet router base URL for -driver fleet")
 		outFile  = fs.String("out", "", "load/sweep/replay: write the JSON report (or capacity curve) here too")
 
 		sweepCfg = fs.String("sweep", "", "run a capacity sweep from this config JSON file instead of serving")

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"github.com/straightpath/wasn/internal/svgplot"
@@ -15,54 +14,42 @@ import (
 	"github.com/straightpath/wasn/internal/workload"
 )
 
-// runRender implements wasnd -render: turn a JSON artifact — a workload
-// report (-load -out), a capacity curve (-sweep -out), or a checked-in
-// BENCH_*.json aggregate — into a multi-panel SVG trajectory figure.
-// Detection is structural: a top-level report renders its timeline, a
-// top-level curve its rungs, and anything else is walked for embedded
-// rung arrays and reports. Malformed or missing curve fields are an
-// error, not a blank panel — CI renders the checked-in artifacts to
-// catch schema drift.
+// runRender implements wasnd -render: turn one of the two JSON
+// documents wasnd writes — a workload report (-load/-replay -out) or a
+// capacity curve (-sweep -out) — into a multi-panel SVG trajectory
+// figure. A top-level report renders its timeline and a top-level
+// curve its rungs; anything else is an error. Both decoders reject
+// unknown fields, so schema drift fails the render instead of
+// producing a blank panel.
 func runRender(out io.Writer, inPath, outPath string) error {
 	data, err := os.ReadFile(inPath)
 	if err != nil {
 		return fmt.Errorf("render: %w", err)
 	}
-	var doc any
-	if err := json.Unmarshal(data, &doc); err != nil {
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(data, &top); err != nil {
 		return fmt.Errorf("render: %s: bad JSON: %w", inPath, err)
-	}
-	top, ok := doc.(map[string]any)
-	if !ok {
-		return fmt.Errorf("render: %s: top-level JSON is not an object", inPath)
 	}
 
 	fig := &svgplot.Figure{Title: filepath.Base(inPath)}
-	panels := 0
+	var panels int
 	switch {
 	case top["scenario"] != nil && top["timeline"] != nil:
 		rep, err := parseReportStrict(data)
 		if err != nil {
 			return fmt.Errorf("render: %s: %w", inPath, err)
 		}
-		panels = renderReport(fig, "", rep)
+		panels = renderReport(fig, rep)
 	case top["rungs"] != nil:
 		curve, err := sweep.ParseCurve(data)
 		if err != nil {
 			return fmt.Errorf("render: %s: %w", inPath, err)
 		}
-		panels, err = renderCurve(fig, "", curve)
-		if err != nil {
+		if panels, err = renderCurve(fig, curve); err != nil {
 			return fmt.Errorf("render: %s: %w", inPath, err)
 		}
 	default:
-		panels, err = renderBenchTree(fig, "", top)
-		if err != nil {
-			return fmt.Errorf("render: %s: %w", inPath, err)
-		}
-	}
-	if panels == 0 {
-		return fmt.Errorf("render: %s: no report timeline or curve rungs found to render", inPath)
+		return fmt.Errorf("render: %s: neither a workload report (-load/-replay -out) nor a capacity curve (-sweep -out)", inPath)
 	}
 
 	if outPath == "" {
@@ -102,13 +89,7 @@ func parseReportStrict(data []byte) (*workload.Report, error) {
 // with churn markers, per-phase p99, and — when the run embedded the
 // flight recorder — the server-sampled series on the same x-axis
 // (seconds since run start). Returns the panel count.
-func renderReport(fig *svgplot.Figure, prefix string, rep *workload.Report) int {
-	title := func(s string) string {
-		if prefix != "" {
-			return prefix + ": " + s
-		}
-		return s
-	}
+func renderReport(fig *svgplot.Figure, rep *workload.Report) int {
 	mark := func(c *svgplot.Chart) {
 		for _, ev := range rep.Churn {
 			if ev.Err != "" {
@@ -135,7 +116,7 @@ func renderReport(fig *svgplot.Figure, prefix string, rep *workload.Report) int 
 			ys[i] = float64(p.Completed) * 1000 / bucketMS
 		}
 	}
-	thru := svgplot.NewChart(title("Client throughput (req/s)"), 760, 200)
+	thru := svgplot.NewChart("Client throughput (req/s)", 760, 200)
 	thru.XLabel = "seconds"
 	thru.Step("completed/s", svgplot.PaletteColor(0), xs, ys)
 	mark(thru)
@@ -149,7 +130,7 @@ func renderReport(fig *svgplot.Figure, prefix string, rep *workload.Report) int 
 			px[i] = ph.StartMS / 1000
 			py[i] = ph.Latency.P99us
 		}
-		lat := svgplot.NewChart(title("Per-phase p99 (us)"), 760, 180)
+		lat := svgplot.NewChart("Per-phase p99 (us)", 760, 180)
 		lat.XLabel = "seconds"
 		lat.Step("p99", svgplot.PaletteColor(1), px, py)
 		mark(lat)
@@ -168,14 +149,14 @@ func renderReport(fig *svgplot.Figure, prefix string, rep *workload.Report) int 
 			}
 			return nil
 		}
-		srv := svgplot.NewChart(title("Server sampled throughput (req/s)"), 760, 180)
+		srv := svgplot.NewChart("Server sampled throughput (req/s)", 760, 180)
 		srv.XLabel = "seconds"
 		srv.Step("routes/s", svgplot.PaletteColor(0), sx, pts("routes_per_s"))
 		srv.Step("computed/s", svgplot.PaletteColor(1), sx, pts("computed_per_s"))
 		mark(srv)
 		fig.Add(srv)
 
-		rp := svgplot.NewChart(title("Server repair p99 by substrate (us)"), 760, 180)
+		rp := svgplot.NewChart("Server repair p99 by substrate (us)", 760, 180)
 		rp.XLabel = "seconds"
 		rp.Step("total", svgplot.PaletteColor(0), sx, pts("repair_p99_us"))
 		rp.Step("safety", svgplot.PaletteColor(1), sx, pts("repair_safety_p99_us"))
@@ -191,15 +172,9 @@ func renderReport(fig *svgplot.Figure, prefix string, rep *workload.Report) int 
 // renderCurve adds a typed capacity curve's panels: delivery and cache
 // share over the swept axis, latency (log-y), and — for rate sweeps —
 // achieved vs offered, with knee and cliff markers.
-func renderCurve(fig *svgplot.Figure, prefix string, c *sweep.CapacityCurve) (int, error) {
+func renderCurve(fig *svgplot.Figure, c *sweep.CapacityCurve) (int, error) {
 	if len(c.Rungs) == 0 {
 		return 0, fmt.Errorf("curve %q has no rungs", c.Name)
-	}
-	title := func(s string) string {
-		if prefix != "" {
-			return prefix + ": " + s
-		}
-		return s
 	}
 	xlabel := "offered req/s"
 	if c.Axis != "" && c.Axis != sweep.AxisRate {
@@ -233,14 +208,14 @@ func renderCurve(fig *svgplot.Figure, prefix string, c *sweep.CapacityCurve) (in
 		}
 	}
 
-	dch := svgplot.NewChart(title("Delivery & cached share"), 760, 200)
+	dch := svgplot.NewChart("Delivery & cached share", 760, 200)
 	dch.XLabel, dch.YMax = xlabel, 1
 	dch.Line("delivered", svgplot.PaletteColor(2), xs, del)
 	dch.Line("cached", svgplot.PaletteColor(3), xs, cached)
 	mark(dch)
 	fig.Add(dch)
 
-	lch := svgplot.NewChart(title("Latency (us)"), 760, 200)
+	lch := svgplot.NewChart("Latency (us)", 760, 200)
 	lch.XLabel, lch.LogY = xlabel, true
 	lch.Line("p50", svgplot.PaletteColor(0), xs, p50)
 	lch.Line("p99", svgplot.PaletteColor(1), xs, p99)
@@ -249,7 +224,7 @@ func renderCurve(fig *svgplot.Figure, prefix string, c *sweep.CapacityCurve) (in
 	panels := 2
 
 	if c.Axis == "" || c.Axis == sweep.AxisRate {
-		ach := svgplot.NewChart(title("Achieved vs offered (req/s)"), 760, 200)
+		ach := svgplot.NewChart("Achieved vs offered (req/s)", 760, 200)
 		ach.XLabel = "offered req/s"
 		ach.Line("achieved", svgplot.PaletteColor(0), offered, achieved)
 		ach.Line("offered", "#bbbbbb", offered, offered)
@@ -258,138 +233,4 @@ func renderCurve(fig *svgplot.Figure, prefix string, c *sweep.CapacityCurve) (in
 		panels++
 	}
 	return panels, nil
-}
-
-// renderBenchTree walks an aggregate BENCH document for embedded rung
-// arrays (any "rungs" key) and embedded workload reports (objects with
-// both "timeline" and "latency"), rendering each with its JSON path as
-// the panel prefix. A found rung array with malformed or missing fields
-// is an error — the schema-drift gate.
-func renderBenchTree(fig *svgplot.Figure, path string, node any) (int, error) {
-	obj, ok := node.(map[string]any)
-	if !ok {
-		return 0, nil
-	}
-	if rungs, ok := obj["rungs"].([]any); ok {
-		n, err := renderBenchRungs(fig, path, rungs)
-		if err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	if obj["timeline"] != nil && obj["latency"] != nil {
-		data, err := json.Marshal(obj)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := parseReportStrict(data)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
-		}
-		return renderReport(fig, path, rep), nil
-	}
-	keys := make([]string, 0, len(obj))
-	for k := range obj {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	total := 0
-	for _, k := range keys {
-		p := k
-		if path != "" {
-			p = path + "." + k
-		}
-		n, err := renderBenchTree(fig, p, obj[k])
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// benchNum extracts a required numeric field from a generic rung.
-func benchNum(path string, i int, r map[string]any, key string) (float64, error) {
-	v, ok := r[key]
-	if !ok {
-		return 0, fmt.Errorf("%s.rungs[%d]: missing %s", path, i, key)
-	}
-	f, ok := v.(float64)
-	if !ok {
-		return 0, fmt.Errorf("%s.rungs[%d]: %s is %T, not a number", path, i, key, v)
-	}
-	return f, nil
-}
-
-// benchP99 accepts both rung latency encodings: flat p99_us (the BENCH
-// aggregates) or a nested latency object (full workload.Latency).
-func benchP99(path string, i int, r map[string]any) (float64, error) {
-	if _, ok := r["p99_us"]; ok {
-		return benchNum(path, i, r, "p99_us")
-	}
-	if lat, ok := r["latency"].(map[string]any); ok {
-		v, ok := lat["p99_us"].(float64)
-		if !ok {
-			return 0, fmt.Errorf("%s.rungs[%d]: latency.p99_us missing or not a number", path, i)
-		}
-		return v, nil
-	}
-	return 0, fmt.Errorf("%s.rungs[%d]: no p99_us or latency.p99_us", path, i)
-}
-
-// benchXKey picks the rung x-axis: the most specific of axis_value,
-// fail_per_s, offered_rps present in the first rung. Every rung must
-// then carry it.
-func benchXKey(path string, rungs []any) (string, error) {
-	first, ok := rungs[0].(map[string]any)
-	if !ok {
-		return "", fmt.Errorf("%s.rungs[0]: not an object", path)
-	}
-	for _, k := range []string{"axis_value", "fail_per_s", "offered_rps"} {
-		if _, ok := first[k]; ok {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("%s.rungs[0]: no axis_value, fail_per_s or offered_rps field", path)
-}
-
-// renderBenchRungs renders one generic rung array as a delivery panel
-// and a latency panel, validating every rung's fields.
-func renderBenchRungs(fig *svgplot.Figure, path string, rungs []any) (int, error) {
-	if len(rungs) == 0 {
-		return 0, fmt.Errorf("%s.rungs: empty", path)
-	}
-	xkey, err := benchXKey(path, rungs)
-	if err != nil {
-		return 0, err
-	}
-	xs := make([]float64, len(rungs))
-	del := make([]float64, len(rungs))
-	p99 := make([]float64, len(rungs))
-	for i, rv := range rungs {
-		r, ok := rv.(map[string]any)
-		if !ok {
-			return 0, fmt.Errorf("%s.rungs[%d]: not an object", path, i)
-		}
-		if xs[i], err = benchNum(path, i, r, xkey); err != nil {
-			return 0, err
-		}
-		if del[i], err = benchNum(path, i, r, "delivery_rate"); err != nil {
-			return 0, err
-		}
-		if p99[i], err = benchP99(path, i, r); err != nil {
-			return 0, err
-		}
-	}
-
-	dch := svgplot.NewChart(path+": delivery rate", 760, 200)
-	dch.XLabel, dch.YMax = xkey, 1
-	dch.Line("delivered", svgplot.PaletteColor(2), xs, del)
-	fig.Add(dch)
-
-	lch := svgplot.NewChart(path+": p99 latency (us)", 760, 200)
-	lch.XLabel, lch.LogY = xkey, true
-	lch.Line("p99", svgplot.PaletteColor(1), xs, p99)
-	fig.Add(lch)
-	return 2, nil
 }

@@ -76,16 +76,6 @@ func (r DropReason) String() string {
 // map keeps Result allocation-free (and PhaseCounts itself comparable).
 type PhaseCounts [NumPhases + 1]int
 
-// Of returns the hop count of phase p — the compatibility accessor for
-// code written against the former map[Phase]int representation. Direct
-// indexing (c[PhaseGreedy]) works identically.
-func (c PhaseCounts) Of(p Phase) int {
-	if p < 0 || int(p) >= len(c) {
-		return 0
-	}
-	return c[p]
-}
-
 // Total returns the hop count across all phases.
 func (c PhaseCounts) Total() int {
 	t := 0

@@ -17,8 +17,6 @@ import (
 
 // RouterConfig tunes a Router. The zero value is usable.
 type RouterConfig struct {
-	// VNodes is the per-replica virtual-node count (DefaultVNodes when 0).
-	VNodes int
 	// HealthEvery is the probe interval (default 500ms). Zero starts the
 	// loop at the default; negative disables it (tests drive CheckHealth
 	// directly).
@@ -28,8 +26,6 @@ type RouterConfig struct {
 	HealthStrikes int
 	// HealthTimeout bounds one probe (default 1s).
 	HealthTimeout time.Duration
-	// JournalSize bounds the control-plane event journal (default 1024).
-	JournalSize int
 }
 
 // member is one known replica plus its health bookkeeping.
@@ -96,7 +92,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		cfg:     cfg,
 		hc:      &http.Client{Timeout: 30 * time.Second},
 		reg:     obs.NewRegistry(),
-		journal: obs.NewJournal(cfg.JournalSize),
+		journal: obs.NewJournal(1024),
 		members: make(map[string]*member),
 		desired: make(map[string]*serve.DeploymentState),
 		reshards: obs.NewCounter("wasn_fleet_reshards_total",
@@ -110,7 +106,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		replicaUp: obs.NewGaugeVec("wasn_fleet_replica_up",
 			"Per-replica liveness as seen by the router health loop.", "replica"),
 	}
-	r.published.Store(NewMap(0, nil, cfg.VNodes))
+	r.published.Store(NewMap(0, nil, DefaultVNodes))
 	r.reg.MustRegister(r.reshards, r.restores, r.proxied, r.proxyErrs, r.replicaUp)
 	r.reg.MustRegister(
 		obs.NewFunc("wasn_fleet_replicas", "Replicas known to the router (alive or dead).",
@@ -222,7 +218,7 @@ func (r *Router) buildMapLocked(version uint64) *Map {
 			alive = append(alive, m.rep)
 		}
 	}
-	return NewMap(version, alive, r.cfg.VNodes)
+	return NewMap(version, alive, DefaultVNodes)
 }
 
 // transfers returns, per gaining replica ID, the deployment states

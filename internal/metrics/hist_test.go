@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -64,8 +65,10 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		h.Observe(v)
 		samples = append(samples, float64(v))
 	}
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
 	for _, p := range []float64{10, 50, 90, 99, 99.9} {
-		exact := Percentile(samples, p)
+		exact := nearestRank(sorted, p)
 		got := float64(h.Quantile(p / 100))
 		if relErr := math.Abs(got-exact) / exact; relErr > 1.0/16 {
 			t.Errorf("p%v = %v, exact %v, rel err %.3f > 1/16", p, got, exact, relErr)
@@ -74,6 +77,14 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	if h.Quantile(1) != h.Max() {
 		t.Errorf("p100 = %d; want exact max %d", h.Quantile(1), h.Max())
 	}
+}
+
+// nearestRank returns the p-th percentile (0 < p <= 100) of sorted
+// samples by the nearest-rank method: the exact answer the histogram
+// quantiles approximate.
+func nearestRank(sorted []float64, p float64) float64 {
+	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[max(rank, 0)]
 }
 
 func TestHistogramMerge(t *testing.T) {

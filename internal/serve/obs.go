@@ -84,8 +84,7 @@ func newServiceObs(cfg Config) *serviceObs {
 		buildDur: obs.NewHistogramVec("wasn_build_duration_us",
 			"Substrate build latency in microseconds, by deployment.", "deployment"),
 		repairDur: obs.NewHistogramVec("wasn_repair_duration_us",
-			"Topology-change repair latency in microseconds, by deployment and mode (always repair).",
-			"deployment", "mode"),
+			"Topology-change repair latency in microseconds, by deployment.", "deployment"),
 		traces: obs.NewCounter("wasn_traces_recorded_total",
 			"Route decision traces recorded (sampled plus explicit trace requests)."),
 		traceEach:   int64(cfg.TraceSampleEvery),
@@ -93,8 +92,6 @@ func newServiceObs(cfg Config) *serviceObs {
 		stretchDur: obs.NewHistogram("wasn_stretch_sample_duration_us",
 			"Latency of the pooled reference hop-count search each stretch sample pays, in microseconds."),
 	}
-	so.ring.init(cfg.TraceRingSize)
-
 	repairSub := obs.NewHistogramVec("wasn_repair_substrate_duration_us",
 		"Wall time of each substrate's incremental repair pass inside the concurrent repair fan-out, in microseconds, by substrate (safety|bound|planar).",
 		"substrate")
@@ -237,21 +234,13 @@ func buildTraceRecord(dep, alg string, src, dst topo.NodeID, res core.Result, re
 // route hot path (only sampled routes reach it).
 type traceRing struct {
 	mu   sync.Mutex
-	buf  []TraceRecord
+	buf  [traceRingSize]TraceRecord
 	next int
 	full bool
 }
 
-// defaultTraceRingSize is the ring capacity when Config.TraceRingSize
-// is 0.
-const defaultTraceRingSize = 32
-
-func (r *traceRing) init(size int) {
-	if size <= 0 {
-		size = defaultTraceRingSize
-	}
-	r.buf = make([]TraceRecord, size)
-}
+// traceRingSize is the sampled-trace ring capacity.
+const traceRingSize = 32
 
 func (r *traceRing) push(t TraceRecord) {
 	r.mu.Lock()

@@ -200,24 +200,25 @@ func TestHTTPRouteTrace(t *testing.T) {
 	}
 }
 
-// Sampled tracing fills the ring newest-first and caps at the
-// configured size.
+// Sampled tracing fills the ring newest-first and caps at its fixed
+// size.
 func TestTraceSamplingRing(t *testing.T) {
-	s, name := newTestService(t, Config{TraceSampleEvery: 1, TraceRingSize: 3})
-	pairs := alivePairs(t, s, name, 5)
+	s, name := newTestService(t, Config{TraceSampleEvery: 1})
+	pairs := alivePairs(t, s, name, traceRingSize+2)
 	for _, p := range pairs {
 		if _, _, err := s.Route(name, "LGF", p[0], p[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	traces := s.Traces()
-	if len(traces) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(traces))
+	if len(traces) != traceRingSize {
+		t.Fatalf("ring holds %d traces, want %d", len(traces), traceRingSize)
 	}
 	// Newest first: the last routed pair leads.
-	if traces[0].Src != pairs[4][0] || traces[0].Dst != pairs[4][1] {
+	last := pairs[len(pairs)-1]
+	if traces[0].Src != last[0] || traces[0].Dst != last[1] {
 		t.Errorf("newest trace is %d->%d, want %d->%d",
-			traces[0].Src, traces[0].Dst, pairs[4][0], pairs[4][1])
+			traces[0].Src, traces[0].Dst, last[0], last[1])
 	}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -230,8 +231,8 @@ func TestTraceSamplingRing(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Traces) != 3 {
-		t.Fatalf("/traces returned %d, want 3", len(out.Traces))
+	if len(out.Traces) != traceRingSize {
+		t.Fatalf("/traces returned %d, want %d", len(out.Traces), traceRingSize)
 	}
 }
 

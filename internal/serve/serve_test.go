@@ -410,8 +410,8 @@ func TestReviveRestoresAndMatchesFreshSim(t *testing.T) {
 	}
 	ds := st.PerDeployment[0]
 	// One Fail + one effective Revive = two incremental repairs, two
-	// epoch bumps, no rebuilds, no dead nodes left.
-	if ds.Name != name || !ds.Ready || ds.Repairs != 2 || ds.Rebuilds != 0 || ds.Epoch != 2 || ds.FailedNodes != 0 {
+	// epoch bumps, no dead nodes left.
+	if ds.Name != name || !ds.Ready || ds.Repairs != 2 || ds.Epoch != 2 || ds.FailedNodes != 0 {
 		t.Fatalf("DeploymentStats = %+v", ds)
 	}
 }
@@ -437,7 +437,7 @@ func TestStatsDerivedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := s.Stats().PerDeployment[0]
-	if ds.Repairs != 1 || ds.Rebuilds != 0 || ds.FailedNodes != 1 {
+	if ds.Repairs != 1 || ds.FailedNodes != 1 {
 		t.Fatalf("DeploymentStats = %+v; want 1 repair", ds)
 	}
 }

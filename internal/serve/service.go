@@ -51,15 +51,10 @@ type Config struct {
 	CacheShards int
 	// Workers bounds batch-engine concurrency (default NumCPU).
 	Workers int
-	// TTLFactor overrides the per-packet hop budget of every router
-	// (core.DefaultTTLFactor when 0).
-	TTLFactor int
 	// TraceSampleEvery records a decision trace for every N-th computed
 	// route into the trace ring (GET /traces). 0 disables sampling;
 	// explicit trace:true requests are always traced.
 	TraceSampleEvery int
-	// TraceRingSize bounds the sampled-trace ring (default 32).
-	TraceRingSize int
 	// StretchSampleEvery measures hop stretch (algorithm hops versus
 	// the minimum-hop ideal) for every N-th computed route. Each sample
 	// pays one reference BFS route. 0 disables the measurement.
@@ -71,13 +66,6 @@ type Config struct {
 	// tests, benchmarks) run no background goroutines; wasnd turns it
 	// on via -sample-every. Stop it with Close.
 	SampleEveryMS int
-	// SampleWindow is the number of timeline samples retained (default
-	// 512). Memory is fixed at construction.
-	SampleWindow int
-	// JournalSize bounds the flight-recorder event journal ring,
-	// rounded up to a power of two (default 1024). The journal is
-	// always on: writes happen only on topology changes and builds.
-	JournalSize int
 	// ReplicaID names this process in a sharded fleet (wasnd
 	// -replica-id); surfaced on /readyz and in Stats so shard-aware
 	// tooling can attribute numbers to replicas. Empty outside a fleet.
@@ -88,6 +76,14 @@ type Config struct {
 	// registry (debounced) to disk.
 	OnStateChange func()
 }
+
+// Flight-recorder capacities, fixed at construction: the event journal
+// ring (always on; written only on topology changes and builds) and the
+// timeline sample window.
+const (
+	journalSize  = 1024
+	sampleWindow = 512
+)
 
 // ErrBuild marks substrate build failures: a server-side fault, not a
 // malformed request (the HTTP layer maps it to a 5xx status).
@@ -174,7 +170,7 @@ func New(cfg Config) *Service {
 	if s.cfg.Workers <= 0 {
 		s.cfg.Workers = runtime.NumCPU()
 	}
-	s.journal = obs.NewJournal(cfg.JournalSize)
+	s.journal = obs.NewJournal(journalSize)
 	if cfg.SampleEveryMS > 0 {
 		s.sampler = obs.NewSampler(obs.SamplerConfig{
 			Scrape: func() (map[string]float64, error) {
@@ -182,7 +178,7 @@ func New(cfg Config) *Service {
 			},
 			Specs:  defaultSamplerSpecs(),
 			Every:  time.Duration(cfg.SampleEveryMS) * time.Millisecond,
-			Window: cfg.SampleWindow,
+			Window: sampleWindow,
 		})
 		s.sampler.Start()
 	}
@@ -372,18 +368,12 @@ func (s *Service) ensureBuilt(d *deployment) error {
 // like algorithmNames and mirroring the facade's Sim (wasn.NewSim)
 // algorithm table.
 func (s *Service) buildRouters(net *topo.Network, m *safety.Model, b *bound.Boundaries, g *planar.Graph) [numAlgorithms]core.Router {
-	gf := core.NewGF(net, b)
-	gf.TTLFactor = s.cfg.TTLFactor
-	lgf := core.NewLGF(net)
-	lgf.TTLFactor = s.cfg.TTLFactor
-	slgf := core.NewSLGF(net, m)
-	slgf.TTLFactor = s.cfg.TTLFactor
-	slgf2 := core.NewSLGF2(net, m, core.WithPlanarGraph(g))
-	slgf2.TTLFactor = s.cfg.TTLFactor
-	gpsr := core.NewGPSR(net, g)
-	gpsr.TTLFactor = s.cfg.TTLFactor
 	return [numAlgorithms]core.Router{
-		gf, lgf, slgf, slgf2, gpsr,
+		core.NewGF(net, b),
+		core.NewLGF(net),
+		core.NewSLGF(net, m),
+		core.NewSLGF2(net, m, core.WithPlanarGraph(g)),
+		core.NewGPSR(net, g),
 		core.NewIdeal(net, core.IdealMinHop),
 		core.NewIdeal(net, core.IdealMinLength),
 	}
@@ -605,7 +595,7 @@ func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (boo
 	}
 	d.repairs.Add(1)
 	s.so.observeSubstrates(spans)
-	s.so.repairDur.With(d.name, "repair").Observe(time.Since(start).Microseconds())
+	s.so.repairDur.With(d.name).Observe(time.Since(start).Microseconds())
 	ev.DurationUS = time.Since(start).Microseconds()
 	ev.SafetyUS = spans.Safety.Microseconds()
 	ev.BoundUS = spans.Bound.Microseconds()
@@ -670,21 +660,6 @@ func (s *Service) Failed(deployment string) ([]topo.NodeID, error) {
 	return out, nil
 }
 
-// NodeCount returns the node count of the named deployment, building it
-// if necessary.
-func (s *Service) NodeCount(deployment string) (int, error) {
-	d, err := s.lookup(deployment)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.ensureBuilt(d); err != nil {
-		return 0, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dep.Net.N(), nil
-}
-
 // algorithmNames is the served algorithm set in the figure-legend order
 // of the facade; an algorithm's index here indexes deployment.routers,
 // the per-algorithm metrics and the route cache key.
@@ -742,10 +717,6 @@ type DeploymentStats struct {
 	Epoch       uint64 `json:"epoch"`
 	FailedNodes int    `json:"failed_nodes"`
 	Repairs     int64  `json:"repairs"`
-	// Rebuilds is always 0: every mutation is repaired in place. The
-	// field stays on the wire because the frozen BENCH_pr4.json load
-	// reports carry it and wasnd -render decodes reports strictly.
-	Rebuilds int64 `json:"rebuilds"`
 }
 
 // Stats snapshots the service counters.

@@ -21,7 +21,7 @@
 // coordinated omission), a throughput timeline, per-phase delivery
 // rates split at each churn event, and the server's own counters
 // (cache hit rate, per-deployment repair counts). Reports serialize to
-// JSON for the BENCH_* trajectory files.
+// JSON (wasnd -load -out), which wasnd -render draws as a figure.
 //
 // Scenarios are defined as JSON documents (ParseFile) or taken from
 // the canned presets (Preset): steady, hotspot, convergecast, and

@@ -126,9 +126,9 @@ func (d *InProcess) Close() error { return d.svc.Close() }
 
 // NewDriver builds the driver a scenario run asks for: "inprocess"
 // (cfg configures the private service), "http" (target is the wasnd
-// base URL), or "fleet"/"fleet-http" (target is the fleet router base
-// URL; "fleet" routes over the binary batch transport where replicas
-// expose one, "fleet-http" stays on JSON).
+// base URL), or "fleet" (target is the fleet router base URL; routes go
+// over the binary batch transport to owners that expose one, JSON to
+// the rest).
 func NewDriver(kind, target string, cfg serve.Config) (Driver, error) {
 	switch kind {
 	case "", "inprocess":
@@ -138,12 +138,12 @@ func NewDriver(kind, target string, cfg serve.Config) (Driver, error) {
 			return nil, fmt.Errorf("workload: http driver needs a target base URL")
 		}
 		return NewHTTP(target), nil
-	case "fleet", "fleet-http":
+	case "fleet":
 		if target == "" {
 			return nil, fmt.Errorf("workload: fleet driver needs the router base URL")
 		}
-		return NewFleet(target, kind == "fleet")
+		return NewFleet(target)
 	default:
-		return nil, fmt.Errorf("workload: unknown driver %q (want inprocess, http, fleet or fleet-http)", kind)
+		return nil, fmt.Errorf("workload: unknown driver %q (want inprocess, http or fleet)", kind)
 	}
 }

@@ -75,7 +75,7 @@ func TestSmokeArrivalProcesses(t *testing.T) {
 			if rep.Server == nil || rep.Server.Routes == 0 {
 				t.Fatalf("missing server stats: %+v", rep.Server)
 			}
-			// Reports must round-trip as JSON (they land in BENCH files).
+			// Reports must round-trip as JSON (-load -out writes them).
 			var buf bytes.Buffer
 			if err := rep.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
@@ -147,7 +147,7 @@ func TestChurnUnderLoad(t *testing.T) {
 		t.Fatalf("missing per-deployment stats: %+v", rep.Server)
 	}
 	ds := rep.Server.PerDeployment[0]
-	if ds.Repairs != 3 || ds.Rebuilds != 0 || ds.FailedNodes != 0 {
+	if ds.Repairs != 3 || ds.FailedNodes != 0 {
 		t.Fatalf("deployment stats = %+v; want 3 repairs, everything revived", ds)
 	}
 	// Post-revival delivery matches the pristine phase 0 closely.

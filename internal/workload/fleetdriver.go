@@ -38,20 +38,17 @@ const fleetBinaryConns = 8
 type Fleet struct {
 	routerURL string
 	hc        *http.Client
-	binary    bool
 
 	mu    sync.RWMutex
 	m     *fleet.Map
 	pools map[string]*binPool // replica ID → binary conn pool
 }
 
-// NewFleet builds a fleet driver against a router base URL. binary
-// selects the binary batch transport for routes where available.
-func NewFleet(routerURL string, binary bool) (*Fleet, error) {
+// NewFleet builds a fleet driver against a router base URL.
+func NewFleet(routerURL string) (*Fleet, error) {
 	d := &Fleet{
 		routerURL: strings.TrimRight(routerURL, "/"),
 		hc:        newHTTPClient(),
-		binary:    binary,
 		pools:     make(map[string]*binPool),
 	}
 	if err := d.refreshMap(); err != nil {
@@ -61,12 +58,7 @@ func NewFleet(routerURL string, binary bool) (*Fleet, error) {
 }
 
 // Name implements Driver.
-func (d *Fleet) Name() string {
-	if d.binary {
-		return "fleet"
-	}
-	return "fleet-http"
-}
+func (d *Fleet) Name() string { return "fleet" }
 
 // refreshMap re-fetches the shard map from the router and prunes
 // binary pools for replicas that left.
@@ -162,7 +154,7 @@ func (d *Fleet) routeOnce(deployment, algorithm string, src, dst topo.NodeID) (O
 		return Outcome{}, err
 	}
 	req := serve.RouteRequest{Deployment: deployment, Algorithm: algorithm, Src: src, Dst: dst}
-	if d.binary && rep.BinaryAddr != "" {
+	if rep.BinaryAddr != "" {
 		res, err := d.pool(rep).batch([]serve.RouteRequest{req})
 		if err != nil {
 			return Outcome{}, err

@@ -78,7 +78,7 @@ func (h *fleetHarness) killOwner(t *testing.T, deployment string) int {
 // binary transport (not HTTP) and agree with the owning replica.
 func TestFleetDriverBinaryRoutes(t *testing.T) {
 	h := newFleetHarness(t, 3, -1)
-	d, err := NewFleet(h.rt.URL, true)
+	d, err := NewFleet(h.rt.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFleetDriverBinaryRoutes(t *testing.T) {
 // retry-with-remap loop must mask the outage window completely.
 func TestFleetDriverSurvivesOwnerKill(t *testing.T) {
 	h := newFleetHarness(t, 3, 50*time.Millisecond)
-	d, err := NewFleet(h.rt.URL, true)
+	d, err := NewFleet(h.rt.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,19 +236,66 @@ func TestFleetDriverSurvivesOwnerKill(t *testing.T) {
 	}
 }
 
+// TestFleetDriverJSONFallback: a replica that joined without a
+// BinaryAddr (wasnd started without -binary-port) is routed over
+// HTTP/JSON, and the answer matches the replica's own.
+func TestFleetDriverJSONFallback(t *testing.T) {
+	router := fleet.NewRouter(fleet.RouterConfig{HealthEvery: -1})
+	rt := httptest.NewServer(router.Handler())
+	svc := serve.New(serve.Config{ReplicaID: "r0"})
+	hs := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		rt.Close()
+		router.Close()
+		hs.Close()
+		svc.Close()
+	})
+	if _, err := router.Join(fleet.Replica{ID: "r0", Addr: hs.URL}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewFleet(rt.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	name, err := d.Deploy("", DeploymentSpec{Model: "fa", N: 180, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := d.Route(name, "SLGF2", 0, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := svc.Route(name, "SLGF2", 0, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Delivered != want.Delivered || out.Hops != want.Hops() {
+		t.Fatalf("driver route %+v diverged from direct %+v", out, want)
+	}
+	if n := len(d.pools); n != 0 {
+		t.Fatalf("%d binary pools dialed for a replica without a binary address", n)
+	}
+	if st := svc.Stats(); st.Routes < 2 {
+		t.Fatalf("replica answered %d routes; want the driver's JSON route plus the direct one", st.Routes)
+	}
+}
+
 func TestNewDriverFleetKinds(t *testing.T) {
 	h := newFleetHarness(t, 1, -1)
-	for kind, want := range map[string]string{"fleet": "fleet", "fleet-http": "fleet-http"} {
-		d, err := NewDriver(kind, h.rt.URL, serve.Config{})
-		if err != nil {
-			t.Fatalf("NewDriver(%q): %v", kind, err)
-		}
-		if d.Name() != want {
-			t.Errorf("NewDriver(%q).Name() = %q", kind, d.Name())
-		}
-		d.Close()
+	d, err := NewDriver("fleet", h.rt.URL, serve.Config{})
+	if err != nil {
+		t.Fatalf("NewDriver(fleet): %v", err)
 	}
+	if d.Name() != "fleet" {
+		t.Errorf("NewDriver(fleet).Name() = %q", d.Name())
+	}
+	d.Close()
 	if _, err := NewDriver("fleet", "", serve.Config{}); err == nil {
 		t.Error("fleet driver without target accepted")
+	}
+	if _, err := NewDriver("fleet-http", h.rt.URL, serve.Config{}); err == nil {
+		t.Error("retired fleet-http driver accepted")
 	}
 }

@@ -63,8 +63,8 @@ type AppliedChurn struct {
 	Err       string        `json:"error,omitempty"`
 }
 
-// Report is the outcome of one scenario run, shaped for the BENCH_*
-// JSON trajectory files.
+// Report is the outcome of one scenario run: the JSON document
+// wasnd -load/-replay -out writes and wasnd -render reads.
 type Report struct {
 	Scenario   string  `json:"scenario"`
 	Driver     string  `json:"driver"`
