@@ -373,8 +373,25 @@ func serveRouter(out io.Writer, logger *slog.Logger, ln net.Listener, hostPort s
 	defer rt.Close()
 	fmt.Fprintf(out, "wasnd router listening on %s\n", hostPort)
 	logger.Info("wasnd router listening", "addr", hostPort)
-	srv := &http.Server{Handler: requestLog(logger, rt.Handler())}
-	return serveAndDrain(logger, srv, ln, nil)
+	return serveAndDrain(logger, newServer(requestLog(logger, rt.Handler())), ln, nil)
+}
+
+// The HTTP server timeouts, shared by replicas and the router: a client
+// must send its request header within readHeaderTimeout and the whole
+// request within readTimeout, and an idle keep-alive connection is
+// closed after idleTimeout. There is no write timeout, so responses
+// that take long — /debug/pprof/profile?seconds=30, large /batch
+// results — are never cut off; readTimeout is long enough for the
+// request context of a 30-second profile to outlive it.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns an HTTP server for h with the server timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 // serveReplica runs the routing service, optionally with snapshot
@@ -457,7 +474,7 @@ func serveReplica(out io.Writer, logger *slog.Logger, cfg serve.Config, ln net.L
 	}
 	fmt.Fprintln(out)
 	logger.Info("wasnd listening", "addr", hostPort, "binary", binAddr, "replica", o.replicaID, "pprof", o.pprof)
-	srv := &http.Server{Handler: requestLog(logger, mux)}
+	srv := newServer(requestLog(logger, mux))
 	// Join only after the HTTP server accepts requests: the router
 	// health-probes /readyz and may push /restore immediately.
 	var afterStart func() error

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -374,4 +376,36 @@ func TestFleetServerCLI(t *testing.T) {
 		t.Fatalf("restored route diverged: %v != %v", got, want)
 	}
 	drain(t, map[string]<-chan error{"rebooted replica": rebootErr})
+}
+
+// TestServerDropsSlowHeaders: a client that sends half a request header
+// and stalls is disconnected once the header timeout runs out.
+func TestServerDropsSlowHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /route HTTP/1.1\r\nHost: wasnd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	elapsed := time.Since(start)
+	if err != io.EOF {
+		t.Fatalf("read after %v: %d bytes, err %v; want the server to close the connection", elapsed, n, err)
+	}
+	if elapsed < readHeaderTimeout-time.Second || elapsed > readHeaderTimeout+2*time.Second {
+		t.Fatalf("connection closed after %v; want about the header timeout %v", elapsed, readHeaderTimeout)
+	}
 }

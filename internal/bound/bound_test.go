@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/straightpath/wasn/internal/geom"
+	"github.com/straightpath/wasn/internal/par"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -224,3 +225,40 @@ func TestFindHolesCleanGrid(t *testing.T) {
 		}
 	}
 }
+
+// Stuck reports whether the node has any stuck direction.
+func (t TentResult) Stuck() bool { return len(t.Intervals) > 0 }
+
+// StuckToward reports whether routing greedily toward target can get stuck
+// at this node, i.e. whether the direction of target lies in a stuck
+// interval.
+func (t TentResult) StuckToward(from, target geom.Point) bool {
+	theta := geom.Angle(from, target)
+	for _, iv := range t.Intervals {
+		if iv.Contains(theta) {
+			return true
+		}
+	}
+	return false
+}
+
+// StuckNodes runs the TENT rule on every alive node and returns the
+// results indexed by node id; dead and never-stuck nodes hold results
+// without intervals. The per-node tests are independent and fan out
+// across GOMAXPROCS.
+func StuckNodes(net *topo.Network) []TentResult {
+	perNode := make([]TentResult, net.N())
+	par.For(net.N(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u := topo.NodeID(i)
+			if !net.Alive(u) {
+				continue
+			}
+			perNode[i] = Tent(net, u)
+		}
+	})
+	return perNode
+}
+
+// OnBoundary reports whether u lies on any hole boundary.
+func (b *Boundaries) OnBoundary(u topo.NodeID) bool { return b.holeOff[u] < b.holeOff[u+1] }

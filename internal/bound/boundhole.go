@@ -1,7 +1,9 @@
 package bound
 
 import (
+	"math"
 	"slices"
+	"sort"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/par"
@@ -86,13 +88,43 @@ type nodeRec struct {
 	first []int32
 }
 
+// Clone returns a copy of the boundaries over net, a topo.Network.Clone
+// of the network they were traced on, that Repair and RepairMoved may
+// mutate while other goroutines keep reading the receiver. The receiver
+// must not be repaired afterwards. Ownership of its parts:
+//
+//   - shared: Holes and the node index, which derive allocates afresh,
+//     and the reverse and offset tables, which only RepairMoved
+//     replaces, wholesale;
+//   - copied: the successor table and the per-node analyses, which a
+//     repair writes in place;
+//   - moved: the dirty marks and list, the kept walks and the orbit
+//     labels, scratch only a repair reads;
+//   - dropped: spare, the second successor buffer, which may still be
+//     the table an earlier clone is being read through.
+func (b *Boundaries) Clone(net *topo.Network) *Boundaries {
+	c := *b
+	c.net = net
+	c.out, c.spare = slices.Clone(b.out), nil
+	c.recs = slices.Clone(b.recs)
+	// analyze appends into a record's first hops: give each its own span.
+	var total int
+	for _, r := range b.recs {
+		total += len(r.first)
+	}
+	firsts := make([]int32, 0, total)
+	for i, r := range b.recs {
+		start := len(firsts)
+		firsts = append(firsts, r.first...)
+		c.recs[i].first = firsts[start:len(firsts):len(firsts)]
+	}
+	return &c
+}
+
 // HolesAt returns the holes whose boundary contains u (empty if none).
 func (b *Boundaries) HolesAt(u topo.NodeID) []*Hole {
 	return b.holeIdx[b.holeOff[u]:b.holeOff[u+1]:b.holeOff[u+1]]
 }
-
-// OnBoundary reports whether u lies on any hole boundary.
-func (b *Boundaries) OnBoundary(u topo.NodeID) bool { return b.holeOff[u] < b.holeOff[u+1] }
 
 // boundaryLenCap bounds the length of a kept boundary. Boundaries longer
 // than this are walk artifacts, not hole rims: a genuine hole boundary
@@ -118,12 +150,12 @@ func FindHoles(net *topo.Network) *Boundaries {
 		recs:   make([]nodeRec, net.N()),
 		out:    make([]int32, net.AdjSlots()),
 		rev:    make([]int32, net.AdjSlots()),
-		off:    rowOffsets(net, nil),
+		off:    rowOffsets(net),
 	}
 	par.For(net.N(), func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			b.fillRow(topo.NodeID(u))
-			b.fillRev(topo.NodeID(u))
+			b.fillRev(topo.NodeID(u), nil, nil)
 			b.analyze(topo.NodeID(u))
 		}
 	})
@@ -131,36 +163,79 @@ func FindHoles(net *topo.Network) *Boundaries {
 	return b
 }
 
-// rowOffsets copies the network's CSR row offsets (n+1 entries) into buf.
-func rowOffsets(net *topo.Network, buf []int32) []int32 {
-	buf = slices.Grow(buf[:0], net.N()+1)
-	for u := 0; u <= net.N(); u++ {
-		buf = append(buf, int32(net.AdjOffset(topo.NodeID(u))))
+// rowOffsets returns a copy of the network's CSR row offsets (n+1
+// entries).
+func rowOffsets(net *topo.Network) []int32 {
+	off := make([]int32, net.N()+1)
+	for u := range off {
+		off[u] = int32(net.AdjOffset(topo.NodeID(u)))
 	}
-	return buf
+	return off
 }
 
 // fillRow computes row u of the successor table: for the back-edge to
 // each neighbor prev, the CW sweep at u from prev's bearing, excluding
 // prev, bouncing back to prev at a dead end.
+// It gives sweepCW's exact answer without a sweep per back-edge: the CW
+// rotation from a bearing meets the alive columns in descending bearing
+// order, so walking that order computes sweepCW's deltas non-decreasing
+// (up to rounding, which the stop margin absorbs). Deltas under 1e-12
+// still count as a full turn, but only the raw delta stops the walk.
 func (b *Boundaries) fillRow(u topo.NodeID) {
 	off := b.net.AdjOffset(u)
 	angs := b.net.AdjacencyAngles(u)
-	for j, prev := range b.net.AdjacencyRow(u) {
-		s := sweepCW(b.net, u, angs[j], prev)
-		if s < 0 {
-			s = int32(off + j)
+	row := b.net.AdjacencyRow(u)
+	// The alive columns by bearing, ties in column order (insertion sort).
+	var buf [64]int32
+	cols := buf[:0]
+	for k, v := range row {
+		if !b.net.Alive(v) {
+			continue
 		}
-		b.out[off+j] = s
+		i := len(cols)
+		cols = append(cols, 0)
+		for ; i > 0 && angs[cols[i-1]] > angs[k]; i-- {
+			cols[i] = cols[i-1]
+		}
+		cols[i] = int32(k)
+	}
+	for j := range row {
+		from := angs[j]
+		p := sort.Search(len(cols), func(i int) bool { return angs[cols[i]] > from })
+		best, bestDelta := j, geom.TwoPi+1
+		for n := range cols {
+			k := int(cols[(p-1-n+len(cols))%len(cols)])
+			if k == j {
+				continue
+			}
+			raw := cwDelta(from, angs[k])
+			if raw > bestDelta+1e-9 {
+				break
+			}
+			delta := raw
+			if delta < 1e-12 {
+				delta = geom.TwoPi
+			}
+			if delta < bestDelta || (delta == bestDelta && k < best) {
+				best, bestDelta = k, delta
+			}
+		}
+		b.out[off+j] = int32(off + best)
 	}
 }
 
 // fillRev computes row u of the reverse-slot table. Rows are sorted
 // ascending and the adjacency is symmetric, so u sits in each
-// neighbor's row at its binary-search position.
-func (b *Boundaries) fillRev(u topo.NodeID) {
+// neighbor's row at its binary-search position. Given the table and
+// the row offsets from before a move (RepairMoved), an edge between two
+// rows the move left unchanged keeps that position and only shifts.
+func (b *Boundaries) fillRev(u topo.NodeID, oldRev, oldOff []int32) {
 	off := b.net.AdjOffset(u)
 	for j, v := range b.net.AdjacencyRow(u) {
+		if oldRev != nil && !b.mark[u] && !b.mark[v] {
+			b.rev[off+j] = oldRev[int(oldOff[u])+j] - oldOff[v] + b.off[v]
+			continue
+		}
 		k, _ := slices.BinarySearch(b.net.AdjacencyRow(v), u)
 		b.rev[off+j] = int32(b.net.AdjOffset(v) + k)
 	}
@@ -220,13 +295,13 @@ func (b *Boundaries) derive() {
 	holes := make([]Hole, len(kept))
 	nodes := make([]topo.NodeID, 0, total)
 	holeOff := make([]int32, b.net.N()+1)
-	b.Holes = b.Holes[:0]
+	b.Holes = make([]*Hole, len(kept))
 	for k, w := range kept {
 		start := len(nodes)
 		nodes = b.appendCycle(nodes, w.t0, w.s0, w.n)
 		cycle := nodes[start:len(nodes):len(nodes)]
 		holes[k] = Hole{ID: k, Cycle: cycle, BBox: cycleBBox(b.net, cycle)}
-		b.Holes = append(b.Holes, &holes[k])
+		b.Holes[k] = &holes[k]
 		for _, v := range cycle {
 			holeOff[v+1]++
 		}
@@ -293,27 +368,29 @@ func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
 	}
 	// SetPositions moved the CSR slots: dirty rows are recomputed, clean
 	// rows keep their successors shifted by their row's offset delta, and
-	// the reverse slots are re-derived for every row.
+	// the reverse slots are re-derived for every row. The reverse and
+	// offset tables are replaced, never rewritten, so a Clone can share
+	// them.
 	slots := b.net.AdjSlots()
-	oldOut := b.out
+	oldOut, oldRev, oldOff := b.out, b.rev, b.off
 	b.out = slices.Grow(b.spare[:0], slots)[:slots]
-	b.rev = slices.Grow(b.rev[:0], slots)[:slots]
+	b.rev = make([]int32, slots)
+	b.off = rowOffsets(b.net)
 	par.For(b.net.N(), func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if b.mark[u] {
 				b.fillRow(topo.NodeID(u))
 				b.analyze(topo.NodeID(u))
 			} else {
-				delta := int32(b.net.AdjOffset(topo.NodeID(u))) - b.off[u]
-				for s := b.off[u]; s < b.off[u+1]; s++ {
+				delta := b.off[u] - oldOff[u]
+				for s := oldOff[u]; s < oldOff[u+1]; s++ {
 					b.out[s+delta] = oldOut[s] + delta
 				}
 			}
-			b.fillRev(topo.NodeID(u))
+			b.fillRev(topo.NodeID(u), oldRev, oldOff)
 		}
 	})
 	b.spare = oldOut
-	b.off = rowOffsets(b.net, b.off)
 	b.derive()
 }
 
@@ -327,9 +404,12 @@ func growClear[T any](buf []T, n int) []T {
 }
 
 func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
-	bb := geom.FromCorners(net.Pos(cycle[0]), net.Pos(cycle[0]))
+	p := net.Pos(cycle[0])
+	bb := geom.Rect{Min: p, Max: p}
 	for _, v := range cycle[1:] {
-		bb = bb.Union(geom.FromCorners(net.Pos(v), net.Pos(v)))
+		p := net.Pos(v)
+		bb.Min.X, bb.Min.Y = math.Min(bb.Min.X, p.X), math.Min(bb.Min.Y, p.Y)
+		bb.Max.X, bb.Max.Y = math.Max(bb.Max.X, p.X), math.Max(bb.Max.Y, p.Y)
 	}
 	return bb
 }
@@ -349,7 +429,7 @@ func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID
 		if v == exclude || (checkAlive && !net.Alive(v)) {
 			continue
 		}
-		delta := geom.CWDelta(from, angs[j])
+		delta := cwDelta(from, angs[j])
 		if delta < 1e-12 {
 			delta = geom.TwoPi
 		}
@@ -361,6 +441,18 @@ func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID
 		return -1
 	}
 	return int32(net.AdjOffset(u) + bestJ)
+}
+
+// cwDelta is geom.CWDelta(from, to) for bearings in [0, 2π], whose
+// difference needs no general reduction, so it inlines into the sweeps.
+func cwDelta(from, to float64) float64 {
+	d := from - to
+	if d < 0 {
+		d += geom.TwoPi
+	} else if d >= geom.TwoPi {
+		d = 0
+	}
+	return d
 }
 
 // FollowBoundary returns the boundary successor of u on hole h moving in

@@ -5,7 +5,7 @@
 // routings" before measuring routing performance, so the GF baseline here
 // consults these boundaries when it hits a local minimum.
 //
-// Two pieces: the TENT rule ([Tent], [StuckNodes]), a local geometric
+// Two pieces: the TENT rule ([Tent]), a local geometric
 // test marking nodes that can be stuck (local minima of greedy
 // forwarding) in some direction, and BOUNDHOLE ([FindHoles]), a
 // traversal that walks the closed boundary of the hole adjoining each

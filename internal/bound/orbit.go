@@ -82,7 +82,7 @@ func (b *Boundaries) label() {
 			for o.state[s] == 0 {
 				o.state[s] = 1
 				path, tails = append(path, s), append(tails, tail)
-				tail = net.AdjacencyRow(tail)[s-b.off[tail]]
+				tail = net.AdjHead(s)
 				s = b.out[b.rev[s]]
 			}
 			if o.state[s] == 1 {
@@ -148,7 +148,7 @@ func (b *Boundaries) walkLen(t0 topo.NodeID, s0 int32) int {
 	entry := int32(-1)
 	tail, s := t0, s0
 	for n := 1; n <= b.maxLen; n++ {
-		tail = b.net.AdjacencyRow(tail)[s-b.off[tail]]
+		tail = b.net.AdjHead(s)
 		if tail == t0 {
 			return n
 		}
@@ -202,7 +202,7 @@ func (b *Boundaries) appendCycle(c []topo.NodeID, t0 topo.NodeID, s0 int32, n in
 	}
 	for tail, s, k := t0, s0, 0; k < n; s, k = b.out[b.rev[s]], k+1 {
 		c = append(c, tail)
-		tail = b.net.AdjacencyRow(tail)[s-b.off[tail]]
+		tail = b.net.AdjHead(s)
 	}
 	return c
 }

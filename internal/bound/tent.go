@@ -1,10 +1,11 @@
 package bound
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"github.com/straightpath/wasn/internal/geom"
-	"github.com/straightpath/wasn/internal/par"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -28,22 +29,6 @@ type TentResult struct {
 	Intervals []StuckInterval
 }
 
-// Stuck reports whether the node has any stuck direction.
-func (t TentResult) Stuck() bool { return len(t.Intervals) > 0 }
-
-// StuckToward reports whether routing greedily toward target can get stuck
-// at this node, i.e. whether the direction of target lies in a stuck
-// interval.
-func (t TentResult) StuckToward(from, target geom.Point) bool {
-	theta := geom.Angle(from, target)
-	for _, iv := range t.Intervals {
-		if iv.Contains(theta) {
-			return true
-		}
-	}
-	return false
-}
-
 // Tent applies the TENT rule at node u: order the alive neighbors by
 // angle; for each angularly adjacent pair (v1, v2), the directions between
 // them are stuck iff the circumcenter of (u, v1, v2) falls outside u's
@@ -63,7 +48,8 @@ func Tent(net *topo.Network, u topo.NodeID) TentResult {
 		node  topo.NodeID
 		dist2 float64
 	}
-	var dirs []dirNbr
+	var buf [64]dirNbr
+	dirs := buf[:0]
 	row := net.AdjacencyRow(u)
 	angs := net.AdjacencyAngles(u)
 	checkAlive := net.DeadCount() > 0
@@ -99,7 +85,7 @@ func Tent(net *topo.Network, u topo.NodeID) TentResult {
 		return res
 	}
 
-	sort.Slice(dirs, func(a, b int) bool { return dirs[a].angle < dirs[b].angle })
+	slices.SortFunc(dirs, func(a, b dirNbr) int { return cmp.Compare(a.angle, b.angle) })
 	for i := range dirs {
 		d1 := dirs[i]
 		d2 := dirs[(i+1)%len(dirs)]
@@ -114,7 +100,12 @@ func Tent(net *topo.Network, u topo.NodeID) TentResult {
 }
 
 // sameAngle absorbs float noise when comparing neighbor directions.
+// Directions further apart than 1e-8 either way round are told apart
+// without the two cyclic deltas.
 func sameAngle(a, b float64) bool {
+	if d := math.Abs(a - b); d > 1e-8 && d < geom.TwoPi-1e-8 {
+		return false
+	}
 	return geom.CCWDelta(a, b) < 1e-9 || geom.CWDelta(a, b) < 1e-9
 }
 
@@ -128,24 +119,6 @@ func stuckBetween(net *topo.Network, up geom.Point, v1, v2 topo.NodeID) bool {
 		return true
 	}
 	return geom.Dist(up, c) > net.Radius+1e-9
-}
-
-// StuckNodes runs the TENT rule on every alive node and returns the
-// results indexed by node id; dead and never-stuck nodes hold results
-// without intervals. The per-node tests are independent and fan out
-// across GOMAXPROCS.
-func StuckNodes(net *topo.Network) []TentResult {
-	perNode := make([]TentResult, net.N())
-	par.For(net.N(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := topo.NodeID(i)
-			if !net.Alive(u) {
-				continue
-			}
-			perNode[i] = Tent(net, u)
-		}
-	})
-	return perNode
 }
 
 // MidDirection returns the middle direction of the interval, useful for

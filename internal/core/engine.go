@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/straightpath/wasn/internal/geom"
+	"github.com/straightpath/wasn/internal/safety"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -73,6 +74,17 @@ type state struct {
 	// packet; they are not retried (one header bit per visited hole).
 	// Retained across routes, cleared on reuse.
 	failedHoles map[int]struct{}
+
+	// The superseding preferences a step arms for its next scan; they
+	// live here, not in scanFilter, to keep that small enough to pass
+	// in registers. avoid (SLGF2's either-hand rule): greedy candidates
+	// that avoid the forbidden region of every estimate
+	// (avoidModel.AvoidsForbidden) dominate the rest. confine (the
+	// cautious perimeter): sweep candidates inside the box dominate.
+	avoid      []safety.ShapeAt
+	avoidModel *safety.Model
+	confine    geom.Rect
+	confined   bool
 }
 
 var statePool = sync.Pool{New: func() any {
@@ -112,6 +124,7 @@ func acquireState(net *topo.Network, src, dst topo.NodeID) *state {
 	st.detourHole = -1
 	st.detourDir = 0
 	st.detourSteps = 0
+	st.avoid, st.avoidModel, st.confined = nil, nil, false
 	return st
 }
 
@@ -227,6 +240,12 @@ type scanFilter struct {
 	maxDist float64
 }
 
+// prefers reports whether candidate v is in the preferred class of a
+// greedy scan: every candidate is unless the step armed st.avoid.
+func (st *state) prefers(v topo.NodeID) bool {
+	return len(st.avoid) == 0 || st.avoidModel.AvoidsForbidden(st.avoid, st.dstPos, st.net.Pos(v))
+}
+
 // active reports whether the filter constrains anything.
 func (f *scanFilter) active() bool { return f.masks != nil || f.bounded }
 
@@ -265,26 +284,34 @@ func zoneBit(zdx, zdy float64) uint {
 	return 2
 }
 
-// useReferenceScans routes every candidate scan through the straight-line
-// reference implementations instead of the packed structure-of-arrays
-// sweeps. Tests flip it (serially — it is not synchronized) to pin the
-// two code paths to bit-identical route outputs; production code never
-// touches it.
-var useReferenceScans bool
+// scanOracle, when non-nil, replaces the four packed candidate scans.
+// Only the package's differential tests install one, the straight-line
+// reference scans (export_test.go), to pin both to bit-identical
+// routes; it is not synchronized, so they flip it serially. The scans
+// take plain data, no closures or pointers to the caller's stack, so
+// passing them through these function values costs no allocation.
+var scanOracle *scanSet
+
+// scanSet is one implementation of the candidate scans.
+type scanSet struct {
+	requestZone, forwardingZone func(st *state, f scanFilter) topo.NodeID
+	closest                     func(st *state) topo.NodeID
+	sweep                       func(st *state, hand Hand, f scanFilter) (topo.NodeID, float64, int)
+}
 
 // greedyInRequestZone returns the neighbor of u inside Z(u, d) closest to
 // the destination, or topo.NoNode. f restricts candidates (used by the
-// safety-based algorithms); prefer, when non-nil, supersedes: if any
-// candidate satisfies it, only those are considered.
+// safety-based algorithms); the step's avoid preference, when armed,
+// supersedes: if any candidate is preferred, only those are considered.
 //
 // The hot path scans the CSR row's packed coordinate arrays four lanes
 // at a time: the rectangle test, the strict-progress compare, and the
 // liveness-bitset test are all straight-line float/word operations, and
 // the lane selections re-test d < bestDist in ascending-slot order so
 // the first strict minimum wins exactly as in the reference scan.
-func greedyInRequestZone(st *state, f scanFilter, prefer func(v topo.NodeID) bool) topo.NodeID {
-	if useReferenceScans {
-		return refGreedyInRequestZone(st, f, prefer)
+func greedyInRequestZone(st *state, f scanFilter) topo.NodeID {
+	if scanOracle != nil {
+		return scanOracle.requestZone(st, f)
 	}
 	up := st.net.Pos(st.cur)
 	ux, uy := up.X, up.Y
@@ -304,7 +331,7 @@ func greedyInRequestZone(st *state, f scanFilter, prefer func(v topo.NodeID) boo
 	ys = ys[:n]
 	best := topo.NoNode
 	bestDist := math.MaxFloat64
-	if prefer == nil && !f.bounded && !f.anySafe {
+	if len(st.avoid) == 0 && !f.bounded && !f.anySafe {
 		masks := f.masks
 		hasMasks := masks != nil
 		checkAlive := st.net.DeadCount() > 0
@@ -373,7 +400,7 @@ func greedyInRequestZone(st *state, f scanFilter, prefer func(v topo.NodeID) boo
 		if !f.accept(st.dstPos, v, geom.Pt(x, y)) {
 			continue
 		}
-		pref := prefer == nil || prefer(v)
+		pref := st.prefers(v)
 		d := (x-dx)*(x-dx) + (y-dy)*(y-dy)
 		switch {
 		case pref && !bestPreferred:
@@ -387,7 +414,7 @@ func greedyInRequestZone(st *state, f scanFilter, prefer func(v topo.NodeID) boo
 
 // greedyInForwardingZone returns the neighbor of u inside the forwarding
 // quadrant Q_k(u) toward the destination that is strictly closer to it,
-// minimizing that distance. f/prefer behave as in greedyInRequestZone.
+// minimizing that distance. f behaves as in greedyInRequestZone.
 //
 // The safety-based routings use the quadrant, not the thin request-zone
 // rectangle: the safety statuses (Definition 1) and Theorem 1's guarantee
@@ -401,9 +428,9 @@ func greedyInRequestZone(st *state, f scanFilter, prefer func(v topo.NodeID) boo
 // candidate at u's own position is excluded by the progress requirement
 // (its distance equals the limit), so no explicit equality test is
 // needed on the hot path.
-func greedyInForwardingZone(st *state, f scanFilter, prefer func(v topo.NodeID) bool) topo.NodeID {
-	if useReferenceScans {
-		return refGreedyInForwardingZone(st, f, prefer)
+func greedyInForwardingZone(st *state, f scanFilter) topo.NodeID {
+	if scanOracle != nil {
+		return scanOracle.forwardingZone(st, f)
 	}
 	up := st.net.Pos(st.cur)
 	ux, uy := up.X, up.Y
@@ -420,7 +447,7 @@ func greedyInForwardingZone(st *state, f scanFilter, prefer func(v topo.NodeID) 
 	ys = ys[:n]
 	best := topo.NoNode
 	bestDist := limit
-	if prefer == nil && !f.bounded && !f.anySafe {
+	if len(st.avoid) == 0 && !f.bounded && !f.anySafe {
 		masks := f.masks
 		hasMasks := masks != nil
 		checkAlive := st.net.DeadCount() > 0
@@ -487,7 +514,7 @@ func greedyInForwardingZone(st *state, f scanFilter, prefer func(v topo.NodeID) 
 		if !f.accept(st.dstPos, v, geom.Pt(x, y)) {
 			continue
 		}
-		pref := prefer == nil || prefer(v)
+		pref := st.prefers(v)
 		switch {
 		case pref && !bestPreferred:
 			best, bestDist, bestPreferred = v, d, true
@@ -501,8 +528,8 @@ func greedyInForwardingZone(st *state, f scanFilter, prefer func(v topo.NodeID) 
 // greedyClosest returns the classic GF successor: the neighbor strictly
 // closer to the destination than u, minimizing that distance.
 func greedyClosest(st *state) topo.NodeID {
-	if useReferenceScans {
-		return refGreedyClosest(st)
+	if scanOracle != nil {
+		return scanOracle.closest(st)
 	}
 	up := st.net.Pos(st.cur)
 	dx, dy := st.dstPos.X, st.dstPos.Y
@@ -553,12 +580,13 @@ func greedyClosest(st *state) topo.NodeID {
 
 // sweepUntried rotates the ray from u toward the destination in the
 // hand's direction and returns the first untried neighbor accepted by
-// f; a non-nil confine rectangle acts as the superseding preference
-// (candidates inside it dominate), the cautious perimeter's confinement.
+// f; the step's confine box, when armed, acts as the superseding
+// preference (candidates inside it dominate), the cautious perimeter's
+// confinement.
 // The returned node is marked tried. topo.NoNode when the sweep is
 // exhausted.
-func sweepUntried(st *state, hand Hand, f scanFilter, confine *geom.Rect) topo.NodeID {
-	best, _, slot := sweepScan(st, hand, f, confine)
+func sweepUntried(st *state, hand Hand, f scanFilter) topo.NodeID {
+	best, _, slot := sweepScan(st, hand, f)
 	if best != topo.NoNode {
 		st.tried[slot] = st.triedGen
 	}
@@ -568,8 +596,8 @@ func sweepUntried(st *state, hand Hand, f scanFilter, confine *geom.Rect) topo.N
 // sweepPeek is sweepUntried without the tried-marking side effect; it
 // also reports the winning candidate's sweep rotation, which the
 // either-hand rule uses to compare the two hands at detour entry.
-func sweepPeek(st *state, hand Hand, f scanFilter, confine *geom.Rect) (topo.NodeID, float64) {
-	best, delta, _ := sweepScan(st, hand, f, confine)
+func sweepPeek(st *state, hand Hand, f scanFilter) (topo.NodeID, float64) {
+	best, delta, _ := sweepScan(st, hand, f)
 	return best, delta
 }
 
@@ -578,9 +606,9 @@ func sweepPeek(st *state, hand Hand, f scanFilter, confine *geom.Rect) (topo.Nod
 // The tried test is a generation-stamp compare against the row's slice
 // of st.tried, and the liveness/safety tests run on the bitset and mask
 // exports — no per-candidate calls leave the loop.
-func sweepScan(st *state, hand Hand, f scanFilter, confine *geom.Rect) (topo.NodeID, float64, int) {
-	if useReferenceScans {
-		return refSweepScan(st, hand, f, confine)
+func sweepScan(st *state, hand Hand, f scanFilter) (topo.NodeID, float64, int) {
+	if scanOracle != nil {
+		return scanOracle.sweep(st, hand, f)
 	}
 	up := st.net.Pos(st.cur)
 	from := geom.Angle(up, st.dstPos)
@@ -621,121 +649,7 @@ func sweepScan(st *state, hand Hand, f scanFilter, confine *geom.Rect) (topo.Nod
 		if f.bounded && math.Hypot(x-dx, y-dy) >= f.maxDist {
 			continue
 		}
-		pref := confine == nil || confine.Contains(geom.Pt(x, y))
-		delta := hand.sweepDelta(from, angs[j])
-		switch {
-		case pref && !bestPreferred:
-			best, bestDelta, bestPreferred, bestSlot = v, delta, true, base+j
-		case pref == bestPreferred && delta < bestDelta:
-			best, bestDelta, bestSlot = v, delta, base+j
-		}
-	}
-	return best, bestDelta, bestSlot
-}
-
-// ---------------------------------------------------------------------
-// Reference scans.
-//
-// These are the straight-line implementations the packed scans above
-// replaced, kept as executable documentation and as the oracle of the
-// differential route tests (useReferenceScans): same semantics, one
-// candidate at a time, no unrolling, no bitset shortcuts. Any change to
-// selection semantics must land in both halves or the differential
-// tests fail.
-
-func refGreedyInRequestZone(st *state, f scanFilter, prefer func(v topo.NodeID) bool) topo.NodeID {
-	up := st.net.Pos(st.cur)
-	best := topo.NoNode
-	bestPreferred := false
-	bestDist := math.MaxFloat64
-	for _, v := range st.net.Neighbors(st.cur) {
-		pv := st.net.Pos(v)
-		if !geom.InRequestZone(up, st.dstPos, pv) {
-			continue
-		}
-		if !f.accept(st.dstPos, v, pv) {
-			continue
-		}
-		pref := prefer == nil || prefer(v)
-		d := geom.Dist2(pv, st.dstPos)
-		// Preferred candidates strictly dominate non-preferred ones.
-		switch {
-		case pref && !bestPreferred:
-			best, bestDist, bestPreferred = v, d, true
-		case pref == bestPreferred && d < bestDist:
-			best, bestDist = v, d
-		}
-	}
-	return best
-}
-
-func refGreedyInForwardingZone(st *state, f scanFilter, prefer func(v topo.NodeID) bool) topo.NodeID {
-	up := st.net.Pos(st.cur)
-	zone := geom.ZoneTypeOf(up, st.dstPos)
-	limit := geom.Dist2(up, st.dstPos)
-	best := topo.NoNode
-	bestPreferred := false
-	bestDist := limit
-	for _, v := range st.net.Neighbors(st.cur) {
-		pv := st.net.Pos(v)
-		if !geom.InForwardingZone(up, zone, pv) {
-			continue
-		}
-		d := geom.Dist2(pv, st.dstPos)
-		if d >= limit {
-			continue // must make progress
-		}
-		if !f.accept(st.dstPos, v, pv) {
-			continue
-		}
-		pref := prefer == nil || prefer(v)
-		switch {
-		case pref && !bestPreferred:
-			best, bestDist, bestPreferred = v, d, true
-		case pref == bestPreferred && d < bestDist:
-			best, bestDist = v, d
-		}
-	}
-	return best
-}
-
-func refGreedyClosest(st *state) topo.NodeID {
-	up := st.net.Pos(st.cur)
-	limit := geom.Dist2(up, st.dstPos)
-	best := topo.NoNode
-	bestDist := limit
-	for _, v := range st.net.Neighbors(st.cur) {
-		d := geom.Dist2(st.net.Pos(v), st.dstPos)
-		if d < bestDist {
-			best, bestDist = v, d
-		}
-	}
-	return best
-}
-
-func refSweepScan(st *state, hand Hand, f scanFilter, confine *geom.Rect) (topo.NodeID, float64, int) {
-	up := st.net.Pos(st.cur)
-	from := geom.Angle(up, st.dstPos)
-	row := st.net.AdjacencyRow(st.cur)
-	angs := st.net.AdjacencyAngles(st.cur)
-	base := st.net.AdjOffset(st.cur)
-	checkAlive := st.net.DeadCount() > 0
-	best := topo.NoNode
-	bestPreferred := false
-	bestDelta := math.MaxFloat64
-	bestSlot := -1
-	for j, v := range row {
-		if checkAlive && !st.net.Alive(v) {
-			continue
-		}
-		if st.tried[base+j] == st.triedGen {
-			continue
-		}
-		pv := st.net.Pos(v)
-		if !f.accept(st.dstPos, v, pv) {
-			continue
-		}
-		pref := confine == nil || confine.Contains(pv)
+		pref := !st.confined || st.confine.Contains(geom.Pt(x, y))
 		delta := hand.sweepDelta(from, angs[j])
 		switch {
 		case pref && !bestPreferred:

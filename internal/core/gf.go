@@ -71,7 +71,7 @@ func (a *gfAlg) step(st *state) topo.NodeID {
 			st.perimeterActive = false
 		} else {
 			st.phase = PhasePerimeter
-			return sweepUntried(st, RightHand, scanFilter{}, nil)
+			return sweepUntried(st, RightHand, scanFilter{})
 		}
 	}
 	// Exit an active detour as soon as the packet beats the stuck point.
@@ -110,7 +110,7 @@ func (a *gfAlg) step(st *state) topo.NodeID {
 	// No boundary info: untried right-hand sweep.
 	st.enterPerimeter()
 	st.phase = PhasePerimeter
-	return sweepUntried(st, RightHand, scanFilter{}, nil)
+	return sweepUntried(st, RightHand, scanFilter{})
 }
 
 // pickDirection compares the two boundary neighbors of the stuck node and
@@ -154,7 +154,7 @@ func (a *gfAlg) abandonDetour(st *state) topo.NodeID {
 	st.failedHoles[st.detourHole] = struct{}{}
 	st.detourHole = -1
 	st.enterPerimeter()
-	return sweepUntried(st, RightHand, scanFilter{}, nil)
+	return sweepUntried(st, RightHand, scanFilter{})
 }
 
 func (a *gfAlg) holeByID(id int) *bound.Hole {

@@ -55,7 +55,7 @@ func (lgfAlg) step(st *state) topo.NodeID {
 	}
 	if !st.perimeterActive {
 		// Steps 2-3: greedy advance within the request zone.
-		if v := greedyInRequestZone(st, scanFilter{}, nil); v != topo.NoNode {
+		if v := greedyInRequestZone(st, scanFilter{}); v != topo.NoNode {
 			st.phase = PhaseGreedy
 			return v
 		}
@@ -63,5 +63,5 @@ func (lgfAlg) step(st *state) topo.NodeID {
 	}
 	// Step 4: perimeter routing by the right-hand rule.
 	st.phase = PhasePerimeter
-	return sweepUntried(st, RightHand, scanFilter{}, nil)
+	return sweepUntried(st, RightHand, scanFilter{})
 }

@@ -117,10 +117,14 @@ func (r Result) Hops() int {
 // Every Router in this package is safe for concurrent use: all
 // per-packet scratch lives in pooled per-route state (SLGF2's lazy
 // planar substrate is built under a sync.Once), so any number of
-// goroutines may route over one router simultaneously — provided no
-// topology mutation (topo.Network.SetAlive) races with in-flight routes.
-// Callers that fail nodes at runtime must serialize mutations against
-// routing; the serve package does so with a per-deployment RWMutex.
+// goroutines may route over one router simultaneously — provided nothing
+// mutates its network or substrates (SetAlive, SetPositions, the
+// substrate repairs) while routes are in flight. A caller that changes
+// the topology at runtime either serializes the mutation against
+// routing or never mutates what a router reads: the serve package
+// clones the network and substrates (the Clone methods of topo, safety,
+// bound and planar), repairs the clone, builds a new router set over it
+// and publishes that, so its readers take no lock.
 //
 // Steady-state routing performs zero allocations per hop decision: the
 // visited bookkeeping, queues, and candidate buffers come from

@@ -31,8 +31,8 @@ func benchScanRoute(b *testing.B, alg string, reference bool) {
 	if len(pairs) == 0 {
 		b.Fatal("no routable pairs")
 	}
-	useReferenceScans = reference
-	defer func() { useReferenceScans = false }()
+	setReferenceScans(reference)
+	defer setReferenceScans(false)
 	buf := make([]topo.NodeID, 0, 4*net.N())
 	for _, p := range pairs {
 		res := r.RouteInto(p[0], p[1], buf)

@@ -50,7 +50,7 @@ func TestPackedScansMatchReferenceRoutes(t *testing.T) {
 		{topo.ModelFA, 260, 7},
 		{topo.ModelFA, 320, 29},
 	}
-	defer func() { useReferenceScans = false }()
+	defer setReferenceScans(false)
 	for _, tc := range cases {
 		t.Run(tc.model.String(), func(t *testing.T) {
 			net, routers, repair := scanTestRouters(t, tc.model, tc.n, tc.seed)
@@ -62,11 +62,11 @@ func TestPackedScansMatchReferenceRoutes(t *testing.T) {
 				t.Helper()
 				for _, r := range routers {
 					for _, p := range pairs {
-						useReferenceScans = false
+						setReferenceScans(false)
 						fast := r.Route(p[0], p[1])
-						useReferenceScans = true
+						setReferenceScans(true)
 						ref := r.Route(p[0], p[1])
-						useReferenceScans = false
+						setReferenceScans(false)
 						if !reflect.DeepEqual(fast, ref) {
 							t.Fatalf("%s (%s): %d->%d packed scan route diverged from reference\npacked:    %+v\nreference: %+v",
 								r.Name(), when, p[0], p[1], fast, ref)

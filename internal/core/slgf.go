@@ -70,7 +70,7 @@ func (a *slgfAlg) step(st *state) topo.NodeID {
 		// Safe forwarding: greedy within the forwarding zone over nodes
 		// that are safe toward d (Theorem 1 guards exactly this step),
 		// tested against the model's packed mask export.
-		if v := greedyInForwardingZone(st, scanFilter{masks: a.m.SafeMasks()}, nil); v != topo.NoNode {
+		if v := greedyInForwardingZone(st, scanFilter{masks: a.m.SafeMasks()}); v != topo.NoNode {
 			st.phase = PhaseGreedy
 			return v
 		}
@@ -78,5 +78,5 @@ func (a *slgfAlg) step(st *state) topo.NodeID {
 	}
 	// Perimeter routing without safety information.
 	st.phase = PhasePerimeter
-	return sweepUntried(st, RightHand, scanFilter{}, nil)
+	return sweepUntried(st, RightHand, scanFilter{})
 }

@@ -192,15 +192,8 @@ func (a *slgf2Alg) step(st *state) topo.NodeID {
 	// forbidden region of every visible estimate whose critical region
 	// holds the destination. Only estimates that actually block the
 	// corridor to the destination arm the preference — an unsafe area
-	// off the packet's way must not divert it. The closure is created
-	// here (not returned from a helper) so escape analysis keeps it on
-	// the stack.
-	var prefer func(topo.NodeID) bool
-	if shapes := a.blockingShapes(st); len(shapes) > 0 {
-		prefer = func(v topo.NodeID) bool {
-			return m.AvoidsForbidden(shapes, st.dstPos, st.net.Pos(v))
-		}
-	}
+	// off the packet's way must not divert it.
+	shapes := a.blockingShapes(st)
 
 	// An active perimeter phase persists until the packet beats the
 	// stuck node's distance; the hand stays locked regardless ("stick
@@ -225,7 +218,10 @@ func (a *slgf2Alg) step(st *state) topo.NodeID {
 			safe.bounded = true
 			safe.maxDist = st.backupDist
 		}
-		if v := greedyInForwardingZone(st, safe, prefer); v != topo.NoNode {
+		st.avoid, st.avoidModel = shapes, m
+		v := greedyInForwardingZone(st, safe)
+		st.avoid, st.avoidModel = nil, nil
+		if v != topo.NoNode {
 			st.phase = PhaseGreedy
 			st.backupActive = false
 			if !a.perimeterLocked {
@@ -250,7 +246,7 @@ func (a *slgf2Alg) step(st *state) topo.NodeID {
 			if st.backupBudget > 0 {
 				anySafe := scanFilter{masks: m.SafeMasks(), anySafe: true}
 				a.commitHand(st, anySafe)
-				if v := sweepUntried(st, st.hand, anySafe, nil); v != topo.NoNode {
+				if v := sweepUntried(st, st.hand, anySafe); v != topo.NoNode {
 					st.backupBudget--
 					st.phase = PhaseBackup
 					return v
@@ -290,15 +286,12 @@ func (a *slgf2Alg) step(st *state) topo.NodeID {
 		}
 		a.faceDead = true
 	}
-	var confineBox *geom.Rect
 	if a.confine && !a.r.disableShapeInfo {
-		if box, ok := m.ConfinementBox(st.cur); ok {
-			// box stays on the stack: the sweep only reads through the
-			// pointer, it never retains it.
-			confineBox = &box
-		}
+		st.confine, st.confined = m.ConfinementBox(st.cur)
 	}
-	return sweepUntried(st, st.hand, scanFilter{}, confineBox)
+	v := sweepUntried(st, st.hand, scanFilter{})
+	st.confined = false
+	return v
 }
 
 // blockingShapes returns the visible estimates whose rectangle intersects
@@ -369,7 +362,7 @@ func (a *slgf2Alg) commitHand(st *state, f scanFilter) {
 	bestOK := false
 	bestDelta := math.MaxFloat64
 	for _, h := range []Hand{RightHand, LeftHand} {
-		v, delta := sweepPeek(st, h, f, nil)
+		v, delta := sweepPeek(st, h, f)
 		if v == topo.NoNode {
 			continue
 		}

@@ -82,8 +82,8 @@ func BuildSubstrates(net *topo.Network, needSafety, needBounds, needPlanar bool,
 // work scales with the failure
 // neighborhood instead of the network. Repairs happen in place, so
 // routers already holding these substrate pointers serve the mutated
-// topology immediately and need not be rebuilt; callers must serialize
-// repairs against in-flight routes exactly as they do SetAlive (see
+// topology immediately and need not be rebuilt; callers must keep
+// repairs away from in-flight routes exactly as they do SetAlive (see
 // Router). The returned timings break the fan-out down by substrate.
 func RepairSubstrates(m *safety.Model, b *bound.Boundaries, g *planar.Graph, changed []topo.NodeID) SubstrateTimings {
 	var t SubstrateTimings

@@ -160,9 +160,13 @@ const (
 	flagErr       = 1 << 3
 )
 
-// appendResult encodes one RouteResponse (paths never cross the binary
-// transport: batch traffic wants the aggregate outcome, same as the
-// JSON /batch surface).
+// appendResult encodes one RouteResponse as
+//
+//	u8 flags, u32 hops, f64 length, u64 epoch,
+//	[string16 reason if flagReason], [string16 error if flagErr]
+//
+// (paths never cross the binary transport: batch traffic wants the
+// aggregate outcome, same as the JSON /batch surface).
 func appendResult(b []byte, res serve.RouteResponse) []byte {
 	var flags byte
 	if res.Delivered {
@@ -180,6 +184,7 @@ func appendResult(b []byte, res serve.RouteResponse) []byte {
 	b = append(b, flags)
 	b = binary.LittleEndian.AppendUint32(b, uint32(res.Hops))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(res.Length))
+	b = binary.LittleEndian.AppendUint64(b, res.Epoch)
 	if res.Reason != "" {
 		b = appendString16(b, res.Reason)
 	}
@@ -203,6 +208,9 @@ func (r *snapReader) result() (serve.RouteResponse, bool) {
 	if !ok {
 		return res, false
 	}
+	if res.Epoch, ok = r.u64(); !ok {
+		return res, false
+	}
 	res.Delivered = flags&flagDelivered != 0
 	res.Cached = flags&flagCached != 0
 	res.Hops = int(hops)
@@ -219,6 +227,9 @@ func (r *snapReader) result() (serve.RouteResponse, bool) {
 	}
 	return res, true
 }
+
+// resultMinLen is the size of a result record without strings.
+const resultMinLen = 1 + 4 + 8 + 8
 
 // encodeBatchChunk builds a frameBatchChunk payload for results
 // [start, start+len(results)).
@@ -241,7 +252,7 @@ func decodeBatchChunk(payload []byte) (id uint32, start int, results []serve.Rou
 	if !ok || !ok2 || !ok3 {
 		return id, 0, nil, fmt.Errorf("fleet: truncated chunk header")
 	}
-	if int64(count)*13 > int64(len(payload)) {
+	if int64(count)*resultMinLen > int64(len(payload)) {
 		return id, 0, nil, fmt.Errorf("fleet: chunk count %d exceeds frame", count)
 	}
 	results = make([]serve.RouteResponse, 0, count)

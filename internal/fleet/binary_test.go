@@ -89,6 +89,49 @@ func TestBinaryBatchMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestBinaryResultEpoch: every result carries the epoch of the version
+// that answered it across the binary transport — in the chunk codec,
+// and end to end after mutations have advanced the deployment.
+func TestBinaryResultEpoch(t *testing.T) {
+	in := []serve.RouteResponse{
+		{Delivered: true, Hops: 4, Length: 9.5, Epoch: 7},
+		{Reason: "ttl-exceeded", Epoch: 1<<63 + 5},
+		{Err: "serve: unknown deployment"},
+	}
+	id, start, out, err := decodeBatchChunk(encodeBatchChunk(3, 9, in))
+	if err != nil || id != 3 || start != 9 || !reflect.DeepEqual(out, in) {
+		t.Fatalf("chunk round trip: %v (%d, %d) %+v; want %+v", err, id, start, out, in)
+	}
+
+	svc, name := testService(t)
+	for _, m := range []serve.Mutation{
+		{Kind: serve.MutationFail, Nodes: []topo.NodeID{40, 41}},
+		{Kind: serve.MutationRevive, Nodes: []topo.NodeID{41}},
+	} {
+		if err := svc.Mutate(name, m, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := startBinaryServer(t, svc)
+	c, err := Dial(srv.Addr(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Batch([]serve.RouteRequest{
+		{Deployment: name, Algorithm: "SLGF2", Src: 0, Dst: 170},
+		{Deployment: name, Algorithm: "GF", Src: 3, Dst: 150},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if r.Err != "" || r.Epoch != 2 {
+			t.Fatalf("result %d = %+v; want epoch 2", i, r)
+		}
+	}
+}
+
 func TestBinaryEmptyBatch(t *testing.T) {
 	svc, _ := testService(t)
 	srv := startBinaryServer(t, svc)

@@ -104,8 +104,8 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 // their canonical encoding.)
 func FuzzDecodeBatchChunk(f *testing.F) {
 	results := []serve.RouteResponse{
-		{Delivered: true, Hops: 7, Length: 123.5, Cached: true},
-		{Hops: 3, Length: 40, Reason: "ttl-exceeded"},
+		{Delivered: true, Hops: 7, Length: 123.5, Cached: true, Epoch: 3},
+		{Hops: 3, Length: 40, Reason: "ttl-exceeded", Epoch: 1 << 40},
 		{Err: "serve: unknown deployment \"x\""},
 		{Length: math.NaN(), Reason: "no-candidate", Err: "both"},
 	}

@@ -42,21 +42,6 @@ func CCWDelta(from, to float64) float64 { return NormAngle(to - from) }
 // reach angle `to`, in [0, 2π).
 func CWDelta(from, to float64) float64 { return NormAngle(from - to) }
 
-// AngleBetween returns the unsigned angle at vertex p between rays p→a and
-// p→b, in [0, π].
-func AngleBetween(p, a, b Point) float64 {
-	va := a.Sub(p)
-	vb := b.Sub(p)
-	na := va.Norm()
-	nb := vb.Norm()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	c := va.Dot(vb) / (na * nb)
-	c = math.Max(-1, math.Min(1, c))
-	return math.Acos(c)
-}
-
 // InCCWInterval reports whether angle t lies in the counter-clockwise
 // interval from lo to hi (inclusive of both endpoints). The interval may
 // wrap around 0.

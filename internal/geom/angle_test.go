@@ -111,3 +111,18 @@ func TestInCCWInterval(t *testing.T) {
 		})
 	}
 }
+
+// AngleBetween returns the unsigned angle at vertex p between rays p→a and
+// p→b, in [0, π].
+func AngleBetween(p, a, b Point) float64 {
+	va := a.Sub(p)
+	vb := b.Sub(p)
+	na := va.Norm()
+	nb := vb.Norm()
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	c := va.Dot(vb) / (na * nb)
+	c = math.Max(-1, math.Min(1, c))
+	return math.Acos(c)
+}

@@ -115,3 +115,45 @@ func TestPolygonArea(t *testing.T) {
 		t.Errorf("reversed area = %v, want -4", got)
 	}
 }
+
+// ConvexHull returns the hull points themselves, CCW order.
+func ConvexHull(pts []Point) []Point {
+	ids := ConvexHullIndices(pts)
+	out := make([]Point, len(ids))
+	for i, id := range ids {
+		out[i] = pts[id]
+	}
+	return out
+}
+
+// PointInConvexPolygon reports whether p lies inside or on the boundary of
+// the convex polygon poly given in CCW order.
+func PointInConvexPolygon(p Point, poly []Point) bool {
+	n := len(poly)
+	if n == 0 {
+		return false
+	}
+	if n == 1 {
+		return poly[0].Eq(p, orientationEps)
+	}
+	if n == 2 {
+		return Orient(poly[0], poly[1], p) == Collinear && onSegment(poly[0], poly[1], p)
+	}
+	for i := 0; i < n; i++ {
+		if Orient(poly[i], poly[(i+1)%n], p) == Clockwise {
+			return false
+		}
+	}
+	return true
+}
+
+// PolygonArea returns the signed area of the polygon (positive for CCW).
+func PolygonArea(poly []Point) float64 {
+	var sum float64
+	n := len(poly)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		sum += poly[i].Cross(poly[j])
+	}
+	return sum / 2
+}

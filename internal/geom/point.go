@@ -30,9 +30,6 @@ func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
 // Sub returns the vector from q to p.
 func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
 
-// Scale returns p scaled by k about the origin.
-func (p Point) Scale(k float64) Point { return Point{X: p.X * k, Y: p.Y * k} }
-
 // Dot returns the dot product of p and q viewed as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 

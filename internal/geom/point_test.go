@@ -86,3 +86,6 @@ func TestCrossSign(t *testing.T) {
 		t.Errorf("Cross(+Y, +X) = %v, want < 0", c)
 	}
 }
+
+// Scale returns p scaled by k about the origin.
+func (p Point) Scale(k float64) Point { return Point{X: p.X * k, Y: p.Y * k} }

@@ -38,15 +38,6 @@ func (z ZoneType) String() string {
 	}
 }
 
-// Valid reports whether z is one of the four defined zone types.
-func (z ZoneType) Valid() bool { return z >= Zone1 && z <= Zone4 }
-
-// Opposite returns the zone type of u as seen from d when d sees u with
-// type z: the paper's k' = (k+2) Mod 4 mapping (1↔3, 2↔4).
-func (z ZoneType) Opposite() ZoneType {
-	return ZoneType((int(z)+1)%NumZones + 1)
-}
-
 // ZoneTypeOf returns the type of the request zone of node u with respect to
 // destination d, i.e. the quadrant of d relative to u. Boundary convention:
 // dx >= 0 counts as East, dy >= 0 counts as North, so a destination due

@@ -134,3 +134,12 @@ func TestRequestZoneMonotone(t *testing.T) {
 		t.Errorf("request zone not monotone: %v", err)
 	}
 }
+
+// Opposite returns the zone type of u as seen from d when d sees u with
+// type z: the paper's k' = (k+2) Mod 4 mapping (1↔3, 2↔4).
+func (z ZoneType) Opposite() ZoneType {
+	return ZoneType((int(z)+1)%NumZones + 1)
+}
+
+// Valid reports whether z is one of the four defined zone types.
+func (z ZoneType) Valid() bool { return z >= Zone1 && z <= Zone4 }

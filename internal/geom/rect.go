@@ -79,18 +79,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Intersect returns the overlap of r and s and whether it is non-empty.
-func (r Rect) Intersect(s Rect) (Rect, bool) {
-	out := Rect{
-		Min: Point{X: math.Max(r.Min.X, s.Min.X), Y: math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{X: math.Min(r.Max.X, s.Max.X), Y: math.Min(r.Max.Y, s.Max.Y)},
-	}
-	if out.Min.X > out.Max.X || out.Min.Y > out.Max.Y {
-		return Rect{}, false
-	}
-	return out, true
-}
-
 // Overlaps reports whether r and s share any point (boundary inclusive).
 func (r Rect) Overlaps(s Rect) bool {
 	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
@@ -104,10 +92,6 @@ func (r Rect) Clamp(p Point) Point {
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
 }
-
-// DistTo returns the Euclidean distance from p to the rectangle (zero when
-// p is inside).
-func (r Rect) DistTo(p Point) float64 { return Dist(p, r.Clamp(p)) }
 
 // Corners returns the four corners of r in counter-clockwise order starting
 // at Min.

@@ -165,3 +165,19 @@ func TestRectCornersCCW(t *testing.T) {
 		t.Errorf("corners not CCW: signed area %v", got)
 	}
 }
+
+// Intersect returns the overlap of r and s and whether it is non-empty.
+func (r Rect) Intersect(s Rect) (Rect, bool) {
+	out := Rect{
+		Min: Point{X: math.Max(r.Min.X, s.Min.X), Y: math.Max(r.Min.Y, s.Min.Y)},
+		Max: Point{X: math.Min(r.Max.X, s.Max.X), Y: math.Min(r.Max.Y, s.Max.Y)},
+	}
+	if out.Min.X > out.Max.X || out.Min.Y > out.Max.Y {
+		return Rect{}, false
+	}
+	return out, true
+}
+
+// DistTo returns the Euclidean distance from p to the rectangle (zero when
+// p is inside).
+func (r Rect) DistTo(p Point) float64 { return Dist(p, r.Clamp(p)) }

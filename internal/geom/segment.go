@@ -80,19 +80,6 @@ func SideOfRay(origin, through, p Point) Orientation {
 	return Orient(origin, through, p)
 }
 
-// DistPointSegment returns the distance from p to the closest point of
-// segment ab.
-func DistPointSegment(p, a, b Point) float64 {
-	ab := b.Sub(a)
-	den := ab.Norm2()
-	if den == 0 {
-		return Dist(p, a)
-	}
-	t := p.Sub(a).Dot(ab) / den
-	t = math.Max(0, math.Min(1, t))
-	return Dist(p, Lerp(a, b, t))
-}
-
 // SegmentIntersectsRect reports whether segment ab touches rectangle r
 // (including when it lies entirely inside).
 func SegmentIntersectsRect(a, b Point, r Rect) bool {

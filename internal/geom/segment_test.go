@@ -137,3 +137,16 @@ func TestPerpBisectorIntersection(t *testing.T) {
 		t.Error("collinear points should have no circumcenter")
 	}
 }
+
+// DistPointSegment returns the distance from p to the closest point of
+// segment ab.
+func DistPointSegment(p, a, b Point) float64 {
+	ab := b.Sub(a)
+	den := ab.Norm2()
+	if den == 0 {
+		return Dist(p, a)
+	}
+	t := p.Sub(a).Dot(ab) / den
+	t = math.Max(0, math.Min(1, t))
+	return Dist(p, Lerp(a, b, t))
+}

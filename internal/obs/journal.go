@@ -97,10 +97,9 @@ type Event struct {
 	// Epoch is the deployment epoch after the event's bump (0 when
 	// the event does not bump the epoch).
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Purged counts route-cache entries invalidated by the event.
-	Purged int64 `json:"purged,omitempty"`
 
-	// DurationUS is the whole operation's wall time (repair or build);
+	// DurationUS is the whole operation's wall time (build, or clone,
+	// repair and publish of a new version);
 	// the three *US spans break an incremental repair down by
 	// substrate (concurrent, so they overlap rather than sum).
 	DurationUS int64 `json:"duration_us,omitempty"`

@@ -1,6 +1,7 @@
 package planar
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/straightpath/wasn/internal/geom"
@@ -61,6 +62,18 @@ func Build(net *topo.Network, k Kind) *Graph {
 		}
 	})
 	return g
+}
+
+// Clone returns a copy of the graph over net, a topo.Network.Clone of
+// g.Net, that Repair and RepairRows may mutate while others read the
+// receiver, which must not be repaired afterwards. The rows are shared
+// (a repair replaces a row wholesale), the row tables copied (a repair
+// writes them in place), and the repair scratch moves to the clone.
+func (g *Graph) Clone(net *topo.Network) *Graph {
+	c := *g
+	c.Net = net
+	c.adj, c.ang = slices.Clone(g.adj), slices.Clone(g.ang)
+	return &c
 }
 
 // rebuildRow recomputes u's planar adjacency from its current alive

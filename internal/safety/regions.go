@@ -43,39 +43,13 @@ type ShapeAt struct {
 	Far   geom.Point
 }
 
-// ClassifyPoint classifies p against the estimate held by unsafe node v
-// for zone z, given destination d. Collinear points (on the dividing ray)
-// count as critical: the ray itself leads to the far corner, where the
-// area ends.
-func (m *Model) ClassifyPoint(v topo.NodeID, z geom.ZoneType, d, p geom.Point) Region {
-	far, ok := m.FarCorner(v, z)
-	if !ok {
-		return RegionNeutral
-	}
-	pv := m.Net.Pos(v)
-	if !geom.InForwardingZone(pv, z, p) {
-		return RegionNeutral
-	}
-	sideD := geom.SideOfRay(pv, far, d)
-	sideP := geom.SideOfRay(pv, far, p)
-	if sideP == geom.Collinear || sideD == geom.Collinear || sideP == sideD {
-		return RegionCritical
-	}
-	return RegionForbidden
-}
-
-// NearbyShapes collects every unsafe-area estimate visible at u for a
-// packet destined to d: estimates held by u itself and by its unsafe
-// neighbors, for the zone each holder would use toward d. This models the
-// paper's "u can collect an unsafe area estimation from its unsafe
-// neighbor v".
-func (m *Model) NearbyShapes(u topo.NodeID, d geom.Point) []ShapeAt {
-	return m.AppendNearbyShapes(nil, u, d)
-}
-
-// AppendNearbyShapes is NearbyShapes appending into dst — the routing
-// hot path calls it once per visited node with a reused buffer, keeping
-// the per-hop shape collection allocation-free.
+// AppendNearbyShapes appends to dst every unsafe-area estimate visible
+// at u for a packet destined to d: estimates held by u itself and by its
+// unsafe neighbors, for the zone each holder would use toward d. This
+// models the paper's "u can collect an unsafe area estimation from its
+// unsafe neighbor v". The routing hot path calls it once per visited
+// node with a reused buffer, keeping the per-hop collection
+// allocation-free.
 func (m *Model) AppendNearbyShapes(dst []ShapeAt, u topo.NodeID, d geom.Point) []ShapeAt {
 	consider := func(v topo.NodeID) {
 		z := geom.ZoneTypeOf(m.Net.Pos(v), d)
@@ -97,8 +71,7 @@ func (m *Model) AppendNearbyShapes(dst []ShapeAt, u topo.NodeID, d geom.Point) [
 }
 
 // Classify classifies p against the collected estimate s using its
-// cached rectangle and far corner — same result as ClassifyPoint for a
-// ShapeAt returned by NearbyShapes, without re-deriving the shape.
+// cached rectangle and far corner, without re-deriving the shape.
 func (m *Model) Classify(s ShapeAt, d, p geom.Point) Region {
 	pv := m.Net.Pos(s.Owner)
 	if !geom.InForwardingZone(pv, s.Zone, p) {

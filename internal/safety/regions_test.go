@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/straightpath/wasn/internal/geom"
+	"github.com/straightpath/wasn/internal/topo"
 )
 
 // chainModel: type-1 unsafe chain (0,0)->(5,5)->(10,10), E1(0) = [0:10,0:10],
@@ -119,4 +120,34 @@ func TestConfinementBox(t *testing.T) {
 	if _, ok := m2.ConfinementBox(0); ok {
 		t.Error("safe network should have no confinement box")
 	}
+}
+
+// ClassifyPoint classifies p against the estimate held by unsafe node v
+// for zone z, given destination d. Collinear points (on the dividing ray)
+// count as critical: the ray itself leads to the far corner, where the
+// area ends.
+func (m *Model) ClassifyPoint(v topo.NodeID, z geom.ZoneType, d, p geom.Point) Region {
+	far, ok := m.FarCorner(v, z)
+	if !ok {
+		return RegionNeutral
+	}
+	pv := m.Net.Pos(v)
+	if !geom.InForwardingZone(pv, z, p) {
+		return RegionNeutral
+	}
+	sideD := geom.SideOfRay(pv, far, d)
+	sideP := geom.SideOfRay(pv, far, p)
+	if sideP == geom.Collinear || sideD == geom.Collinear || sideP == sideD {
+		return RegionCritical
+	}
+	return RegionForbidden
+}
+
+// NearbyShapes collects every unsafe-area estimate visible at u for a
+// packet destined to d: estimates held by u itself and by its unsafe
+// neighbors, for the zone each holder would use toward d. This models the
+// paper's "u can collect an unsafe area estimation from its unsafe
+// neighbor v".
+func (m *Model) NearbyShapes(u topo.NodeID, d geom.Point) []ShapeAt {
+	return m.AppendNearbyShapes(nil, u, d)
 }

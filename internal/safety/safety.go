@@ -2,6 +2,7 @@ package safety
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/par"
@@ -72,6 +73,22 @@ type Model struct {
 	// conf[u] caches ConfinementBox per node.
 	conf   []geom.Rect
 	confOK []bool
+}
+
+// Clone returns a copy of the model over net, a topo.Network.Clone of
+// m.Net, that Repair and RepairMoved may mutate while other goroutines
+// keep reading the receiver. The receiver must not be repaired
+// afterwards. The edge-node set is shared, because a repair replaces it
+// wholesale; the labels, the safety masks, the shape caches and the
+// confinement boxes are copied, because a repair rewrites them in place.
+func (m *Model) Clone(net *topo.Network) *Model {
+	c := *m
+	c.Net = net
+	c.info = slices.Clone(m.info)
+	c.masks = slices.Clone(m.masks)
+	c.shapes = slices.Clone(m.shapes)
+	c.conf, c.confOK = slices.Clone(m.conf), slices.Clone(m.confOK)
+	return &c
 }
 
 // Option configures Build.
@@ -255,6 +272,8 @@ func (m *Model) finalizeShapes() {
 		m.confOK = make([]bool, n)
 		m.masks = make([]uint8, n)
 	}
+	// own[u] is the union of u's own estimates (ownOK: it has one).
+	own, ownOK := make([]geom.Rect, n), make([]bool, n)
 	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var mask uint8
@@ -277,16 +296,24 @@ func (m *Model) finalizeShapes() {
 				c.far = computeFarCorner(pu, r)
 				c.ok = true
 			}
+			own[i], ownOK[i] = m.unionShapes(geom.Rect{}, false, u)
 		}
 	})
-	// Confinement boxes read the neighbors' freshly cached shapes, so
-	// they need a second pass.
+	// Confinement boxes read the neighbors' fresh unions, so they need a
+	// second pass. A dead node has no neighbors (Neighbors).
 	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := topo.NodeID(i)
-			box, found := m.unionShapes(geom.Rect{}, false, u)
-			for _, v := range m.Net.Neighbors(u) {
-				box, found = m.unionShapes(box, found, v)
+			box, found := own[i], ownOK[i]
+			for _, v := range m.Net.AdjacencyRow(u) {
+				if !ownOK[v] || !m.Net.Alive(u) || !m.Net.Alive(v) {
+					continue
+				}
+				if found {
+					box = box.Union(own[v])
+				} else {
+					box, found = own[v], true
+				}
 			}
 			if found {
 				box = box.Inflate(m.Net.Radius)
@@ -312,28 +339,4 @@ func (m *Model) unionShapes(box geom.Rect, found bool, v topo.NodeID) (geom.Rect
 		}
 	}
 	return box, found
-}
-
-// UnsafeAreaOf returns every node of the connected type-z unsafe area
-// containing u (BFS over unsafe nodes), or nil if u is type-z safe.
-// Used by analysis, tests and the visualizer; routing never needs it.
-func (m *Model) UnsafeAreaOf(u topo.NodeID, z geom.ZoneType) []topo.NodeID {
-	if m.Safe(u, z) {
-		return nil
-	}
-	seen := map[topo.NodeID]bool{u: true}
-	queue := []topo.NodeID{u}
-	var out []topo.NodeID
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		out = append(out, x)
-		for _, v := range m.Net.Neighbors(x) {
-			if !seen[v] && m.Unsafe(v, z) {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return out
 }

@@ -305,3 +305,55 @@ func TestUnsafeAreaOf(t *testing.T) {
 		t.Errorf("pinned-safe node area = %v, want nil", got)
 	}
 }
+
+// UnsafeAreaOf returns every node of the connected type-z unsafe area
+// containing u (BFS over unsafe nodes), or nil if u is type-z safe.
+// Used by analysis, tests and the visualizer; routing never needs it.
+func (m *Model) UnsafeAreaOf(u topo.NodeID, z geom.ZoneType) []topo.NodeID {
+	if m.Safe(u, z) {
+		return nil
+	}
+	seen := map[topo.NodeID]bool{u: true}
+	queue := []topo.NodeID{u}
+	var out []topo.NodeID
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		out = append(out, x)
+		for _, v := range m.Net.Neighbors(x) {
+			if !seen[v] && m.Unsafe(v, z) {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return out
+}
+
+// GreedyRegion returns G_z(u): every type-z unsafe node reachable from u
+// through type-z forwarding steps over unsafe nodes (including u). Used
+// by tests to validate the u(1)/u(2) extremal claims.
+func (m *Model) GreedyRegion(u topo.NodeID, z geom.ZoneType) []topo.NodeID {
+	if m.Safe(u, z) {
+		return nil
+	}
+	seen := map[topo.NodeID]bool{u: true}
+	queue := []topo.NodeID{u}
+	var out []topo.NodeID
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		out = append(out, x)
+		px := m.Net.Pos(x)
+		for _, v := range m.Net.Neighbors(x) {
+			if seen[v] || m.Safe(v, z) {
+				continue
+			}
+			if geom.InForwardingZone(px, z, m.Net.Pos(v)) {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return out
+}

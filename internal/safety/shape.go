@@ -100,31 +100,3 @@ func (m *Model) propagateShapes() {
 	}
 	m.finalizeShapes()
 }
-
-// GreedyRegion returns G_z(u): every type-z unsafe node reachable from u
-// through type-z forwarding steps over unsafe nodes (including u). Used
-// by tests to validate the u(1)/u(2) extremal claims.
-func (m *Model) GreedyRegion(u topo.NodeID, z geom.ZoneType) []topo.NodeID {
-	if m.Safe(u, z) {
-		return nil
-	}
-	seen := map[topo.NodeID]bool{u: true}
-	queue := []topo.NodeID{u}
-	var out []topo.NodeID
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		out = append(out, x)
-		px := m.Net.Pos(x)
-		for _, v := range m.Net.Neighbors(x) {
-			if seen[v] || m.Safe(v, z) {
-				continue
-			}
-			if geom.InForwardingZone(px, z, m.Net.Pos(v)) {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return out
-}

@@ -17,26 +17,30 @@ type RouteRequest struct {
 }
 
 // RouteResponse is the outcome of one query. Err is empty on success;
-// the routing fields are zero when it is not.
+// the routing fields are zero when it is not. Epoch is the epoch of the
+// deployment version that answered: the number of topology mutations
+// that version had absorbed.
 type RouteResponse struct {
 	Delivered bool          `json:"delivered"`
 	Hops      int           `json:"hops"`
 	Length    float64       `json:"length"`
 	Reason    string        `json:"reason,omitempty"`
 	Cached    bool          `json:"cached"`
+	Epoch     uint64        `json:"epoch"`
 	Path      []topo.NodeID `json:"path,omitempty"`
 	Err       string        `json:"error,omitempty"`
 }
 
-// toResponse flattens a core.Result for the wire. The path is included
-// only on request: batch consumers usually want the aggregate numbers,
-// and paths dominate the payload.
-func toResponse(res core.Result, cached, withPath bool) RouteResponse {
+// toResponse flattens a core.Result answered at epoch for the wire. The
+// path is included only on request: batch consumers usually want the
+// aggregate numbers, and paths dominate the payload.
+func toResponse(res core.Result, cached, withPath bool, epoch uint64) RouteResponse {
 	out := RouteResponse{
 		Delivered: res.Delivered,
 		Hops:      res.Hops(),
 		Length:    res.Length,
 		Cached:    cached,
+		Epoch:     epoch,
 	}
 	if !res.Delivered {
 		out.Reason = res.Reason.String()
@@ -51,7 +55,9 @@ func toResponse(res core.Result, cached, withPath bool) RouteResponse {
 // The requests fan out across the service worker pool (Config.Workers);
 // each worker runs the same cached route path, so a batch warms the
 // cache for subsequent traffic and profits from it in turn. Requests
-// may mix deployments and algorithms freely.
+// may mix deployments and algorithms freely. Each deployment a batch
+// names is resolved to one version, so every answer for it comes from
+// the same topology, whatever mutations land while the batch runs.
 //
 // Each worker owns one reusable path buffer and routes through
 // Router.RouteInto, so a warm batch performs no per-route path
@@ -63,6 +69,14 @@ func (s *Service) Batch(reqs []RouteRequest) []RouteResponse {
 	out := make([]RouteResponse, len(reqs))
 	if len(reqs) == 0 {
 		return out
+	}
+	deps := make(map[string]*batchDep)
+	for _, q := range reqs {
+		if deps[q.Deployment] == nil {
+			bd := &batchDep{}
+			bd.d, bd.err = s.lookup(q.Deployment)
+			deps[q.Deployment] = bd
+		}
 	}
 	workers := s.cfg.Workers
 	if workers > len(reqs) {
@@ -81,20 +95,47 @@ func (s *Service) Batch(reqs []RouteRequest) []RouteResponse {
 					return
 				}
 				req := reqs[i]
-				res, cached, err := s.route(req.Deployment, req.Algorithm, req.Src, req.Dst, buf, false, nil)
+				bd := deps[req.Deployment]
+				v, ai, err := s.resolve(bd, req)
 				if err != nil {
 					out[i] = RouteResponse{Err: err.Error()}
 					continue
 				}
+				var res core.Result
+				cached := s.routeOn(&res, bd.d, v, ai, req.Src, req.Dst, buf, false, nil)
 				if res.Path != nil {
 					// Keep the (possibly grown) buffer for the next route;
 					// cache hits return no path and leave buf untouched.
 					buf = res.Path[:0]
 				}
-				out[i] = toResponse(res, cached, false)
+				out[i] = toResponse(res, cached, false, v.state.Epoch)
 			}
 		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// batchDep is one deployment a batch names, resolved to one version by
+// the first of its requests that passes the checks, so that, as for a
+// single route, malformed requests alone never trigger the lazy build.
+type batchDep struct {
+	d    *deployment // nil: err is the unknown-deployment error
+	once sync.Once
+	v    *version
+	err  error
+}
+
+// resolve checks req and returns the version answering it and its
+// algorithm's index.
+func (s *Service) resolve(bd *batchDep, req RouteRequest) (*version, int, error) {
+	if bd.d == nil {
+		return nil, 0, bd.err
+	}
+	ai, err := bd.d.check(req.Algorithm, req.Src, req.Dst)
+	if err != nil {
+		return nil, 0, err
+	}
+	bd.once.Do(func() { bd.v, bd.err = s.ensureBuilt(bd.d) })
+	return bd.v, ai, bd.err
 }

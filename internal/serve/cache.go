@@ -11,13 +11,20 @@ import (
 // cacheKey identifies one cached route with no pointers or strings: dep
 // is the deployment's registry id, alg the algorithm's index in
 // Algorithms(). The epoch is part of the key: a topology mutation bumps
-// it, so every pre-mutation entry becomes unreachable at once (and is
-// purged eagerly) without blocking readers on a global sweep.
+// it, so every pre-mutation entry becomes unreachable at once without
+// any sweep. The epoch does not pick the set, though: a route keeps its
+// set across epochs, so the put that recomputes it reclaims the stale
+// entry in place (see put).
 type cacheKey struct {
 	epoch    uint64
 	src, dst topo.NodeID
 	dep      uint32
 	alg      uint32
+}
+
+// sameRoute reports whether a and b name the same route, at any epoch.
+func (a cacheKey) sameRoute(b cacheKey) bool {
+	return a.src == b.src && a.dst == b.dst && a.dep == b.dep && a.alg == b.alg
 }
 
 // cacheSlot is one cached route: the key, the pathless outcome, and the
@@ -86,10 +93,11 @@ func newRouteCache(size, shards int) *routeCache {
 }
 
 // locate returns k's shard and the set that may hold it: a wyhash-style
-// mix of the whole key whose low half picks the shard, high half the set.
+// mix of the key without its epoch whose low half picks the shard, high
+// half the set.
 func (c *routeCache) locate(k cacheKey) (*cacheShard, []cacheSlot) {
-	hi, lo := bits.Mul64(k.epoch^0xa0761d6478bd642f, uint64(k.src)^0xe7037ed1a0b428db)
-	hi, lo = bits.Mul64(hi^lo^uint64(k.dst), (uint64(k.dep)<<32|uint64(k.alg))^0x8ebc6af09c88c6e3)
+	hi, lo := bits.Mul64(uint64(uint32(k.src))|uint64(uint32(k.dst))<<32^0xa0761d6478bd642f,
+		(uint64(k.dep)<<32|uint64(k.alg))^0xe7037ed1a0b428db)
 	hi, lo = bits.Mul64(hi^lo, 0x589965cc75374cc3)
 	h := hi ^ lo
 	sh := c.shards[uint64(uint32(h))*uint64(len(c.shards))>>32]
@@ -97,32 +105,37 @@ func (c *routeCache) locate(k cacheKey) (*cacheShard, []cacheSlot) {
 	return sh, sh.slots[i : i+sh.ways : i+sh.ways]
 }
 
-// get returns the cached result for k and whether it was present.
-func (c *routeCache) get(k cacheKey) (core.Result, bool) {
+// get reports whether k is cached and, if it is, overwrites *res with
+// the cached (pathless) result. The result is written in place, not
+// returned: core.Result is passed in memory, and the hit path is short
+// enough that copying it once per call layer would show.
+func (c *routeCache) get(k cacheKey, res *core.Result) bool {
 	sh, set := c.locate(k)
 	sh.mu.Lock()
 	for i := range set {
 		if sl := &set[i]; sl.tick != 0 && sl.key == k {
 			sh.tick++
 			sl.tick = sh.tick
-			res := core.Result{Delivered: sl.delivered, Reason: core.DropReason(sl.reason), Length: sl.length}
+			res.Path, res.Delivered, res.Reason, res.Length = nil, sl.delivered, core.DropReason(sl.reason), sl.length
 			for p, n := range sl.phase {
 				res.PhaseHops[p] = int(n)
 			}
 			sh.hits++
 			sh.mu.Unlock()
-			return res, true
+			return true
 		}
 	}
 	sh.misses++
 	sh.mu.Unlock()
-	return core.Result{}, false
+	return false
 }
 
 // put stores a result's aggregate outcome (never its path, so the cache
 // retains no caller buffer and Result.Hops stays correct via the phase
-// counts). It overwrites k's slot if present, else fills the set's
-// least recently used slot — an empty one first, evicting otherwise.
+// counts). It overwrites k's slot if present, else the slot of k's
+// route at an older epoch, else the set's least recently used slot —
+// an empty one first. A victim of k's own deployment at an older epoch
+// was already unreachable, so it counts as purged, not evicted.
 func (c *routeCache) put(k cacheKey, res core.Result) {
 	sl := cacheSlot{key: k, length: res.Length, delivered: res.Delivered, reason: uint8(res.Reason)}
 	for p, n := range res.PhaseHops {
@@ -130,46 +143,32 @@ func (c *routeCache) put(k cacheKey, res core.Result) {
 	}
 	sh, set := c.locate(k)
 	sh.mu.Lock()
-	// One scan: stop at k's slot, else end on the oldest (empty: tick 0).
-	i, found := 0, false
+	// One scan: stop at k's slot, else end on the stale slot of k's
+	// route, else on the oldest (empty: tick 0).
+	i, found, stale := 0, false, false
 	for j := range set {
-		if found = set[j].tick != 0 && set[j].key == k; found {
-			i = j
-			break
-		}
-		if set[j].tick < set[i].tick {
+		if old := set[j].key; set[j].tick != 0 && old.sameRoute(k) && old.epoch <= k.epoch {
+			i, found, stale = j, old.epoch == k.epoch, true
+			if found {
+				break
+			}
+		} else if !stale && set[j].tick < set[i].tick {
 			i = j
 		}
 	}
-	if !found && set[i].tick == 0 {
+	switch old := set[i].key; {
+	case found:
+	case set[i].tick == 0:
 		sh.live++
-	} else if !found {
+	case old.dep == k.dep && old.epoch < k.epoch:
+		sh.purged++
+	default:
 		sh.evicted++
 	}
 	sh.tick++
 	sl.tick = sh.tick
 	set[i] = sl
 	sh.mu.Unlock()
-}
-
-// purgeDeployment empties every slot of deployment dep (any epoch),
-// returning how many it removed. Epoch keying already makes stale
-// entries unreachable; the purge frees their slots eagerly.
-func (c *routeCache) purgeDeployment(dep uint32) int64 {
-	var n int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := range sh.slots {
-			if sl := &sh.slots[i]; sl.tick != 0 && sl.key.dep == dep {
-				*sl = cacheSlot{}
-				sh.live--
-				sh.purged++
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // stats sums the shard-local counters into one snapshot. A scrape-path

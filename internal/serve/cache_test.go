@@ -32,11 +32,11 @@ func key(dep string, epoch uint64, src, dst int) cacheKey {
 func TestCacheHitMissCounters(t *testing.T) {
 	c := newRouteCache(8, 1)
 	k := key("d", 0, 1, 2)
-	if _, ok := c.get(k); ok {
+	if _, ok := c.lookup(k); ok {
 		t.Fatal("get on empty cache hit")
 	}
 	c.put(k, core.Result{Delivered: true, Length: 42})
-	res, ok := c.get(k)
+	res, ok := c.lookup(k)
 	if !ok || res.Length != 42 {
 		t.Fatalf("get = %+v, %v; want cached result", res, ok)
 	}
@@ -51,14 +51,14 @@ func TestCacheLRUEviction(t *testing.T) {
 		c.put(key("d", 0, i, i+1), core.Result{Length: float64(i)})
 	}
 	// Touch entry 0 so entry 1 is the LRU victim.
-	if _, ok := c.get(key("d", 0, 0, 1)); !ok {
+	if _, ok := c.lookup(key("d", 0, 0, 1)); !ok {
 		t.Fatal("expected entry 0 present")
 	}
 	c.put(key("d", 0, 9, 10), core.Result{})
-	if _, ok := c.get(key("d", 0, 1, 2)); ok {
+	if _, ok := c.lookup(key("d", 0, 1, 2)); ok {
 		t.Fatal("LRU entry 1 survived eviction")
 	}
-	if _, ok := c.get(key("d", 0, 0, 1)); !ok {
+	if _, ok := c.lookup(key("d", 0, 0, 1)); !ok {
 		t.Fatal("recently used entry 0 was evicted")
 	}
 	if c.stats().evicted != 1 {
@@ -69,30 +69,37 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheEpochMakesEntriesUnreachable(t *testing.T) {
 	c := newRouteCache(8, 2)
 	c.put(key("d", 0, 1, 2), core.Result{Delivered: true})
-	if _, ok := c.get(key("d", 1, 1, 2)); ok {
+	if _, ok := c.lookup(key("d", 1, 1, 2)); ok {
 		t.Fatal("epoch-1 get hit an epoch-0 entry")
 	}
 }
 
-func TestCachePurgeDeployment(t *testing.T) {
-	c := newRouteCache(64, 4)
-	for i := 0; i < 10; i++ {
+// TestCacheLazyReclaim pins how stale entries leave the cache without a
+// sweep: a put whose victim is its own deployment at an older epoch
+// reclaims it and counts it as purged; any other victim counts as
+// evicted.
+func TestCacheLazyReclaim(t *testing.T) {
+	c := newRouteCache(8, 1) // one fully associative set: exact LRU
+	for i := 0; i < 8; i++ {
 		c.put(key("a", 0, i, i+1), core.Result{})
-		c.put(key("b", 0, i, i+1), core.Result{})
 	}
-	c.purgeDeployment(depID("a"))
-	if got := c.len(); got != 10 {
-		t.Fatalf("len after purge = %d; want 10", got)
+	for i := 0; i < 4; i++ {
+		c.put(key("a", 1, i, i+1), core.Result{Length: 1})
 	}
-	if c.stats().purged != 10 {
-		t.Fatalf("purged = %d; want 10", c.stats().purged)
+	if st := c.stats(); st.purged != 4 || st.evicted != 0 || c.len() != 8 {
+		t.Fatalf("after 4 epoch-1 puts: %+v, len %d; want 4 purged, 0 evicted, len 8", st, c.len())
 	}
-	for i := 0; i < 10; i++ {
-		if _, ok := c.get(key("a", 0, i, i+1)); ok {
-			t.Fatalf("purged entry a/%d still present", i)
+	c.put(key("b", 0, 1, 2), core.Result{})  // victim a@0 belongs to another deployment
+	c.put(key("a", 0, 9, 10), core.Result{}) // victim a@0 is not older
+	if st := c.stats(); st.purged != 4 || st.evicted != 2 {
+		t.Fatalf("after foreign and same-epoch puts: %+v; want 4 purged, 2 evicted", st)
+	}
+	for i := 0; i < 4; i++ {
+		if res, ok := c.lookup(key("a", 1, i, i+1)); !ok || res.Length != 1 {
+			t.Fatalf("live entry a@1/%d lost: %+v, %v", i, res, ok)
 		}
-		if _, ok := c.get(key("b", 0, i, i+1)); !ok {
-			t.Fatalf("unrelated entry b/%d was purged", i)
+		if c.peek(key("a", 0, i, i+1)) {
+			t.Fatalf("stale entry a@0/%d still occupies a slot", i)
 		}
 	}
 }
@@ -111,6 +118,13 @@ func TestCacheShardSpread(t *testing.T) {
 	if occupied < 2 {
 		t.Fatalf("256 keys landed in %d shard(s); sharding is not spreading", occupied)
 	}
+}
+
+// lookup is get returning the result.
+func (c *routeCache) lookup(k cacheKey) (core.Result, bool) {
+	var res core.Result
+	hit := c.get(k, &res)
+	return res, hit
 }
 
 // peek reports whether k occupies a slot, without touching recency or
@@ -133,9 +147,9 @@ func (c *routeCache) capacity() int {
 	return n
 }
 
-// TestCacheMatchesModel drives random gets, puts, purges and epoch bumps
-// over 3 deployments and every algorithm against a map of the last value
-// put per exact key. Every put stores a distinct Length, so a hit that
+// TestCacheMatchesModel drives random gets, puts and epoch bumps over 3
+// deployments and every algorithm against a map of the last value put
+// per exact key. Every put stores a distinct Length, so a hit that
 // crossed an epoch, a deployment or an algorithm returns a value the
 // model does not hold for the probed key.
 func TestCacheMatchesModel(t *testing.T) {
@@ -160,7 +174,7 @@ func TestCacheMatchesModel(t *testing.T) {
 				case r < 550:
 					k := randKey()
 					gets++
-					res, hit := c.get(k)
+					res, hit := c.lookup(k)
 					want, ok := model[k]
 					if hit && (!ok || res.Length != want) {
 						t.Fatalf("op %d: get(%+v) hit %v; model has %v, %v", op, k, res.Length, want, ok)
@@ -175,19 +189,11 @@ func TestCacheMatchesModel(t *testing.T) {
 					res.PhaseHops[core.PhaseGreedy] = op
 					c.put(k, res)
 					model[k] = v
-					got, hit := c.get(k)
+					got, hit := c.lookup(k)
 					gets++
 					if !hit || got.Delivered != res.Delivered || got.Reason != res.Reason ||
 						got.Length != v || got.PhaseHops != res.PhaseHops {
 						t.Fatalf("op %d: get right after put = %+v, %v; want %+v", op, got, hit, res)
-					}
-				case r < 982:
-					dep := rng.IntN(len(epochs))
-					c.purgeDeployment(uint32(dep))
-					for k := range model {
-						if k.dep == uint32(dep) {
-							delete(model, k)
-						}
 					}
 				default:
 					epochs[rng.IntN(len(epochs))]++
@@ -208,8 +214,9 @@ func TestCacheMatchesModel(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentStorm races gets, puts and purges from several
-// goroutines (run it under -race). Every value encodes its key, so a
+// TestCacheConcurrentStorm races gets, puts and puts at a newer epoch
+// that reclaim stale slots from several goroutines (run it under
+// -race). Every value encodes its key, so a
 // torn or crossed slot shows up as a hit with the wrong value; after the
 // storm the counters add up and every shard's live count matches its
 // occupied slots.
@@ -228,11 +235,13 @@ func TestCacheConcurrentStorm(t *testing.T) {
 				k := cacheKey{src: topo.NodeID(i % 97), dst: topo.NodeID(w), dep: uint32(i % 3), alg: uint32(i % numAlgorithms)}
 				switch i % 10 {
 				case 0:
-					c.purgeDeployment(uint32(w % 3))
+					newer := k
+					newer.epoch = 1
+					c.put(newer, core.Result{Length: val(k)})
 				case 1, 2, 3:
 					c.put(k, core.Result{Length: val(k)})
 				default:
-					if res, hit := c.get(k); hit && res.Length != val(k) {
+					if res, hit := c.lookup(k); hit && res.Length != val(k) {
 						t.Errorf("get(%+v) = %v; want %v", k, res.Length, val(k))
 						return
 					}
@@ -266,7 +275,8 @@ func TestCacheSlotSize(t *testing.T) {
 }
 
 // TestRouteCacheAllocs pins the cache's operations at zero allocations:
-// a hit, a miss, a put that evicts, and a purge.
+// a hit, a miss, a put that evicts, and a put that reclaims a stale
+// slot.
 func TestRouteCacheAllocs(t *testing.T) {
 	c := newRouteCache(64, 2)
 	hit := cacheKey{src: 1, dst: 2}
@@ -274,17 +284,17 @@ func TestRouteCacheAllocs(t *testing.T) {
 	miss := cacheKey{src: 3, dst: 4, dep: 1}
 	var i int
 	for name, op := range map[string]func(){
-		"hit":   func() { c.get(hit) },
-		"miss":  func() { c.get(miss) },
-		"put":   func() { i++; c.put(cacheKey{src: topo.NodeID(i), dep: 2}, core.Result{Length: 1}) },
-		"purge": func() { c.purgeDeployment(2) },
+		"hit":     func() { c.lookup(hit) },
+		"miss":    func() { c.lookup(miss) },
+		"put":     func() { i++; c.put(cacheKey{src: topo.NodeID(i), dep: 2}, core.Result{Length: 1}) },
+		"reclaim": func() { i++; c.put(cacheKey{epoch: uint64(i), dep: 3}, core.Result{}) },
 	} {
 		if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 			t.Errorf("%s: %v allocs/op; want 0", name, allocs)
 		}
 	}
-	if c.stats().evicted == 0 {
-		t.Fatal("the put loop never evicted")
+	if c.stats().evicted == 0 || c.stats().purged == 0 {
+		t.Fatalf("the put loops never evicted or never reclaimed: %+v", c.stats())
 	}
 }
 
@@ -298,7 +308,7 @@ func BenchmarkRouteCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.get(keys[i%len(keys)])
+		c.lookup(keys[i%len(keys)])
 	}
 }
 
@@ -313,22 +323,5 @@ func BenchmarkRouteCachePutEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.put(cacheKey{epoch: 2, src: topo.NodeID(i)}, core.Result{Delivered: true})
-	}
-}
-
-// BenchmarkRouteCachePurge times 6,400 puts into one deployment and its
-// purge, against a default-size cache holding another deployment too.
-func BenchmarkRouteCachePurge(b *testing.B) {
-	c := newRouteCache(0, 0)
-	for i := 0; i < 6400; i++ {
-		c.put(cacheKey{src: topo.NodeID(i), dep: 1}, core.Result{})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 6400; j++ {
-			c.put(cacheKey{src: topo.NodeID(j), dst: topo.NodeID(i)}, core.Result{})
-		}
-		c.purgeDeployment(0)
 	}
 }

@@ -67,15 +67,15 @@ th { background: #f5f5f5; } td.l { text-align: left; }
 	if len(events) == 0 {
 		b.WriteString("<p class=\"muted\">journal empty — no builds or topology changes yet</p>\n")
 	} else {
-		b.WriteString("<table><tr><th>seq</th><th>time</th><th>kind</th><th>deployment</th><th>req id</th><th>nodes</th><th>dirty</th><th>epoch</th><th>purged</th><th>total</th><th>safety</th><th>bound</th><th>planar</th></tr>\n")
+		b.WriteString("<table><tr><th>seq</th><th>time</th><th>kind</th><th>deployment</th><th>req id</th><th>nodes</th><th>dirty</th><th>epoch</th><th>total</th><th>safety</th><th>bound</th><th>planar</th></tr>\n")
 		const maxRows = 40
 		for i := len(events) - 1; i >= 0 && i >= len(events)-maxRows; i-- {
 			ev := events[i]
 			fmt.Fprintf(&b,
-				"<tr><td>%d</td><td>%s</td><td class=\"l\">%s</td><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%dus</td><td>%dus</td><td>%dus</td><td>%dus</td></tr>\n",
+				"<tr><td>%d</td><td>%s</td><td class=\"l\">%s</td><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%d</td><td>%d</td><td>%d</td><td>%dus</td><td>%dus</td><td>%dus</td><td>%dus</td></tr>\n",
 				ev.Seq, time.UnixMilli(ev.UnixMS).Format("15:04:05.000"),
 				html.EscapeString(ev.Kind.String()), html.EscapeString(ev.Deployment), html.EscapeString(ev.RequestID),
-				ev.Nodes, ev.Dirty, ev.Epoch, ev.Purged,
+				ev.Nodes, ev.Dirty, ev.Epoch,
 				ev.DurationUS, ev.SafetyUS, ev.BoundUS, ev.PlanarUS)
 		}
 		b.WriteString("</table>\n")

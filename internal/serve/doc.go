@@ -24,20 +24,24 @@
 // # Topology changes
 //
 // Node failures, revivals and moves all arrive as one Mutation value
-// and take one path, Service.Mutate: under the per-deployment write
-// lock it applies the change and repairs all three substrates
-// incrementally in place (core.RepairSubstrates for liveness changes,
-// core.RepairSubstratesMoved for moves). The safety relabeling is
-// seeded from the changed neighborhood, BOUNDHOLE re-analyzes only that
+// and take one path, Service.Mutate. A built deployment is an immutable
+// version — network, substrates, routers, and the portable state with
+// its epoch — published through one atomic pointer. Reads load the
+// pointer once and take no lock. A mutation, under a writer-only mutex,
+// clones the current version's network and substrates, applies the
+// change to the clone, repairs its substrates incrementally in place
+// (core.RepairSubstrates for liveness changes,
+// core.RepairSubstratesMoved for moves), builds routers over it and
+// publishes it with the next epoch. The safety relabeling is seeded
+// from the changed neighborhood, BOUNDHOLE re-analyzes only that
 // neighborhood before re-deriving its walks, and the Gabriel graph
-// recomputes only the affected rows. The routers hold pointers into the substrates and
-// observe the repair without being rebuilt. Repair latency therefore
-// scales with the changed neighborhood, not the deployment size; the
-// core differential and fuzz batteries pin each repaired substrate to
-// a from-scratch build.
+// recomputes only the affected rows; the core differential and fuzz
+// batteries pin each repaired substrate to a from-scratch build. A read
+// that overlaps a mutation answers from the previous version.
 //
-// After the repair the deployment epoch is bumped — the epoch is part
-// of every cache key, so all previously cached routes of the deployment
-// become unreachable at once — and the stale entries are purged
-// eagerly.
+// The epoch is part of every cache key, so publishing a version makes
+// every route cached under the previous one unreachable at once; a
+// route's stale entry is overwritten in place when it is recomputed.
+// Every route response carries the epoch that answered it, and a batch
+// answers from one version per deployment.
 package serve

@@ -73,8 +73,7 @@ func (s *Service) Events(after uint64, max int) []obs.Event {
 }
 
 // Journal exposes the flight-recorder journal so in-process embedders
-// (the batch engine's purge events, tests) can record or tail without
-// an HTTP round trip.
+// and tests can record or tail without an HTTP round trip.
 func (s *Service) Journal() *obs.Journal { return s.journal }
 
 // timelineResponse wraps /timeline's JSON body.

@@ -50,7 +50,7 @@ func TestJournalRecordsTopologyChanges(t *testing.T) {
 	}
 
 	// A tagged fail journals the request ID, batch size, dirty count,
-	// epoch bump, purge count, and per-substrate repair spans.
+	// epoch bump, and per-substrate repair spans.
 	if err := s.Mutate(name, Mutation{Kind: MutationFail, Nodes: []topo.NodeID{pair[0]}}, "req-123"); err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestJournalRecordsTopologyChanges(t *testing.T) {
 	if ev.RequestID != "req-123" || ev.Nodes != 1 || ev.Dirty == 0 || ev.Epoch != 1 {
 		t.Fatalf("fail event = %+v", ev)
 	}
-	if ev.Purged == 0 {
-		t.Fatalf("fail event purged = 0; the cached route should have been purged (%+v)", ev)
+	if _, cached, err := s.Route(name, "SLGF2", pair[0], pair[1]); err != nil || cached {
+		t.Fatalf("route after fail: cached=%v err=%v; the epoch bump must hide the cached route", cached, err)
 	}
 	if ev.DurationUS < ev.SafetyUS {
 		t.Fatalf("fail event spans look wrong: %+v", ev)

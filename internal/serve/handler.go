@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/straightpath/wasn/internal/core"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -247,23 +248,24 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Trace {
-		res, tr, err := s.RouteTraced(req.Deployment, req.Algorithm, req.Src, req.Dst)
+		res, tr, epoch, err := s.routeTraced(req.Deployment, req.Algorithm, req.Src, req.Dst)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, tracedRouteResponse{
-			RouteResponse: toResponse(res, false, req.Path),
+			RouteResponse: toResponse(res, false, req.Path, epoch),
 			Trace:         tr,
 		})
 		return
 	}
-	res, cached, err := s.route(req.Deployment, req.Algorithm, req.Src, req.Dst, nil, req.Path, nil)
+	var res core.Result
+	cached, epoch, err := s.route(&res, req.Deployment, req.Algorithm, req.Src, req.Dst, nil, req.Path, nil)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(res, cached, req.Path))
+	writeJSON(w, http.StatusOK, toResponse(res, cached, req.Path, epoch))
 }
 
 type batchRequest struct {

@@ -54,7 +54,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		"deployment": dep.Name, "algorithm": "SLGF2",
 		"src": pair[0], "dst": pair[1], "path": true,
 	}, &r1)
-	if !r1.Delivered || r1.Cached || len(r1.Path) != r1.Hops+1 {
+	if !r1.Delivered || r1.Cached || r1.Epoch != 0 || len(r1.Path) != r1.Hops+1 {
 		t.Fatalf("first /route = %+v", r1)
 	}
 	postJSON(t, srv, "/route", map[string]any{
@@ -96,8 +96,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 		"deployment": dep.Name, "algorithm": "SLGF2",
 		"src": pair[0], "dst": pair[1], "path": true,
 	}, &r3)
-	if r3.Cached {
-		t.Fatal("route served from cache after /fail")
+	if r3.Cached || r3.Epoch != 1 {
+		t.Fatalf("route after /fail = %+v; want computed at epoch 1", r3)
+	}
+	postJSON(t, srv, "/batch", map[string]any{"requests": []RouteRequest{
+		{Deployment: dep.Name, Algorithm: "GF", Src: pair[0], Dst: pair[1]},
+	}}, &br)
+	if br.Results[0].Epoch != 1 {
+		t.Fatalf("/batch after /fail = %+v; want epoch 1", br.Results)
 	}
 	for _, u := range r3.Path {
 		if u == mid {

@@ -20,12 +20,7 @@ import (
 // non-endpoint nodes so the test's route pairs stay valid.
 func driftMoves(t *testing.T, s *Service, dep string, avoid map[topo.NodeID]bool, k int, seed uint64) []topo.Move {
 	t.Helper()
-	d, err := s.lookup(dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.mu.RLock()
-	net := d.dep.Net
+	net := current(t, s, dep).net
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	moves := make([]topo.Move, 0, k)
 	for len(moves) < k {
@@ -38,7 +33,6 @@ func driftMoves(t *testing.T, s *Service, dep string, avoid map[topo.NodeID]bool
 		y := min(max(p.Y+rng.NormFloat64()*8, net.Field.Min.Y), net.Field.Max.Y)
 		moves = append(moves, topo.Move{Node: u, X: x, Y: y})
 	}
-	d.mu.RUnlock()
 	return moves
 }
 
@@ -70,17 +64,12 @@ func TestMoveRepairsAndMatchesFreshSim(t *testing.T) {
 	}
 
 	// Fresh reference over the moved coordinates.
-	d, err := s.lookup(name)
+	net := current(t, s, name).net
+	refNet, err := topo.NewNetwork(net.Positions(), net.Radius, net.Field)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.mu.RLock()
-	refNet, err := topo.NewNetwork(d.dep.Net.Positions(), d.dep.Net.Radius, d.dep.Net.Field)
-	d.mu.RUnlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRouters := s.buildRouters(refNet, safety.Build(refNet),
+	refRouters := buildRouters(refNet, safety.Build(refNet),
 		bound.FindHoles(refNet), planar.Build(refNet, planar.GabrielGraph))
 
 	for ai, alg := range Algorithms() {
@@ -156,15 +145,12 @@ func TestConcurrentBatchAndMove(t *testing.T) {
 	wg.Wait()
 
 	// Post-race differential: final repaired state equals a fresh build.
-	d, err := s.lookup(name)
+	net := current(t, s, name).net
+	refNet, err := topo.NewNetwork(net.Positions(), net.Radius, net.Field)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refNet, err := topo.NewNetwork(d.dep.Net.Positions(), d.dep.Net.Radius, d.dep.Net.Field)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRouters := s.buildRouters(refNet, safety.Build(refNet),
+	refRouters := buildRouters(refNet, safety.Build(refNet),
 		bound.FindHoles(refNet), planar.Build(refNet, planar.GabrielGraph))
 	for ai, alg := range Algorithms() {
 		for _, p := range pairs {

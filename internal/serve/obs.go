@@ -84,7 +84,7 @@ func newServiceObs(cfg Config) *serviceObs {
 		buildDur: obs.NewHistogramVec("wasn_build_duration_us",
 			"Substrate build latency in microseconds, by deployment.", "deployment"),
 		repairDur: obs.NewHistogramVec("wasn_repair_duration_us",
-			"Topology-change repair latency in microseconds, by deployment.", "deployment"),
+			"Topology-change latency in microseconds (clone, apply, repair and publish of the new version), by deployment.", "deployment"),
 		traces: obs.NewCounter("wasn_traces_recorded_total",
 			"Route decision traces recorded (sampled plus explicit trace requests)."),
 		traceEach:   int64(cfg.TraceSampleEvery),
@@ -161,6 +161,16 @@ func (so *serviceObs) recordComputed(alg int, res core.Result) {
 			a.phase[p].Add(int64(n))
 		}
 	}
+}
+
+// computed is the number of routes computed so far, delivered or
+// dropped, over every algorithm.
+func (so *serviceObs) computed() int64 {
+	var n int64
+	for _, a := range so.alg {
+		n += a.delivered.Load() + a.dropped.Load()
+	}
+	return n
 }
 
 // sampleTrace reports whether this computed route should be traced

@@ -125,10 +125,7 @@ func TestRouteTracedMatchesTracePackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := alivePairs(t, s, name, 4)
-	d, err := s.lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := current(t, s, name)
 	for _, alg := range Algorithms() {
 		p := pairs[1]
 		res, tr, err := s.RouteTraced(name, alg, p[0], p[1])
@@ -144,9 +141,7 @@ func TestRouteTracedMatchesTracePackage(t *testing.T) {
 		// Differential: drive the router directly with a Recorder (the
 		// trace package's observer) and require the same hop sequence.
 		ai, _ := algorithmIndex(alg)
-		d.mu.RLock()
-		r := d.routers[ai]
-		d.mu.RUnlock()
+		r := v.routers[ai]
 		rec := trace.Acquire()
 		ref := routeObserved(r, p[0], p[1], nil, rec)
 		if ref.Hops() != res.Hops() {

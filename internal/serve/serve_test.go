@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/straightpath/wasn/internal/bound"
+	"github.com/straightpath/wasn/internal/core"
 	"github.com/straightpath/wasn/internal/planar"
 	"github.com/straightpath/wasn/internal/safety"
 	"github.com/straightpath/wasn/internal/topo"
@@ -25,17 +26,24 @@ func newTestService(t *testing.T, cfg Config) (*Service, string) {
 	return s, name
 }
 
-// alivePairs returns n routable (same-component, well-separated) pairs.
-func alivePairs(t *testing.T, s *Service, dep string, n int) [][2]topo.NodeID {
+// current returns the deployment's current version, building it first.
+func current(t *testing.T, s *Service, name string) *version {
 	t.Helper()
-	if err := s.Build(dep); err != nil {
-		t.Fatal(err)
-	}
-	d, err := s.lookup(dep)
+	d, err := s.lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := topo.RoutablePairs(d.dep.Net, n, 80)
+	v, err := s.ensureBuilt(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// alivePairs returns n routable (same-component, well-separated) pairs.
+func alivePairs(t *testing.T, s *Service, dep string, n int) [][2]topo.NodeID {
+	t.Helper()
+	pairs := topo.RoutablePairs(current(t, s, dep).net, n, 80)
 	if len(pairs) < n {
 		t.Fatalf("found only %d routable pairs, want %d", len(pairs), n)
 	}
@@ -220,7 +228,8 @@ func TestFailInvalidatesCacheAndMatchesFreshSim(t *testing.T) {
 	// Fail two interior nodes on the first route's path. The pair is
 	// cached (pathless) by now, so route past the cache for the path,
 	// like the HTTP layer's path:true does.
-	first, _, err := s.route(name, "SLGF2", pairs[0][0], pairs[0][1], nil, true, nil)
+	var first core.Result
+	_, _, err := s.route(&first, name, "SLGF2", pairs[0][0], pairs[0][1], nil, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +256,7 @@ func TestFailInvalidatesCacheAndMatchesFreshSim(t *testing.T) {
 	for _, u := range dead {
 		refDep.Net.SetAlive(u, false)
 	}
-	refRouters := s.buildRouters(refDep.Net, safety.Build(refDep.Net),
+	refRouters := buildRouters(refDep.Net, safety.Build(refDep.Net),
 		bound.FindHoles(refDep.Net), planar.Build(refDep.Net, planar.GabrielGraph))
 
 	for ai, alg := range Algorithms() {
@@ -335,7 +344,7 @@ func TestConcurrentBatchAndFail(t *testing.T) {
 	for _, u := range dead {
 		refDep.Net.SetAlive(u, false)
 	}
-	refRouters := s.buildRouters(refDep.Net, safety.Build(refDep.Net),
+	refRouters := buildRouters(refDep.Net, safety.Build(refDep.Net),
 		bound.FindHoles(refDep.Net), planar.Build(refDep.Net, planar.GabrielGraph))
 	slgf2, _ := algorithmIndex("SLGF2")
 	for _, p := range pairs {
@@ -383,7 +392,7 @@ func TestReviveRestoresAndMatchesFreshSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRouters := s.buildRouters(refDep.Net, safety.Build(refDep.Net),
+	refRouters := buildRouters(refDep.Net, safety.Build(refDep.Net),
 		bound.FindHoles(refDep.Net), planar.Build(refDep.Net, planar.GabrielGraph))
 	for ai, alg := range Algorithms() {
 		for _, p := range pairs {

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -102,14 +103,15 @@ type Service struct {
 	journal *obs.Journal
 	sampler *obs.Sampler // nil unless Config.SampleEveryMS > 0
 
-	mu   sync.RWMutex
-	deps map[string]*deployment
+	// deps is the registry, a copy-on-write map republished under mu
+	// (which only Deploy takes), so a lookup is one atomic load.
+	mu   sync.Mutex
+	deps atomic.Pointer[map[string]*deployment]
 
 	// The service counters are obs collectors registered with the
 	// service registry: Stats and the /metrics exposition read the same
 	// atomics, so the two views cannot disagree.
 	builds  *obs.Counter
-	routes  *obs.Counter
 	batches *obs.Counter
 	// mutated counts the nodes each Mutation kind changed.
 	mutated [MutationMove + 1]*obs.Counter
@@ -118,13 +120,10 @@ type Service struct {
 // New builds a Service.
 func New(cfg Config) *Service {
 	s := &Service{
-		cfg:  cfg,
-		deps: make(map[string]*deployment),
-		so:   newServiceObs(cfg),
+		cfg: cfg,
+		so:  newServiceObs(cfg),
 		builds: obs.NewCounter("wasn_substrate_builds_total",
 			"Full substrate builds performed (lazy first-use builds)."),
-		routes: obs.NewCounter("wasn_routes_total",
-			"Route queries answered, cached or computed."),
 		batches: obs.NewCounter("wasn_batches_total",
 			"Batch requests served."),
 		mutated: [...]*obs.Counter{
@@ -136,14 +135,14 @@ func New(cfg Config) *Service {
 				"Node position updates applied."),
 		},
 	}
-	s.so.reg.MustRegister(s.builds, s.routes, s.batches,
+	s.deps.Store(&map[string]*deployment{})
+	s.so.reg.MustRegister(s.builds, s.batches,
 		s.mutated[MutationFail], s.mutated[MutationRevive], s.mutated[MutationMove])
-	s.so.reg.MustRegister(obs.NewFunc("wasn_deployments",
-		"Registered deployments.", obs.KindGauge, func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return float64(len(s.deps))
-		}))
+	s.so.reg.MustRegister(
+		obs.NewFunc("wasn_deployments", "Registered deployments.", obs.KindGauge,
+			func() float64 { return float64(len(*s.deps.Load())) }),
+		obs.NewFunc("wasn_routes_total", "Route queries answered, cached or computed.", obs.KindCounter,
+			func() float64 { return float64(s.routes()) }))
 	if cfg.CacheSize >= 0 {
 		s.cache = newRouteCache(cfg.CacheSize, cfg.CacheShards)
 		// The cache keeps shard-local counters bumped under the shard
@@ -160,7 +159,7 @@ func New(cfg Config) *Service {
 				"Route cache entries evicted by LRU within their 8-way set (eviction can start before the cache is full).", obs.KindCounter,
 				func() float64 { return float64(s.cache.stats().evicted) }),
 			obs.NewFunc("wasn_route_cache_purged_total",
-				"Route cache entries purged by topology changes.", obs.KindCounter,
+				"Stale route cache entries (an older epoch of the putting deployment) reclaimed by puts.", obs.KindCounter,
 				func() float64 { return float64(s.cache.stats().purged) }),
 			obs.NewFunc("wasn_route_cache_entries",
 				"Live route cache entries.", obs.KindGauge,
@@ -204,10 +203,11 @@ func (s *Service) Registry() *obs.Registry { return s.so.reg }
 // newest first (see Config.TraceSampleEvery).
 func (s *Service) Traces() []TraceRecord { return s.so.ring.snapshot() }
 
-// deployment is one registry entry. The substrates are built lazily on
-// first use; mu serializes topology mutations against in-flight routes
-// (the routers themselves are safe for concurrent reads of an unchanging
-// network — see core.Router).
+// deployment is one registry entry: a static header plus the current
+// version. A reader loads cur once and answers from that version
+// without a lock. The writers — the lazy first build, Mutate and
+// RestoreState — are serialized by wmu, never touch a published
+// version, and publish a new one with a single Store.
 type deployment struct {
 	name string
 	spec Spec
@@ -215,28 +215,52 @@ type deployment struct {
 	// (deployments are never removed); it keys the route cache.
 	id uint32
 
-	mu    sync.RWMutex
-	epoch atomic.Uint64
-	ready atomic.Bool
-	dep   *topo.Deployment
-	// The three substrates are retained so Mutate can repair them in
-	// place (core.RepairSubstrates); the routers hold pointers into
-	// them and observe repairs without being rebuilt.
+	cur atomic.Pointer[version] // nil until the first build
+	// pending, set by RestoreState before the first build, is the state
+	// that build replays; once cur is set it is never read again.
+	pending atomic.Pointer[DeploymentState]
+	wmu     sync.Mutex
+	// repairs counts the topology mutations repaired, exported per
+	// deployment in Stats so workload reports need no client-side math.
+	repairs atomic.Int64
+}
+
+// version is one built state of a deployment: the network, the three
+// substrates, the routers over them, and the portable state (epoch,
+// dead set, moved positions) they realize. Nothing writes to a version
+// once it is published, so any number of readers may route on it while
+// a writer builds its successor.
+type version struct {
+	net     *topo.Network
 	model   *safety.Model
 	bounds  *bound.Boundaries
 	planarg *planar.Graph
 	routers [numAlgorithms]core.Router
-	failed  map[topo.NodeID]bool
-	// moved retains the last applied position per ever-moved node —
-	// with Failed, the churn half of the deployment's portable state
-	// (ExportState).
-	moved map[topo.NodeID]topo.Move
-	// restore, when non-nil on an unbuilt deployment, is replayed onto
-	// the pristine network before the substrates build (RestoreState).
-	restore *DeploymentState
-	// repairs counts the topology mutations repaired, exported per
-	// deployment in Stats so workload reports need no client-side math.
-	repairs atomic.Int64
+	state   DeploymentState
+}
+
+// clone copies v's network and substrates for a writer to mutate and
+// repair in place; publish builds the clone's routers.
+func (v *version) clone() *version {
+	net := v.net.Clone()
+	return &version{net: net, model: v.model.Clone(net), bounds: v.bounds.Clone(net),
+		planarg: v.planarg.Clone(net), state: v.state}
+}
+
+// repair brings a mutated clone's substrates up to date with its
+// network over the dirty set of the mutation.
+func (v *version) repair(kind MutationKind, dirty []topo.NodeID) core.SubstrateTimings {
+	if kind == MutationMove {
+		return core.RepairSubstratesMoved(v.model, v.bounds, v.planarg, dirty)
+	}
+	return core.RepairSubstrates(v.model, v.bounds, v.planarg, dirty)
+}
+
+// publish builds v's routers and makes v the version every later read
+// of d answers from. The caller holds d.wmu.
+func (d *deployment) publish(v *version) {
+	v.routers = buildRouters(v.net, v.model, v.bounds, v.planarg)
+	d.cur.Store(v)
 }
 
 // Deploy registers a named deployment spec. name may be empty, in which
@@ -267,32 +291,42 @@ func (s *Service) deploy(name string, spec Spec) (string, bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d, ok := s.deps[name]; ok {
+	deps := *s.deps.Load()
+	if d, ok := deps[name]; ok {
 		if d.spec != spec {
 			return "", false, fmt.Errorf("serve: deployment %q already registered with spec %+v", name, d.spec)
 		}
 		return name, false, nil
 	}
-	s.deps[name] = &deployment{name: name, spec: spec, id: uint32(len(s.deps))}
+	next := maps.Clone(deps)
+	next[name] = &deployment{name: name, spec: spec, id: uint32(len(deps))}
+	s.deps.Store(&next)
 	return name, true, nil
 }
 
 // Deployments lists the registered deployment names, sorted.
 func (s *Service) Deployments() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.deps))
-	for name := range s.deps {
+	deps := *s.deps.Load()
+	names := make([]string, 0, len(deps))
+	for name := range deps {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
+// deployments returns the registered deployments in no particular order.
+func (s *Service) deployments() []*deployment {
+	deps := *s.deps.Load()
+	out := make([]*deployment, 0, len(deps))
+	for _, d := range deps {
+		out = append(out, d)
+	}
+	return out
+}
+
 func (s *Service) lookup(name string) (*deployment, error) {
-	s.mu.RLock()
-	d := s.deps[name]
-	s.mu.RUnlock()
+	d := (*s.deps.Load())[name]
 	if d == nil {
 		return nil, fmt.Errorf("serve: unknown deployment %q (POST /deploy first)", name)
 	}
@@ -307,17 +341,20 @@ func (s *Service) Build(name string) error {
 	if err != nil {
 		return err
 	}
-	return s.ensureBuilt(d)
+	_, err = s.ensureBuilt(d)
+	return err
 }
 
-func (s *Service) ensureBuilt(d *deployment) error {
-	if d.ready.Load() {
-		return nil
+// ensureBuilt returns d's current version, building the first one if
+// d has none yet.
+func (s *Service) ensureBuilt(d *deployment) (*version, error) {
+	if v := d.cur.Load(); v != nil {
+		return v, nil
 	}
-	return s.flight.Do(d.name, func() error {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.ready.Load() { // lost a forget/retry race; already built
+	err := s.flight.Do(d.name, func() error {
+		d.wmu.Lock()
+		defer d.wmu.Unlock()
+		if d.cur.Load() != nil { // lost a forget/retry race; already built
 			return nil
 		}
 		start := time.Now()
@@ -329,27 +366,25 @@ func (s *Service) ensureBuilt(d *deployment) error {
 		if err != nil {
 			return fmt.Errorf("serve: building deployment %q: %w: %w", d.name, ErrBuild, err)
 		}
-		d.dep = dep
-		if rs := d.restore; rs != nil {
+		v := &version{net: dep.Net, state: DeploymentState{Name: d.name, Spec: d.spec}}
+		if rs := d.pending.Load(); rs != nil {
 			// Restored deployment: replay the snapshot's positions and
 			// dead set onto the pristine network now, so the from-scratch
 			// build below runs over the origin's exact topology. Repair
 			// and rebuild are differentially pinned equal, so the
 			// resulting routes are bit-identical to the origin's.
-			replay := []Mutation{{Kind: MutationMove, Moves: rs.Moved}, {Kind: MutationFail, Nodes: rs.Failed}}
-			for _, m := range replay {
-				if _, err := d.apply(m); err != nil {
+			for _, m := range []Mutation{{Kind: MutationMove, Moves: rs.Moved}, {Kind: MutationFail, Nodes: rs.Failed}} {
+				if _, err := applyTo(v.net, v.state.apply(m)); err != nil {
 					return fmt.Errorf("serve: restoring deployment %q: %w: %w", d.name, ErrBuild, err)
 				}
 			}
-			d.epoch.Store(rs.Epoch)
-			d.restore = nil
+			v.state.Epoch = rs.Epoch
 		}
 		// The three substrates — safety model, BOUNDHOLE boundaries,
 		// Gabriel graph — build concurrently (each also internally
 		// parallel over GOMAXPROCS); the router set shares them.
-		d.model, d.bounds, d.planarg = core.BuildSubstrates(dep.Net, true, true, true, nil)
-		d.routers = s.buildRouters(dep.Net, d.model, d.bounds, d.planarg)
+		v.model, v.bounds, v.planarg = core.BuildSubstrates(v.net, true, true, true, nil)
+		d.publish(v)
 		s.builds.Inc()
 		s.so.buildDur.With(d.name).Observe(time.Since(start).Microseconds())
 		s.journal.Record(obs.Event{
@@ -359,15 +394,18 @@ func (s *Service) ensureBuilt(d *deployment) error {
 			Nodes:      d.spec.N,
 			DurationUS: time.Since(start).Microseconds(),
 		})
-		d.ready.Store(true)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return d.cur.Load(), nil
 }
 
 // buildRouters constructs the full router set over a network, indexed
 // like algorithmNames and mirroring the facade's Sim (wasn.NewSim)
 // algorithm table.
-func (s *Service) buildRouters(net *topo.Network, m *safety.Model, b *bound.Boundaries, g *planar.Graph) [numAlgorithms]core.Router {
+func buildRouters(net *topo.Network, m *safety.Model, b *bound.Boundaries, g *planar.Graph) [numAlgorithms]core.Router {
 	return [numAlgorithms]core.Router{
 		core.NewGF(net, b),
 		core.NewLGF(net),
@@ -389,25 +427,72 @@ func (s *Service) buildRouters(net *topo.Network, m *safety.Model, b *bound.Boun
 // the traveled path of a possibly cached pair use the HTTP API's
 // path:true (which computes a fresh route) or a Router directly.
 func (s *Service) Route(deployment, algorithm string, src, dst topo.NodeID) (core.Result, bool, error) {
-	return s.route(deployment, algorithm, src, dst, nil, false, nil)
+	var res core.Result
+	cached, _, err := s.route(&res, deployment, algorithm, src, dst, nil, false, nil)
+	return res, cached, err
 }
 
 // RouteTraced computes one route (bypassing the cache read; the result
 // is still cached) and returns the hop-by-hop decision trace alongside
 // the result — the service method behind /route with trace:true.
 func (s *Service) RouteTraced(deployment, algorithm string, src, dst topo.NodeID) (core.Result, TraceRecord, error) {
-	rec := trace.Acquire()
-	defer trace.Release(rec)
-	res, _, err := s.route(deployment, algorithm, src, dst, nil, true, rec)
-	if err != nil {
-		return core.Result{}, TraceRecord{}, err
-	}
-	s.so.traces.Inc()
-	return res, buildTraceRecord(deployment, algorithm, src, dst, res, rec), nil
+	res, tr, _, err := s.routeTraced(deployment, algorithm, src, dst)
+	return res, tr, err
 }
 
-// route is the shared single-route path behind Route, the batch
-// engine, and the HTTP handlers. pathBuf, when non-nil, is handed to
+// routeTraced is RouteTraced also returning the epoch of the version
+// that answered.
+func (s *Service) routeTraced(deployment, algorithm string, src, dst topo.NodeID) (core.Result, TraceRecord, uint64, error) {
+	rec := trace.Acquire()
+	defer trace.Release(rec)
+	var res core.Result
+	_, epoch, err := s.route(&res, deployment, algorithm, src, dst, nil, true, rec)
+	if err != nil {
+		return core.Result{}, TraceRecord{}, 0, err
+	}
+	s.so.traces.Inc()
+	return res, buildTraceRecord(deployment, algorithm, src, dst, res, rec), epoch, nil
+}
+
+// route is the single-route path behind Route and the HTTP handlers:
+// it resolves the deployment's current version, answers from it into
+// *res (routeOn), and returns whether the cache answered and that
+// version's epoch.
+func (s *Service) route(res *core.Result, deployment, algorithm string, src, dst topo.NodeID, pathBuf []topo.NodeID, skipCacheRead bool, rec *trace.Recorder) (bool, uint64, error) {
+	d, err := s.lookup(deployment)
+	if err != nil {
+		return false, 0, err
+	}
+	ai, err := d.check(algorithm, src, dst)
+	if err != nil {
+		return false, 0, err
+	}
+	v, err := s.ensureBuilt(d)
+	if err != nil {
+		return false, 0, err
+	}
+	return s.routeOn(res, d, v, ai, src, dst, pathBuf, skipCacheRead, rec), v.state.Epoch, nil
+}
+
+// check validates a query before anything is built — a garbage request
+// must not trigger the expensive lazy substrate build; the node range
+// is known from the spec alone — and returns the algorithm's index.
+func (d *deployment) check(algorithm string, src, dst topo.NodeID) (int, error) {
+	if src < 0 || dst < 0 || int(src) >= d.spec.N || int(dst) >= d.spec.N {
+		return 0, fmt.Errorf("serve: node out of range [0,%d): src=%d dst=%d", d.spec.N, src, dst)
+	}
+	ai, ok := algorithmIndex(algorithm)
+	if !ok {
+		return 0, fmt.Errorf("serve: unknown algorithm %q (want one of %v)", algorithm, Algorithms())
+	}
+	return ai, nil
+}
+
+// routeOn answers one checked query from version v of d into *res,
+// consulting the cache first, and reports whether the cache answered.
+// The cache key carries v's epoch, so an entry always matches the
+// topology it was computed on, however many versions have been
+// published since. pathBuf, when non-nil, is handed to
 // Router.RouteInto so the traveled path is appended into it (batch
 // workers pass one reusable buffer each, making a warm batch
 // allocation-free per route). skipCacheRead bypasses the cache lookup
@@ -416,70 +501,52 @@ func (s *Service) RouteTraced(deployment, algorithm string, src, dst topo.NodeID
 // when non-nil, receives every forwarding decision of the computed
 // route (callers passing rec also pass skipCacheRead, since a cache
 // hit computes no hops to observe).
-func (s *Service) route(deployment, algorithm string, src, dst topo.NodeID, pathBuf []topo.NodeID, skipCacheRead bool, rec *trace.Recorder) (core.Result, bool, error) {
-	d, err := s.lookup(deployment)
-	if err != nil {
-		return core.Result{}, false, err
+func (s *Service) routeOn(res *core.Result, d *deployment, v *version, ai int, src, dst topo.NodeID, pathBuf []topo.NodeID, skipCacheRead bool, rec *trace.Recorder) bool {
+	key := cacheKey{epoch: v.state.Epoch, src: src, dst: dst, dep: d.id, alg: uint32(ai)}
+	if s.cache != nil && !skipCacheRead && s.cache.get(key, res) {
+		return true
 	}
-	// Validate before ensureBuilt: a garbage request must not trigger
-	// the expensive lazy substrate build. The node range is known from
-	// the spec alone.
-	if src < 0 || dst < 0 || int(src) >= d.spec.N || int(dst) >= d.spec.N {
-		return core.Result{}, false, fmt.Errorf("serve: node out of range [0,%d): src=%d dst=%d", d.spec.N, src, dst)
-	}
-	ai, ok := algorithmIndex(algorithm)
-	if !ok {
-		return core.Result{}, false, fmt.Errorf("serve: unknown algorithm %q (want one of %v)", algorithm, Algorithms())
-	}
-	if err := s.ensureBuilt(d); err != nil {
-		return core.Result{}, false, err
-	}
-
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r := d.routers[ai]
-
-	key := cacheKey{epoch: d.epoch.Load(), src: src, dst: dst, dep: d.id, alg: uint32(ai)}
-	if s.cache != nil && !skipCacheRead {
-		if res, hit := s.cache.get(key); hit {
-			s.routes.Inc()
-			return res, true, nil
-		}
-	}
-	var res core.Result
+	r := v.routers[ai]
 	switch {
 	case rec != nil:
-		res = routeObserved(r, src, dst, pathBuf, rec)
+		*res = routeObserved(r, src, dst, pathBuf, rec)
 	case s.so.sampleTrace():
 		srec := trace.Acquire()
-		res = routeObserved(r, src, dst, pathBuf, srec)
-		s.so.ring.push(buildTraceRecord(d.name, algorithm, src, dst, res, srec))
+		*res = routeObserved(r, src, dst, pathBuf, srec)
+		s.so.ring.push(buildTraceRecord(d.name, algorithmNames[ai], src, dst, *res, srec))
 		s.so.traces.Inc()
 		trace.Release(srec)
 	default:
-		res = r.RouteInto(src, dst, pathBuf)
+		*res = r.RouteInto(src, dst, pathBuf)
 	}
-	s.so.recordComputed(ai, res)
-	if res.Delivered && !isIdealAlgorithm(algorithm) && s.so.sampleStretch() {
+	s.so.recordComputed(ai, *res)
+	if res.Delivered && !isIdealAlgorithm(algorithmNames[ai]) && s.so.sampleStretch() {
 		// One pathless reference BFS per sample (pooled scratch, no
-		// route materialized — the comparison only needs the count);
-		// still under the RLock, so it runs against the same topology
-		// epoch. Its cost lands in the dedicated duration series.
+		// route materialized — the comparison only needs the count),
+		// on the same version. Its cost lands in the dedicated duration
+		// series.
 		start := time.Now()
-		ihops := topo.HopCount(d.dep.Net, src, dst)
+		ihops := topo.HopCount(v.net, src, dst)
 		s.so.stretchDur.Observe(time.Since(start).Microseconds())
 		if ihops > 0 {
 			s.so.observeStretch(ai, res.Hops(), ihops)
 		}
 	}
 	if s.cache != nil {
-		// Still under RLock: the epoch in key cannot have been bumped,
-		// so the entry matches the topology it was computed on. put
-		// strips the path, so caching never retains pathBuf.
-		s.cache.put(key, res)
+		// put strips the path, so caching never retains pathBuf.
+		s.cache.put(key, *res)
 	}
-	s.routes.Inc()
-	return res, false, nil
+	return false
+}
+
+// routes is the number of route queries answered: every cache hit plus
+// every computed route, delivered or dropped.
+func (s *Service) routes() int64 {
+	n := s.so.computed()
+	if s.cache != nil {
+		n += s.cache.stats().hits
+	}
+	return n
 }
 
 // routeObserved routes with the decision recorder attached. Every
@@ -522,19 +589,23 @@ func (s *Service) Move(deployment string, moves []topo.Move) error {
 // Mutate applies one topology change to the named deployment. It is the
 // only write path to a built topology: Fail, Revive, Move, the /fail,
 // /revive and /move handlers and live restore reconciliation all call
-// it. Under the deployment write lock it range-checks every node,
-// narrows the mutation to the nodes it changes (a no-op returns
-// without touching anything), applies it to the network, repairs all
-// three substrates in place, bumps the epoch (which invalidates every
-// cached route of the deployment), purges the stale cache entries, and
-// journals the event under requestID (empty for untagged callers).
+// it. Under the deployment's writer lock it range-checks every node and
+// folds the mutation into a copy of the current version's state with
+// the fold the fleet router uses (DeploymentState.Apply); a no-op
+// returns without touching anything. Otherwise it clones the network
+// and the substrates, applies the change to the clone, repairs the
+// clone's substrates in place, builds routers over it and publishes it
+// as the new version with one atomic store, then journals the event
+// under requestID (empty for untagged callers).
 //
-// The repair is incremental — core.RepairSubstrates for liveness
-// changes, core.RepairSubstratesMoved over the geometric dirty set of a
-// move — and each repaired substrate is identical to a from-scratch
-// build over the mutated topology, so every router serves exactly what
-// a fresh Sim would. The routers hold pointers into the substrates and
-// observe the repair without being rebuilt.
+// Readers never wait: until the store they keep answering from the
+// previous version, and the epoch bump in the new state makes every
+// route cached under the old epoch unreachable to later readers. The
+// repair is incremental — core.RepairSubstrates for liveness changes,
+// core.RepairSubstratesMoved over the geometric dirty set of a move —
+// and each repaired substrate is identical to a from-scratch build over
+// the mutated topology, so every router serves exactly what a fresh Sim
+// would.
 func (s *Service) Mutate(deployment string, m Mutation, requestID string) error {
 	if m.Kind < MutationFail || m.Kind > MutationMove {
 		return fmt.Errorf("serve: unknown mutation kind %v", m.Kind)
@@ -543,22 +614,23 @@ func (s *Service) Mutate(deployment string, m Mutation, requestID string) error 
 	if err != nil {
 		return err
 	}
-	if err := s.ensureBuilt(d); err != nil {
+	if _, err := s.ensureBuilt(d); err != nil {
 		return err
 	}
-	d.mu.Lock()
+	d.wmu.Lock()
 	changed, err := s.mutateLocked(d, m, requestID)
-	d.mu.Unlock()
+	d.wmu.Unlock()
 	if changed {
 		s.notifyState()
 	}
 	return err
 }
 
-// mutateLocked is the body of Mutate, run under the deployment write
+// mutateLocked is the body of Mutate, run under the deployment's writer
 // lock. It reports whether the topology changed.
 func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (bool, error) {
-	n := d.dep.Net.N()
+	old := d.cur.Load()
+	n := old.net.N()
 	for _, u := range m.Nodes {
 		if u < 0 || int(u) >= n {
 			return false, fmt.Errorf("serve: node out of range [0,%d): %d", n, u)
@@ -569,77 +641,51 @@ func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (boo
 			return false, fmt.Errorf("serve: node out of range [0,%d): %d", n, mv.Node)
 		}
 	}
-	eff := m.effective(func(u topo.NodeID) bool { return d.failed[u] })
+	state := old.state
+	eff := state.apply(m)
 	if eff.empty() {
 		return false, nil
 	}
-	dirty, err := d.apply(eff)
+	start := time.Now()
+	v := old.clone()
+	v.state = state
+	dirty, err := applyTo(v.net, eff)
 	if err != nil {
 		return false, err
 	}
-
-	ev := obs.Event{
+	spans := v.repair(m.Kind, dirty)
+	d.publish(v)
+	d.repairs.Add(1)
+	elapsed := time.Since(start).Microseconds()
+	s.so.observeSubstrates(spans)
+	s.so.repairDur.With(d.name).Observe(elapsed)
+	s.journal.Record(obs.Event{
 		UnixMS:     time.Now().UnixMilli(),
 		Kind:       mutationEvents[m.Kind],
 		Deployment: d.name,
 		RequestID:  requestID,
 		Nodes:      len(m.Nodes) + len(m.Moves),
 		Dirty:      len(dirty),
-	}
-	start := time.Now()
-	var spans core.SubstrateTimings
-	if m.Kind == MutationMove {
-		spans = core.RepairSubstratesMoved(d.model, d.bounds, d.planarg, dirty)
-	} else {
-		spans = core.RepairSubstrates(d.model, d.bounds, d.planarg, dirty)
-	}
-	d.repairs.Add(1)
-	s.so.observeSubstrates(spans)
-	s.so.repairDur.With(d.name).Observe(time.Since(start).Microseconds())
-	ev.DurationUS = time.Since(start).Microseconds()
-	ev.SafetyUS = spans.Safety.Microseconds()
-	ev.BoundUS = spans.Bound.Microseconds()
-	ev.PlanarUS = spans.Planar.Microseconds()
-	ev.Epoch = d.epoch.Add(1)
-	if s.cache != nil {
-		ev.Purged = s.cache.purgeDeployment(d.id)
-	}
-	s.journal.Record(ev)
+		Epoch:      state.Epoch,
+		DurationUS: elapsed,
+		SafetyUS:   spans.Safety.Microseconds(),
+		BoundUS:    spans.Bound.Microseconds(),
+		PlanarUS:   spans.Planar.Microseconds(),
+	})
 	s.mutated[m.Kind].Add(int64(len(eff.Nodes) + len(eff.Moves)))
 	return true, nil
 }
 
-// apply writes a mutation onto the deployment's network and its
-// portable churn record (the dead set and last positions) without
+// applyTo writes an effective mutation onto a network without
 // repairing substrates, returning the dirty set a repair must cover.
-// Callers hold the write lock: mutateLocked, and the restore replay in
-// ensureBuilt, which builds the substrates from scratch afterwards.
-func (d *deployment) apply(m Mutation) ([]topo.NodeID, error) {
-	net := d.dep.Net
+// Its callers own net: mutateLocked a fresh clone, the first build the
+// pristine network it is about to build on.
+func applyTo(net *topo.Network, m Mutation) ([]topo.NodeID, error) {
 	if m.Kind == MutationMove {
-		dirty, err := net.SetPositions(m.Moves)
-		if err != nil {
-			return nil, err
-		}
-		if d.moved == nil {
-			d.moved = make(map[topo.NodeID]topo.Move, len(m.Moves))
-		}
-		for _, mv := range m.Moves {
-			d.moved[mv.Node] = mv
-		}
-		return dirty, nil
+		return net.SetPositions(m.Moves)
 	}
-	if d.failed == nil {
-		d.failed = make(map[topo.NodeID]bool, len(m.Nodes))
-	}
-	revive := m.Kind == MutationRevive
 	for _, u := range m.Nodes {
-		net.SetAlive(u, revive)
-		if revive {
-			delete(d.failed, u)
-		} else {
-			d.failed[u] = true
-		}
+		net.SetAlive(u, m.Kind == MutationRevive)
 	}
 	return m.Nodes, nil
 }
@@ -650,13 +696,10 @@ func (s *Service) Failed(deployment string) ([]topo.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]topo.NodeID, 0, len(d.failed))
-	for u := range d.failed {
-		out = append(out, u)
+	out := []topo.NodeID{}
+	if v := d.cur.Load(); v != nil {
+		out = append(out, v.state.Failed...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 
@@ -721,17 +764,12 @@ type DeploymentStats struct {
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	s.mu.RLock()
-	deps := make([]*deployment, 0, len(s.deps))
-	for _, d := range s.deps {
-		deps = append(deps, d)
-	}
-	s.mu.RUnlock()
+	deps := s.deployments()
 	st := Stats{
 		ReplicaID:    s.cfg.ReplicaID,
 		Deployments:  len(deps),
 		Builds:       s.builds.Load(),
-		Routes:       s.routes.Load(),
+		Routes:       s.routes(),
 		Batches:      s.batches.Load(),
 		FailedNodes:  s.mutated[MutationFail].Load(),
 		RevivedNodes: s.mutated[MutationRevive].Load(),
@@ -749,16 +787,11 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	for _, d := range deps {
-		d.mu.RLock()
-		failed := len(d.failed)
-		d.mu.RUnlock()
-		st.PerDeployment = append(st.PerDeployment, DeploymentStats{
-			Name:        d.name,
-			Ready:       d.ready.Load(),
-			Epoch:       d.epoch.Load(),
-			FailedNodes: failed,
-			Repairs:     d.repairs.Load(),
-		})
+		ds := DeploymentStats{Name: d.name, Repairs: d.repairs.Load()}
+		if v := d.cur.Load(); v != nil {
+			ds.Ready, ds.Epoch, ds.FailedNodes = true, v.state.Epoch, len(v.state.Failed)
+		}
+		st.PerDeployment = append(st.PerDeployment, ds)
 	}
 	sort.Slice(st.PerDeployment, func(i, j int) bool {
 		return st.PerDeployment[i].Name < st.PerDeployment[j].Name

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/straightpath/wasn/internal/topo"
@@ -39,30 +40,17 @@ type DeploymentState struct {
 // via RestoreState but not yet built) export that pending state, so
 // export∘restore is stable even before first use.
 func (s *Service) ExportState() []DeploymentState {
-	s.mu.RLock()
-	deps := make([]*deployment, 0, len(s.deps))
-	for _, d := range s.deps {
-		deps = append(deps, d)
-	}
-	s.mu.RUnlock()
-
+	deps := s.deployments()
 	out := make([]DeploymentState, 0, len(deps))
 	for _, d := range deps {
-		d.mu.RLock()
-		st := DeploymentState{Name: d.name, Spec: d.spec, Epoch: d.epoch.Load()}
-		if d.restore != nil && !d.ready.Load() {
-			st.Failed = append([]topo.NodeID(nil), d.restore.Failed...)
-			st.Moved = append([]topo.Move(nil), d.restore.Moved...)
-			st.Epoch = d.restore.Epoch
-		} else {
-			for u := range d.failed {
-				st.Failed = append(st.Failed, u)
-			}
-			for _, m := range d.moved {
-				st.Moved = append(st.Moved, m)
-			}
+		var st DeploymentState
+		if v := d.cur.Load(); v != nil {
+			st = v.state
+		} else if rs := d.pending.Load(); rs != nil {
+			st = *rs
 		}
-		d.mu.RUnlock()
+		st.Name, st.Spec = d.name, d.spec
+		st.Failed, st.Moved = slices.Clone(st.Failed), slices.Clone(st.Moved)
 		sort.Slice(st.Failed, func(i, j int) bool { return st.Failed[i] < st.Failed[j] })
 		sort.Slice(st.Moved, func(i, j int) bool { return st.Moved[i].Node < st.Moved[j].Node })
 		out = append(out, st)
@@ -123,13 +111,15 @@ func (s *Service) RestoreState(states []DeploymentState) error {
 // restoreInto applies one state to its registered deployment: pending
 // restore when not yet built, live reconciliation otherwise.
 func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
-	d.mu.Lock()
-	if !d.ready.Load() {
+	d.wmu.Lock()
+	v := d.cur.Load()
+	if v == nil {
 		pending := st // copy; the caller's slice entries are not retained elsewhere
-		d.restore = &pending
-		d.mu.Unlock()
+		d.pending.Store(&pending)
+		d.wmu.Unlock()
 		return nil
 	}
+	d.wmu.Unlock()
 	// Live deployment: collect the dead nodes the target has alive,
 	// then reconcile through Mutate like any churn (it repairs the
 	// substrates, bumps the epoch, and skips what already matches).
@@ -138,13 +128,11 @@ func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
 		targetDead[u] = true
 	}
 	var toRevive []topo.NodeID
-	for u := range d.failed {
+	for _, u := range v.state.Failed {
 		if !targetDead[u] {
 			toRevive = append(toRevive, u)
 		}
 	}
-	sort.Slice(toRevive, func(i, j int) bool { return toRevive[i] < toRevive[j] })
-	d.mu.Unlock()
 
 	for _, m := range []Mutation{
 		{Kind: MutationMove, Moves: st.Moved},
@@ -166,14 +154,19 @@ func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
 // updated in place, so copies handed out earlier stay unchanged. Node
 // ranges are not checked: the caller folds only mutations a replica
 // has accepted.
-func (st *DeploymentState) Apply(m Mutation) bool {
+func (st *DeploymentState) Apply(m Mutation) bool { return !st.apply(m).empty() }
+
+// apply is Apply returning the effective mutation: the part of m that
+// changed the state, empty for a no-op. Service.Mutate applies exactly
+// that part to the network of the next version.
+func (st *DeploymentState) apply(m Mutation) Mutation {
 	dead := make(map[topo.NodeID]bool, len(st.Failed)+len(m.Nodes))
 	for _, u := range st.Failed {
 		dead[u] = true
 	}
 	eff := m.effective(func(u topo.NodeID) bool { return dead[u] })
 	if eff.empty() {
-		return false
+		return eff
 	}
 	switch m.Kind {
 	case MutationFail, MutationRevive:
@@ -204,12 +197,12 @@ func (st *DeploymentState) Apply(m Mutation) bool {
 		st.Moved = moved
 	}
 	st.Epoch++
-	return true
+	return eff
 }
 
 // notifyState invokes the Config.OnStateChange hook, if any. Callers
-// must not hold service or deployment locks: the hook is expected to
-// call ExportState.
+// must not hold the registry or a deployment's writer lock: the hook
+// may call back into the service.
 func (s *Service) notifyState() {
 	if s.cfg.OnStateChange != nil {
 		s.cfg.OnStateChange()

@@ -204,3 +204,43 @@ func TestRoutablePairs(t *testing.T) {
 	}
 	net.SetAlive(victim, true)
 }
+
+// HopDistances returns the BFS hop count from src to every node
+// (-1 when unreachable). This is the "ideal" minimum-hop reference.
+func HopDistances(net *Network, src NodeID) []int {
+	dist := make([]int, net.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	if !net.Alive(src) {
+		return dist
+	}
+	s := acquireSearch(net.N())
+	defer releaseSearch(s)
+	dist[src] = 0
+	queue := append(s.queue[:0], src)
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range net.Neighbors(u) {
+			if dist[v] == -1 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// ShortestHopPath returns a minimum-hop path from src to dst (inclusive),
+// or nil when unreachable.
+func ShortestHopPath(net *Network, src, dst NodeID) []NodeID {
+	return ShortestHopPathInto(net, src, dst, nil)
+}
+
+// ShortestEuclideanPath returns the minimum total-Euclidean-length path
+// from src to dst (Dijkstra over edge lengths), or nil when unreachable.
+// This is the "ideal routing path" reference of Fig. 1(a).
+func ShortestEuclideanPath(net *Network, src, dst NodeID) []NodeID {
+	return ShortestEuclideanPathInto(net, src, dst, nil)
+}

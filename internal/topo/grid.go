@@ -45,6 +45,24 @@ func newGrid(field geom.Rect, cell float64, nodes []Node) *grid {
 	return g
 }
 
+// clone copies the cells into one flat array, each capped at its length
+// so a move's append reallocates the cell rather than overrun the next.
+func (g *grid) clone() *grid {
+	c := *g
+	c.cells = make([][]NodeID, len(g.cells))
+	var total int
+	for _, cell := range g.cells {
+		total += len(cell)
+	}
+	flat := make([]NodeID, 0, total)
+	for i, cell := range g.cells {
+		start := len(flat)
+		flat = append(flat, cell...)
+		c.cells[i] = flat[start:len(flat):len(flat)]
+	}
+	return &c
+}
+
 func (g *grid) cellOf(p geom.Point) (ix, iy int) {
 	ix = int((p.X - g.origin.X) / g.cell)
 	iy = int((p.Y - g.origin.Y) / g.cell)

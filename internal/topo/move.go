@@ -17,13 +17,6 @@ type Move struct {
 	Y    float64 `json:"y"`
 }
 
-// SetPosition relocates one node. It is SetPositions on a single-move
-// batch; prefer SetPositions for drift batches — the CSR rewrite cost is
-// amortized across the whole batch.
-func (net *Network) SetPosition(u NodeID, p geom.Point) ([]NodeID, error) {
-	return net.SetPositions([]Move{{Node: u, X: p.X, Y: p.Y}})
-}
-
 // SetPositions applies a batch of position updates and repairs the CSR
 // adjacency in place: coordinates, the packed AdjacencyXY arrays, and the
 // rows/bearings of every edge entering or leaving radio range. It returns
@@ -71,9 +64,11 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 	// mark each moved node and everyone who could see it at its old
 	// position (its old static row), then apply the position update to
 	// the node table and the spatial grid.
+	movers := net.mvMovers[:0]
 	for _, m := range moves {
 		u := m.Node
 		mark(u)
+		movers = append(movers, u)
 		for _, v := range net.row(u) {
 			mark(v)
 		}
@@ -98,17 +93,23 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 	}
 
 	slices.Sort(dirty)
-	net.mvDirty = dirty
-	net.rebuildRows(dirty, gen)
+	slices.Sort(movers)
+	net.mvDirty, net.mvMovers = dirty, slices.Compact(movers)
+	net.rebuildRows(dirty, net.mvMovers, gen)
 	return dirty, nil
 }
 
 // rebuildRows rewrites the CSR backing arrays with fresh rows for the
 // dirty nodes (mvMark[i]==gen) and span copies for everyone else, then
-// swaps the double buffers.
-func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
+// swaps the double buffers. A dirty node that did not move keeps every
+// neighbor that did not move either, with its bearing and position:
+// only its entries for the movers (sorted, distinct) change, so its row
+// is the old one with those entries merged in again, in range or not.
+func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 	n := len(net.Nodes)
 	r2 := net.Radius * net.Radius
+	moved := func(v NodeID) bool { _, ok := slices.BinarySearch(movers, v); return ok }
+	inRange := func(u, v NodeID) bool { return v != u && geom.Dist2(net.Nodes[u].Pos, net.Nodes[v].Pos) <= r2 }
 
 	// Count pass: new row sizes for dirty nodes only.
 	net.mvCounts = growScratch(net.mvCounts, len(dirty))
@@ -116,13 +117,25 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	par.For(len(dirty), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := dirty[i]
-			p := net.Nodes[u].Pos
 			var c int32
-			net.grid.visitNear(p, net.Radius, func(v NodeID) {
-				if v != u && geom.Dist2(p, net.Nodes[v].Pos) <= r2 {
-					c++
+			if moved(u) {
+				net.grid.visitNear(net.Nodes[u].Pos, net.Radius, func(v NodeID) {
+					if inRange(u, v) {
+						c++
+					}
+				})
+			} else {
+				for _, v := range net.row(u) {
+					if !moved(v) {
+						c++
+					}
 				}
-			})
+				for _, v := range movers {
+					if inRange(u, v) {
+						c++
+					}
+				}
+			}
 			counts[i] = c
 		}
 	})
@@ -166,9 +179,31 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 				continue
 			}
 			u := &net.Nodes[i]
+			if !moved(u.ID) {
+				old, src := net.row(u.ID), int(net.adjOff[i])
+				k, j, mi := int(dst), 0, 0
+				for j < len(old) || mi < len(movers) {
+					if mi < len(movers) && (j == len(old) || movers[mi] <= old[j]) {
+						v := movers[mi]
+						mi++
+						if j < len(old) && old[j] == v {
+							j++ // the mover's old entry
+						}
+						if inRange(u.ID, v) {
+							pv := net.Nodes[v].Pos
+							list2[k], ang2[k], x2[k], y2[k] = v, geom.Angle(u.Pos, pv), pv.X, pv.Y
+							k++
+						}
+						continue
+					}
+					list2[k], ang2[k], x2[k], y2[k] = old[j], net.adjAng[src+j], net.adjX[src+j], net.adjY[src+j]
+					j, k = j+1, k+1
+				}
+				continue
+			}
 			row := list2[dst:dst:end]
 			net.grid.visitNear(u.Pos, net.Radius, func(v NodeID) {
-				if v != u.ID && geom.Dist2(u.Pos, net.Nodes[v].Pos) <= r2 {
+				if inRange(u.ID, v) {
 					row = append(row, v)
 				}
 			})
@@ -187,6 +222,10 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	net.adjAng, net.angScratch = ang2, net.adjAng
 	net.adjX, net.xScratch = x2, net.adjX
 	net.adjY, net.yScratch = y2, net.adjY
+	if net.sharedRows {
+		net.offScratch, net.listScratch, net.angScratch, net.xScratch, net.yScratch = nil, nil, nil, nil, nil
+		net.sharedRows = false
+	}
 }
 
 // growScratch returns s resliced to its full capacity, reallocating with

@@ -199,3 +199,10 @@ func TestSetPositionEdgeFlip(t *testing.T) {
 	}
 	requireCSREqual(t, net, fresh)
 }
+
+// SetPosition relocates one node. It is SetPositions on a single-move
+// batch; prefer SetPositions for drift batches — the CSR rewrite cost is
+// amortized across the whole batch.
+func (net *Network) SetPosition(u NodeID, p geom.Point) ([]NodeID, error) {
+	return net.SetPositions([]Move{{Node: u, X: p.X, Y: p.Y}})
+}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/straightpath/wasn/internal/geom"
@@ -35,8 +36,8 @@ import (
 //
 // A Network is safe for concurrent reads after construction as long as no
 // SetAlive or SetPositions calls race with them; the experiment harness
-// builds one network per goroutine and the serve package serializes
-// mutations behind a per-deployment RWMutex.
+// builds one network per goroutine, and the serve package never mutates
+// a network readers can reach: it mutates a Clone and publishes that.
 type Network struct {
 	Nodes  []Node
 	Radius float64
@@ -77,12 +78,16 @@ type Network struct {
 	mvGen       uint32
 	mvMark      []uint32
 	mvDirty     []NodeID
+	mvMovers    []NodeID
 	mvCounts    []int32
 	offScratch  []int32
 	listScratch []NodeID
 	angScratch  []float64
 	xScratch    []float64
 	yScratch    []float64
+	// sharedRows marks CSR rows a Clone shares with the network it was
+	// cloned from: the next rewrite must not keep them as scratch.
+	sharedRows bool
 }
 
 // NewNetwork builds the unit-disk graph over the given positions.
@@ -174,6 +179,29 @@ func (net *Network) buildAdjacency() {
 	}
 }
 
+// Clone returns a copy of the network that SetAlive and SetPositions
+// may mutate while other goroutines keep reading the receiver. The
+// receiver must not be mutated afterwards. Ownership of its parts:
+//
+//   - shared: Radius, Field and the CSR rows. SetPositions never writes
+//     a row in place — it writes fresh arrays and swaps them in — and
+//     never reuses shared rows as scratch;
+//   - copied: Nodes, the liveness bitset and the grid cells, which
+//     mutations write in place;
+//   - moved: the move marks, dirty and mover lists and row counts, only
+//     a mutation reads;
+//   - dropped: the double-buffered CSR scratch, which may still back
+//     rows an earlier clone is being read through.
+func (net *Network) Clone() *Network {
+	c := *net
+	c.Nodes = slices.Clone(net.Nodes)
+	c.aliveBits = slices.Clone(net.aliveBits)
+	c.grid = net.grid.clone()
+	c.offScratch, c.listScratch, c.angScratch, c.xScratch, c.yScratch = nil, nil, nil, nil, nil
+	c.sharedRows = true
+	return &c
+}
+
 // N returns the number of nodes (alive or not).
 func (net *Network) N() int { return len(net.Nodes) }
 
@@ -251,6 +279,10 @@ func (net *Network) AdjOffset(u NodeID) int { return int(net.adjOff[u]) }
 // keep O(1)-clearable per-edge state in flat arrays instead of maps —
 // BOUNDHOLE keeps its successor table and orbit labels this way.
 func (net *Network) AdjSlots() int { return len(net.adjList) }
+
+// AdjHead returns the neighbor of the directed edge in CSR slot s: the
+// head of the edge, AdjacencyRow(u)[s-AdjOffset(u)] for its tail u.
+func (net *Network) AdjHead(s int32) NodeID { return net.adjList[s] }
 
 // AdjSlotOf returns the global CSR slot index of the directed edge u→v,
 // or -1 when v is not a static neighbor of u. The slot identifies the
