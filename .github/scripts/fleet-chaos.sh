@@ -9,8 +9,10 @@
 # router's health loop re-shards, pushes the deployment's snapshot to
 # a survivor, and the driver's retry-with-remap loop masks the outage,
 # so a single failed request fails this script. Afterwards the
-# wasn_fleet_* exposition contract is gated with -check-metrics -fleet
-# and the control-plane journal must show the leave/reshard/restore.
+# wasn_fleet_* exposition contract is gated with -check-metrics -fleet,
+# the control-plane journal must show the leave/reshard/restore, and a
+# short steady run of the plain http driver through the router's proxy
+# tier must also finish without a request error.
 #
 # Usage: fleet-chaos.sh [path-to-wasnd]   (default ./wasnd)
 set -euo pipefail
@@ -111,5 +113,17 @@ done
 
 # The fleet exposition contract (wasn_fleet_* families).
 "$WASND" -check-metrics "$ROUTER/metrics" -fleet
+
+# --- the plain http driver through the re-sharded fleet's proxy tier -
+# Every call goes to the router, which forwards it to the owner. Like
+# the chaos leg, a single request error fails this script.
+if ! "$WASND" -load -preset steady -model fa -n 300 -seed 42 \
+  -rate 400 -duration 2000 -driver http -target "$ROUTER" \
+  >"$LOGDIR/http-load.out" 2>&1; then
+  echo "FAIL: http driver through the proxy tier reported errors" >&2
+  tail -40 "$LOGDIR/http-load.out" >&2
+  exit 1
+fi
+tail -8 "$LOGDIR/http-load.out"
 
 echo "fleet-chaos: delivery survived a SIGKILL re-shard"

@@ -71,9 +71,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -318,17 +316,9 @@ func runCheckMetrics(out io.Writer, url string, fleetGate bool) error {
 	if fleetGate {
 		families = requiredFleetMetricFamilies
 	}
-	resp, err := http.Get(url)
+	samples, err := serve.ScrapeMetrics(controlClient, url)
 	if err != nil {
 		return fmt.Errorf("check-metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("check-metrics: %s: HTTP %d", url, resp.StatusCode)
-	}
-	samples, err := obs.ParseText(resp.Body)
-	if err != nil {
-		return fmt.Errorf("check-metrics: %s: %w", url, err)
 	}
 	if missing := obs.MissingSeries(samples, families); len(missing) > 0 {
 		return fmt.Errorf("check-metrics: %s: missing required series: %v", url, missing)
@@ -455,8 +445,7 @@ func serveReplica(out io.Writer, logger *slog.Logger, cfg serve.Config, ln net.L
 	// where a probe (or the fleet health loop) learns where the replica
 	// actually lives.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"ok": true, "replica_id": o.replicaID, "deployments": len(svc.Deployments()),
 			"addr": hostPort, "binary_addr": binAddr,
 		})
@@ -543,37 +532,29 @@ func advertiseAddr(a net.Addr) string {
 	return net.JoinHostPort(host, port)
 }
 
+// controlTimeout bounds each of wasnd's own client calls
+// (-check-metrics and every -join attempt): a peer that accepts the
+// connection and never answers fails the call instead of hanging the
+// CI probe or the replica's start.
+const controlTimeout = 5 * time.Second
+
+var controlClient = &http.Client{Timeout: controlTimeout}
+
 // joinFleet registers the replica with the router, retrying briefly so
-// a fleet script may start replicas and router concurrently.
+// a fleet script may start replicas and router concurrently. A 4xx is
+// a config error (duplicate ID, bad addr) that retrying cannot fix.
 func joinFleet(routerURL string, rep fleet.Replica) error {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
 	url := strings.TrimSuffix(routerURL, "/") + "/join"
-	var lastErr error
-	for attempt := 0; attempt < 20; attempt++ {
-		if attempt > 0 {
-			time.Sleep(250 * time.Millisecond)
-		}
-		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+	for attempt := 1; ; attempt++ {
+		err := serve.PostJSON(controlClient, url, rep, nil)
+		if err == nil {
 			return nil
 		}
-		// A 4xx is a config error (duplicate ID, bad addr) that retrying
-		// cannot fix.
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return fmt.Errorf("join %s: HTTP %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg))
+		if !serve.Retryable(err) || attempt == 20 {
+			return fmt.Errorf("join: %w", err)
 		}
-		lastErr = fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		time.Sleep(250 * time.Millisecond)
 	}
-	return fmt.Errorf("join %s: %w", url, lastErr)
 }
 
 // requestLog assigns each request a sequential ID (echoed in the

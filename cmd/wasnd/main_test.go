@@ -151,6 +151,22 @@ func TestCheckMetricsCLI(t *testing.T) {
 	}
 }
 
+// TestCheckMetricsBoundedWait: a server that accepts the scrape and
+// never answers fails the gate within the client timeout instead of
+// hanging the CI probe.
+func TestCheckMetricsBoundedWait(t *testing.T) {
+	t.Parallel()
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer stuck.Close()
+	start := time.Now()
+	err := runCheckMetrics(io.Discard, stuck.URL+"/metrics", false)
+	if elapsed := time.Since(start); err == nil || elapsed > 10*time.Second {
+		t.Fatalf("scrape of a silent server: err %v after %v; want an error within 10s", err, elapsed)
+	}
+}
+
 // TestFlagValidation pins the new flags' rejection paths: bad log
 // flags and -check-metrics mode exclusivity are errors, not no-ops.
 func TestFlagValidation(t *testing.T) {

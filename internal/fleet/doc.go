@@ -5,8 +5,8 @@
 //
 //   - The shard map (Map): a consistent-hash ring with virtual nodes
 //     partitioning deployments across replicas. The router serves it at
-//     /shardmap; the workload fleet driver consumes it client-side and
-//     re-resolves it when a replica dies.
+//     /shardmap; the workload HTTP driver (-driver fleet) consumes it
+//     client-side and re-resolves it when a replica dies.
 //
 //   - Registry snapshots (Snapshot): a versioned, checksummed binary
 //     encoding of every deployment's spec plus its failed/moved state

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -251,18 +249,8 @@ func (r *Router) pushRestore(replicaID string, states []serve.DeploymentState) e
 	if !ok {
 		return fmt.Errorf("fleet: unknown replica %q", replicaID)
 	}
-	body, err := json.Marshal(map[string]any{"states": states})
-	if err != nil {
-		return err
-	}
-	resp, err := r.hc.Post(m.rep.Addr+"/restore", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("fleet: restore push to %s: status %d: %s", replicaID, resp.StatusCode, b)
+	if err := serve.PostJSON(r.hc, m.rep.Addr+"/restore", serve.StateBody{States: states}, nil); err != nil {
+		return fmt.Errorf("fleet: restore push to %s: %w", replicaID, err)
 	}
 	return nil
 }

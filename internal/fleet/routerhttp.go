@@ -31,81 +31,56 @@ import (
 // in request order.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/join", r.handleJoin)
-	mux.HandleFunc("/shardmap", r.handleShardMap)
-	mux.HandleFunc("/owner", r.handleOwner)
+	mux.HandleFunc("/join", serve.Only(http.MethodPost, r.handleJoin))
+	mux.HandleFunc("/shardmap", serve.Only(http.MethodGet, r.handleShardMap))
+	mux.HandleFunc("/owner", serve.Only(http.MethodGet, r.handleOwner))
 	mux.HandleFunc("/readyz", r.handleReadyz)
-	mux.HandleFunc("/stats", r.handleStats)
+	mux.HandleFunc("/stats", serve.Only(http.MethodGet, r.handleStats))
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/events", r.handleEvents)
-	mux.HandleFunc("/deploy", r.handleDeploy)
-	mux.HandleFunc("/batch", r.handleBatch)
-	mux.HandleFunc("/route", r.proxyByField("deployment", nil))
-	mux.HandleFunc("/fail", r.proxyByField("deployment", r.afterMutation(serve.MutationFail)))
-	mux.HandleFunc("/revive", r.proxyByField("deployment", r.afterMutation(serve.MutationRevive)))
-	mux.HandleFunc("/move", r.proxyByField("deployment", r.afterMutation(serve.MutationMove)))
+	mux.HandleFunc("/deploy", serve.Only(http.MethodPost, r.handleDeploy))
+	mux.HandleFunc("/batch", serve.Only(http.MethodPost, r.handleBatch))
+	mux.HandleFunc("/route", r.proxyByDeployment(nil))
+	mux.HandleFunc("/fail", r.proxyByDeployment(r.afterMutation(serve.MutationFail)))
+	mux.HandleFunc("/revive", r.proxyByDeployment(r.afterMutation(serve.MutationRevive)))
+	mux.HandleFunc("/move", r.proxyByDeployment(r.afterMutation(serve.MutationMove)))
 	return mux
 }
 
-func routerJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func routerError(w http.ResponseWriter, status int, err error) {
-	routerJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var rep Replica
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		routerError(w, http.StatusBadRequest, fmt.Errorf("bad join body: %w", err))
+	if !serve.DecodeBody(w, req, &rep) {
 		return
 	}
 	m, err := r.Join(rep)
 	if err != nil {
-		routerError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	routerJSON(w, http.StatusOK, m)
+	serve.WriteJSON(w, http.StatusOK, m)
 }
 
 func (r *Router) handleShardMap(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	routerJSON(w, http.StatusOK, r.Map())
+	serve.WriteJSON(w, http.StatusOK, r.Map())
 }
 
 func (r *Router) handleOwner(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	dep := req.URL.Query().Get("deployment")
 	if dep == "" {
-		routerError(w, http.StatusBadRequest, fmt.Errorf("deployment query parameter required"))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("deployment query parameter required"))
 		return
 	}
 	rep, ok := r.Map().Owner(dep)
 	if !ok {
-		routerError(w, http.StatusServiceUnavailable, fmt.Errorf("no alive replicas"))
+		serve.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no alive replicas"))
 		return
 	}
-	routerJSON(w, http.StatusOK, rep)
+	serve.WriteJSON(w, http.StatusOK, rep)
 }
 
 func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 	m := r.Map()
-	routerJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok": true, "router": true, "version": m.Version, "replicas": len(m.Replicas),
 	})
 }
@@ -126,10 +101,6 @@ type fleetReplicaStat struct {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	m := r.Map()
 	owned := make(map[string]int)
 	r.mu.RLock()
@@ -146,7 +117,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.RUnlock()
 	sortReplicaStats(out.Replicas)
-	routerJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func sortReplicaStats(s []fleetReplicaStat) {
@@ -166,35 +137,19 @@ func (r *Router) handleEvents(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
 	max, _ := strconv.Atoi(q.Get("max"))
-	routerJSON(w, http.StatusOK, map[string]any{"events": r.journal.Since(after, max)})
+	serve.WriteJSON(w, http.StatusOK, serve.EventsBody{Events: r.journal.Since(after, max), Total: r.journal.Total()})
 }
 
-// routerDeployRequest mirrors serve's /deploy body (the router must
-// derive the registry name to shard on before forwarding).
-type routerDeployRequest struct {
-	Name     string  `json:"name"`
-	Model    string  `json:"model"`
-	N        int     `json:"n"`
-	Seed     uint64  `json:"seed"`
-	Coverage float64 `json:"coverage"`
-	Build    bool    `json:"build"`
-}
-
+// handleDeploy derives the registry name to shard on, then forwards
+// the deploy to its owner.
 func (r *Router) handleDeploy(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	var dr routerDeployRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&dr); err != nil {
-		routerError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var dr serve.DeployRequest
+	if !serve.DecodeBody(w, req, &dr) {
 		return
 	}
 	model, err := topo.ParseDeployModel(strings.ToLower(dr.Model))
 	if err != nil {
-		routerError(w, http.StatusBadRequest, err)
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	spec := serve.Spec{Model: model, N: dr.N, Seed: dr.Seed, Coverage: dr.Coverage}
@@ -206,7 +161,7 @@ func (r *Router) handleDeploy(w http.ResponseWriter, req *http.Request) {
 	body, _ := json.Marshal(dr)
 	status, resp, err := r.forward(name, "/deploy", body, req.Header.Get("X-Request-Id"))
 	if err != nil {
-		routerError(w, http.StatusBadGateway, err)
+		serve.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	if status == http.StatusOK {
@@ -217,38 +172,32 @@ func (r *Router) handleDeploy(w http.ResponseWriter, req *http.Request) {
 	w.Write(resp)
 }
 
-// proxyByField forwards a POST to the owner of the deployment named in
-// the given JSON body field, invoking after(body) on a 200 so the
+// proxyByDeployment forwards a POST to the owner of the deployment
+// its JSON body names, invoking after(body) on a 200 so the
 // desired-state table tracks what the replica applied. The client's
 // X-Request-Id travels with the request, so the owner's journal
 // carries it.
-func (r *Router) proxyByField(field string, after func([]byte)) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-			return
-		}
+func (r *Router) proxyByDeployment(after func([]byte)) http.HandlerFunc {
+	return serve.Only(http.MethodPost, func(w http.ResponseWriter, req *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 8<<20))
 		if err != nil {
-			routerError(w, http.StatusBadRequest, err)
+			serve.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		var probe map[string]json.RawMessage
+		var probe struct {
+			Deployment string `json:"deployment"`
+		}
 		if err := json.Unmarshal(body, &probe); err != nil {
-			routerError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		var dep string
-		if raw, ok := probe[field]; ok {
-			_ = json.Unmarshal(raw, &dep)
-		}
-		if dep == "" {
-			routerError(w, http.StatusBadRequest, fmt.Errorf("missing %q field", field))
+		if probe.Deployment == "" {
+			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("missing \"deployment\" field"))
 			return
 		}
-		status, resp, err := r.forward(dep, req.URL.Path, body, req.Header.Get("X-Request-Id"))
+		status, resp, err := r.forward(probe.Deployment, req.URL.Path, body, req.Header.Get("X-Request-Id"))
 		if err != nil {
-			routerError(w, http.StatusBadGateway, err)
+			serve.WriteError(w, http.StatusBadGateway, err)
 			return
 		}
 		if status == http.StatusOK && after != nil {
@@ -257,7 +206,7 @@ func (r *Router) proxyByField(field string, after func([]byte)) http.HandlerFunc
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		w.Write(resp)
-	}
+	})
 }
 
 // afterMutation returns the after-hook of a mutation endpoint: decode
@@ -300,32 +249,17 @@ func (r *Router) forward(deployment, path string, body []byte, requestID string)
 	return resp.StatusCode, out, nil
 }
 
-type routerBatchRequest struct {
-	Requests []serve.RouteRequest `json:"requests"`
-}
-
-type routerBatchResponse struct {
-	Results []serve.RouteResponse `json:"results"`
-}
-
 // handleBatch splits a batch across owning replicas and reassembles the
 // results in request order, so mixed-deployment batches work through
 // the proxy exactly as against one process.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		routerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	var br routerBatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&br); err != nil {
-		routerError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var br serve.BatchRequest
+	if !serve.DecodeBody(w, req, &br) {
 		return
 	}
 	m := r.Map()
 	if len(m.Replicas) == 0 {
-		routerError(w, http.StatusServiceUnavailable, fmt.Errorf("no alive replicas"))
+		serve.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no alive replicas"))
 		return
 	}
 	// Group request indices by owning replica.
@@ -346,23 +280,16 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			for j, i := range idxs {
 				sub[j] = br.Requests[i]
 			}
-			body, _ := json.Marshal(routerBatchRequest{Requests: sub})
 			r.proxied.Inc()
-			resp, err := r.hc.Post(rep.Addr+"/batch", "application/json", bytes.NewReader(body))
+			var out serve.BatchResponse
+			err := serve.PostJSON(r.hc, rep.Addr+"/batch", serve.BatchRequest{Requests: sub}, &out)
+			if err == nil && len(out.Results) != len(idxs) {
+				err = fmt.Errorf("%d results for %d requests", len(out.Results), len(idxs))
+			}
 			if err != nil {
 				r.proxyErrs.Inc()
 				for _, i := range idxs {
-					results[i] = serve.RouteResponse{Err: fmt.Sprintf("fleet: owner %s unreachable: %v", rep.ID, err)}
-				}
-				return
-			}
-			defer resp.Body.Close()
-			var out routerBatchResponse
-			if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&out); err != nil ||
-				len(out.Results) != len(idxs) {
-				r.proxyErrs.Inc()
-				for _, i := range idxs {
-					results[i] = serve.RouteResponse{Err: fmt.Sprintf("fleet: bad sub-batch response from %s", rep.ID)}
+					results[i] = serve.RouteResponse{Err: fmt.Sprintf("fleet: owner %s: %v", rep.ID, err)}
 				}
 				return
 			}
@@ -372,5 +299,5 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}(owners[id], idxs)
 	}
 	wg.Wait()
-	routerJSON(w, http.StatusOK, routerBatchResponse{Results: results})
+	serve.WriteJSON(w, http.StatusOK, serve.BatchResponse{Results: results})
 }

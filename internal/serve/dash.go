@@ -19,15 +19,11 @@ import (
 // and tabulated below. ?refresh=N reloads every N seconds via a meta
 // tag (default 2; 0 disables, for snapshotting a finished run).
 func (s *Service) handleDash(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	refresh := 2
 	if v := r.URL.Query().Get("refresh"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad refresh %q", v))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad refresh %q", v))
 			return
 		}
 		refresh = n

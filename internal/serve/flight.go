@@ -76,41 +76,20 @@ func (s *Service) Events(after uint64, max int) []obs.Event {
 // and tests can record or tail without an HTTP round trip.
 func (s *Service) Journal() *obs.Journal { return s.journal }
 
-// timelineResponse wraps /timeline's JSON body.
-type timelineResponse struct {
-	Timeline obs.TimelineWindow `json:"timeline"`
-}
-
 func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, timelineResponse{Timeline: s.Timeline()})
-}
-
-// eventsResponse wraps /events: the filtered tail plus Total, the
-// journal's all-time sequence high-water mark (pass it back as ?after=
-// for incremental polls).
-type eventsResponse struct {
-	Events []obs.Event `json:"events"`
-	Total  uint64      `json:"total"`
+	WriteJSON(w, http.StatusOK, TimelineBody{Timeline: s.Timeline()})
 }
 
 // handleEvents serves the journal tail. Filters: ?kind=fail (event
 // kind name), ?deployment=NAME, ?after=SEQ (strictly newer entries),
 // ?max=N (newest N after filtering; default 256).
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	q := r.URL.Query()
 	var kind obs.EventKind
 	if v := q.Get("kind"); v != "" {
 		k, err := obs.ParseEventKind(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		kind = k
@@ -119,7 +98,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
 			return
 		}
 		after = n
@@ -128,7 +107,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad max %q", v))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad max %q", v))
 			return
 		}
 		max = n
@@ -152,7 +131,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if filtered == nil {
 		filtered = []obs.Event{} // "events": [] rather than null
 	}
-	writeJSON(w, http.StatusOK, eventsResponse{Events: filtered, Total: s.journal.Total()})
+	WriteJSON(w, http.StatusOK, EventsBody{Events: filtered, Total: s.journal.Total()})
 }
 
 // requestIDOf recovers the request ID for journal attribution: the

@@ -109,7 +109,7 @@ func TestHTTPEventsEndpoint(t *testing.T) {
 		t.Fatalf("/fail status = %d", resp.StatusCode)
 	}
 
-	var er eventsResponse
+	var er EventsBody
 	if code := getJSON(t, srv, "/events", &er); code != http.StatusOK {
 		t.Fatalf("/events status = %d", code)
 	}
@@ -121,7 +121,7 @@ func TestHTTPEventsEndpoint(t *testing.T) {
 	}
 
 	// Kind and deployment filters.
-	var fr eventsResponse
+	var fr EventsBody
 	getJSON(t, srv, "/events?kind=fail", &fr)
 	if len(fr.Events) != 1 || fr.Events[0].Kind != obs.EventFail {
 		t.Fatalf("/events?kind=fail = %+v", fr.Events)
@@ -152,7 +152,7 @@ func TestHTTPTimelineEndpoint(t *testing.T) {
 	defer srv.Close()
 	pair := alivePairs(t, s, name, 1)[0]
 
-	var tr timelineResponse
+	var tr TimelineBody
 	if code := getJSON(t, srv, "/timeline", &tr); code != http.StatusOK {
 		t.Fatalf("/timeline status = %d", code)
 	}

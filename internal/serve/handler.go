@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,23 +33,29 @@ import (
 // service registry under the endpoint's path.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/deploy", s.instrument("/deploy", s.handleDeploy))
-	mux.HandleFunc("/route", s.instrument("/route", s.handleRoute))
-	mux.HandleFunc("/batch", s.instrument("/batch", s.handleBatch))
-	mux.HandleFunc("/fail", s.instrument("/fail", s.handleMutation(MutationFail)))
-	mux.HandleFunc("/revive", s.instrument("/revive", s.handleMutation(MutationRevive)))
-	mux.HandleFunc("/move", s.instrument("/move", s.handleMutation(MutationMove)))
-	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.HandleFunc("/traces", s.instrument("/traces", s.handleTraces))
-	mux.HandleFunc("/timeline", s.instrument("/timeline", s.handleTimeline))
-	mux.HandleFunc("/events", s.instrument("/events", s.handleEvents))
-	mux.HandleFunc("/state", s.instrument("/state", s.handleState))
-	mux.HandleFunc("/restore", s.instrument("/restore", s.handleRestore))
-	mux.HandleFunc("/debug/dash", s.instrument("/debug/dash", s.handleDash))
+	get := func(path string, h http.HandlerFunc) {
+		mux.HandleFunc(path, s.instrument(path, Only(http.MethodGet, h)))
+	}
+	post := func(path string, h http.HandlerFunc) {
+		mux.HandleFunc(path, s.instrument(path, Only(http.MethodPost, h)))
+	}
+	post("/deploy", s.handleDeploy)
+	post("/route", s.handleRoute)
+	post("/batch", s.handleBatch)
+	post("/fail", s.handleMutation(MutationFail))
+	post("/revive", s.handleMutation(MutationRevive))
+	post("/move", s.handleMutation(MutationMove))
+	get("/stats", s.handleStats)
+	get("/metrics", s.handleMetrics)
+	get("/traces", s.handleTraces)
+	get("/timeline", s.handleTimeline)
+	get("/events", s.handleEvents)
+	get("/state", s.handleState)
+	post("/restore", s.handleRestore)
+	get("/debug/dash", s.handleDash)
 	// /readyz is deliberately uninstrumented: fleet health checks hit it
 	// several times a second and would drown the request series.
-	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("/readyz", Only(http.MethodGet, s.handleReadyz))
 	return mux
 }
 
@@ -63,42 +68,27 @@ type readyzResponse struct {
 }
 
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, readyzResponse{
+	WriteJSON(w, http.StatusOK, readyzResponse{
 		OK:          true,
 		ReplicaID:   s.cfg.ReplicaID,
 		Deployments: len(s.Deployments()),
 	})
 }
 
-// stateResponse wraps the exported registry state (GET /state); the
-// same shape is the /restore request body, so state can be piped
-// replica-to-replica verbatim.
-type stateResponse struct {
-	States []DeploymentState `json:"states"`
-}
-
 func (s *Service) handleState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, stateResponse{States: s.ExportState()})
+	WriteJSON(w, http.StatusOK, StateBody{States: s.ExportState()})
 }
 
 func (s *Service) handleRestore(w http.ResponseWriter, r *http.Request) {
-	var req stateResponse
-	if !decodeBody(w, r, &req) {
+	var req StateBody
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if err := s.RestoreState(req.States); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"restored": len(req.States)})
+	WriteJSON(w, http.StatusOK, map[string]int{"restored": len(req.States)})
 }
 
 // statusWriter captures the response status for the error counter.
@@ -132,16 +122,6 @@ func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // statusFor distinguishes client mistakes (bad deployment name, node,
 // algorithm) from server-side lazy-build failures.
 func statusFor(err error) int {
@@ -151,57 +131,18 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
-// maxBodyBytes bounds request bodies; /batch requests are the largest
-// legitimate payloads and stay far under this.
-const maxBodyBytes = 8 << 20
-
-// decodeBody strictly decodes the JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-type deployRequest struct {
-	Name  string `json:"name"`
-	Model string `json:"model"`
-	N     int    `json:"n"`
-	Seed  uint64 `json:"seed"`
-	// Coverage is the obstacle lattice-coverage target for model "ob"
-	// (0 means the default; ignored for other models).
-	Coverage float64 `json:"coverage"`
-	// Build forces the substrates to be built before responding; by
-	// default the first route pays that cost.
-	Build bool `json:"build"`
-}
-
-type deployResponse struct {
-	Name  string `json:"name"`
-	Model string `json:"model"`
-	N     int    `json:"n"`
-	Seed  uint64 `json:"seed"`
-}
-
 func (s *Service) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	var req deployRequest
-	if !decodeBody(w, r, &req) {
+	var req DeployRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	model, err := topo.ParseDeployModel(strings.ToLower(req.Model))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.N <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("node count must be positive, got %d", req.N))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("node count must be positive, got %d", req.N))
 		return
 	}
 	spec := Spec{Model: model, N: req.N, Seed: req.Seed, Coverage: req.Coverage}
@@ -209,16 +150,16 @@ func (s *Service) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The only Deploy error left after validation is a live name
 		// registered with a different spec.
-		writeError(w, http.StatusConflict, err)
+		WriteError(w, http.StatusConflict, err)
 		return
 	}
 	if req.Build {
 		if err := s.Build(name); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, deployResponse{
+	WriteJSON(w, http.StatusOK, DeployResponse{
 		Name: name, Model: model.String(), N: spec.N, Seed: spec.Seed,
 	})
 }
@@ -244,16 +185,16 @@ type tracedRouteResponse struct {
 
 func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req routeRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Trace {
 		res, tr, epoch, err := s.routeTraced(req.Deployment, req.Algorithm, req.Src, req.Dst)
 		if err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, tracedRouteResponse{
+		WriteJSON(w, http.StatusOK, tracedRouteResponse{
 			RouteResponse: toResponse(res, false, req.Path, epoch),
 			Trace:         tr,
 		})
@@ -262,26 +203,18 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var res core.Result
 	cached, epoch, err := s.route(&res, req.Deployment, req.Algorithm, req.Src, req.Dst, nil, req.Path, nil)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(res, cached, req.Path, epoch))
-}
-
-type batchRequest struct {
-	Requests []RouteRequest `json:"requests"`
-}
-
-type batchResponse struct {
-	Results []RouteResponse `json:"results"`
+	WriteJSON(w, http.StatusOK, toResponse(res, cached, req.Path, epoch))
 }
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !decodeBody(w, r, &req) {
+	var req BatchRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: s.Batch(req.Requests)})
+	WriteJSON(w, http.StatusOK, BatchResponse{Results: s.Batch(req.Requests)})
 }
 
 type failResponse struct {
@@ -299,45 +232,33 @@ type moveResponse struct {
 // with the dead set (fail, revive) or the move count (move).
 func (s *Service) handleMutation(kind MutationKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-			return
-		}
 		dep, m, err := DecodeMutation(kind, http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		if err := s.Mutate(dep, m, requestIDOf(w, r)); err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
 		if kind == MutationMove {
-			writeJSON(w, http.StatusOK, moveResponse{Deployment: dep, Moved: len(m.Moves)})
+			WriteJSON(w, http.StatusOK, moveResponse{Deployment: dep, Moved: len(m.Moves)})
 			return
 		}
 		failed, err := s.Failed(dep)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, failResponse{Deployment: dep, Failed: failed})
+		WriteJSON(w, http.StatusOK, failResponse{Deployment: dep, Failed: failed})
 	}
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.so.reg.WriteText(w)
 }
@@ -348,9 +269,5 @@ type tracesResponse struct {
 }
 
 func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, tracesResponse{Traces: s.Traces()})
+	WriteJSON(w, http.StatusOK, tracesResponse{Traces: s.Traces()})
 }

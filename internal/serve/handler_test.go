@@ -35,7 +35,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	// /deploy registers and (with build:true) constructs the substrates.
-	var dep deployResponse
+	var dep DeployResponse
 	resp := postJSON(t, srv, "/deploy", map[string]any{
 		"model": "fa", "n": 300, "seed": 7, "build": true,
 	}, &dep)
@@ -69,7 +69,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// /batch returns results in request order.
-	var br batchResponse
+	var br BatchResponse
 	postJSON(t, srv, "/batch", map[string]any{"requests": []RouteRequest{
 		{Deployment: dep.Name, Algorithm: "SLGF2", Src: pair[0], Dst: pair[1]},
 		{Deployment: dep.Name, Algorithm: "GF", Src: pair[0], Dst: pair[1]},

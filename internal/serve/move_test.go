@@ -220,7 +220,7 @@ func TestHTTPMove(t *testing.T) {
 		return resp
 	}
 
-	var dr deployResponse
+	var dr DeployResponse
 	resp := post("/deploy", map[string]any{"model": "ob", "n": 150, "seed": 2, "coverage": 0.2, "build": true}, &dr)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/deploy status %d", resp.StatusCode)

@@ -12,8 +12,10 @@
 //     its nearest of K sinks, the paper-native many-to-one pattern);
 //   - a churn schedule — timed fail/revive mutations injected mid-run,
 //     driving the incremental substrate-repair path under live load;
-//   - a driver — in-process against a serve.Service, or HTTP against a
-//     running wasnd over keep-alive connections.
+//   - a driver — in-process against a serve.Service, or HTTP over
+//     keep-alive connections against a running wasnd or a fleet
+//     router's proxy tier; the same HTTP driver given the router's
+//     shard map (NewFleet) routes replica-direct instead.
 //
 // Run executes a scenario and produces a Report: log-bucketed latency
 // quantiles (p50/p90/p99/p99.9, measured from the request's *intended*

@@ -26,7 +26,8 @@ type Outcome struct {
 // out-of-range node, transport failure) — an *undelivered* route is a
 // successful request whose Outcome.Delivered is false.
 type Driver interface {
-	// Name labels the driver in reports ("inprocess" or "http").
+	// Name labels the driver in reports ("inprocess", "http" or
+	// "fleet").
 	Name() string
 	// Deploy registers the deployment and builds its substrates.
 	Deploy(name string, spec DeploymentSpec) (string, error)
@@ -125,22 +126,20 @@ func (d *InProcess) Events(max int) ([]obs.Event, error) {
 func (d *InProcess) Close() error { return d.svc.Close() }
 
 // NewDriver builds the driver a scenario run asks for: "inprocess"
-// (cfg configures the private service), "http" (target is the wasnd
-// base URL), or "fleet" (target is the fleet router base URL; routes go
-// over the binary batch transport to owners that expose one, JSON to
-// the rest).
+// (cfg configures the private service), "http" (every call goes to
+// target, a wasnd or a fleet router's proxy tier), or "fleet" (the
+// http driver with the shard map of the router at target; routes go
+// replica-direct).
 func NewDriver(kind, target string, cfg serve.Config) (Driver, error) {
 	switch kind {
 	case "", "inprocess":
 		return NewInProcess(serve.New(cfg)), nil
-	case "http":
+	case "http", "fleet":
 		if target == "" {
-			return nil, fmt.Errorf("workload: http driver needs a target base URL")
+			return nil, fmt.Errorf("workload: %s driver needs a target base URL", kind)
 		}
-		return NewHTTP(target), nil
-	case "fleet":
-		if target == "" {
-			return nil, fmt.Errorf("workload: fleet driver needs the router base URL")
+		if kind == "http" {
+			return NewHTTP(target), nil
 		}
 		return NewFleet(target)
 	default:

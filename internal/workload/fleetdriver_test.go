@@ -299,3 +299,68 @@ func TestNewDriverFleetKinds(t *testing.T) {
 		t.Error("retired fleet-http driver accepted")
 	}
 }
+
+// TestFleetDriverStatsAggregate: fleet Stats sums counters across
+// replicas, derives the hit rate from the summed hits and misses (not
+// the sum of per-replica rates), keeps every replica's per-deployment
+// rows sorted by name, and fails when no replica answers.
+func TestFleetDriverStatsAggregate(t *testing.T) {
+	h := newFleetHarness(t, 3, -1)
+	d, err := NewFleet(h.rt.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	// Deploy until at least two replicas own a deployment.
+	var names []string
+	owners := map[string]bool{}
+	for seed := uint64(1); len(owners) < 2; seed++ {
+		if seed > 20 {
+			t.Fatal("20 deployments all landed on one replica")
+		}
+		name, err := d.Deploy("", DeploymentSpec{Model: "fa", N: 120, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+		rep, _ := h.router.Map().Owner(name)
+		owners[rep.ID] = true
+	}
+	// One miss and one hit per deployment: every owner sits at 50%.
+	for _, name := range names {
+		for i := 0; i < 2; i++ {
+			if _, err := d.Route(name, "GF", 0, 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	st, err := d.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Deployments != len(names) || st.Routes != int64(2*len(names)) {
+		t.Fatalf("summed counters = %d deployments, %d routes; want %d, %d",
+			st.Deployments, st.Routes, len(names), 2*len(names))
+	}
+	if st.CacheHits != int64(len(names)) || st.CacheMisses != int64(len(names)) || st.CacheHitRate != 0.5 {
+		t.Fatalf("cache = %d hits, %d misses, rate %v; want %d, %d, 0.5",
+			st.CacheHits, st.CacheMisses, st.CacheHitRate, len(names), len(names))
+	}
+	if len(st.PerDeployment) != len(names) {
+		t.Fatalf("per-deployment rows %+v; want one per deployment %v", st.PerDeployment, names)
+	}
+	for i := 1; i < len(st.PerDeployment); i++ {
+		if st.PerDeployment[i-1].Name >= st.PerDeployment[i].Name {
+			t.Fatalf("per-deployment rows not sorted by name: %+v", st.PerDeployment)
+		}
+	}
+
+	for i := range h.https {
+		h.https[i].Close()
+	}
+	if _, err := d.Stats(); err == nil {
+		t.Fatal("Stats with every replica down returned no error")
+	}
+}
