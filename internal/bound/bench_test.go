@@ -3,6 +3,7 @@ package bound
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/straightpath/wasn/internal/topo"
@@ -63,29 +64,74 @@ func benchLiveness(bb *testing.B, timeFail bool) {
 func BenchmarkBoundRepairFail(bb *testing.B)   { benchLiveness(bb, true) }
 func BenchmarkBoundRepairRevive(bb *testing.B) { benchLiveness(bb, false) }
 
-// BenchmarkBoundRepairMove times RepairMoved after a drift batch of 8
-// nodes (σ = 2 m), alternating between the drifted and home positions;
-// SetPositions itself runs untimed.
+// BenchmarkBoundRepairMove times RepairMoved after a move batch on
+// FA-800-42:
+//
+//   - drift-8: a drift batch of 8 nodes (σ = 2 m), alternating between
+//     the drifted and home positions.
+//   - perfbench-16: the shape of the benchmark's churn-mixed move, 16
+//     moves: the 8 nodes the previous batch drifted are sent home and 8
+//     other nodes drift (σ = 2 m, clamped to the field) from theirs.
 func BenchmarkBoundRepairMove(bb *testing.B) {
-	net := benchNet(bb)
+	bb.Run("drift-8", func(bb *testing.B) {
+		net := benchNet(bb)
+		rng := rand.New(rand.NewPCG(3, 4))
+		away := make([]topo.Move, 8)
+		home := make([]topo.Move, len(away))
+		for i, u := range rng.Perm(net.N())[:len(away)] {
+			p := net.Pos(topo.NodeID(u))
+			home[i] = topo.Move{Node: topo.NodeID(u), X: p.X, Y: p.Y}
+			away[i] = topo.Move{Node: topo.NodeID(u), X: p.X + 2*rng.NormFloat64(), Y: p.Y + 2*rng.NormFloat64()}
+		}
+		n := 0
+		benchMoves(bb, net, func() []topo.Move {
+			if n++; n%2 == 0 {
+				return home
+			}
+			return away
+		})
+	})
+	bb.Run("perfbench-16", func(bb *testing.B) {
+		net := benchNet(bb)
+		rng := rand.New(rand.NewPCG(5, 6))
+		home := net.Positions()
+		var drifted []topo.NodeID
+		moves := make([]topo.Move, 0, 16)
+		benchMoves(bb, net, func() []topo.Move {
+			moves = moves[:0]
+			for _, u := range drifted {
+				moves = append(moves, topo.Move{Node: u, X: home[u].X, Y: home[u].Y})
+			}
+			prev := drifted
+			drifted = nil
+			for _, u := range rng.Perm(net.N()) {
+				if len(drifted) == 8 {
+					break
+				}
+				if !slices.Contains(prev, topo.NodeID(u)) {
+					drifted = append(drifted, topo.NodeID(u))
+				}
+			}
+			for _, u := range drifted {
+				p := home[u]
+				moves = append(moves, topo.Move{Node: u,
+					X: min(max(p.X+2*rng.NormFloat64(), net.Field.Min.X), net.Field.Max.X),
+					Y: min(max(p.Y+2*rng.NormFloat64(), net.Field.Min.Y), net.Field.Max.Y)})
+			}
+			return moves
+		})
+	})
+}
+
+// benchMoves times RepairMoved after each batch next returns on boundaries
+// traced on net; building the batch and SetPositions run untimed.
+func benchMoves(bb *testing.B, net *topo.Network, next func() []topo.Move) {
 	b := FindHoles(net)
-	rng := rand.New(rand.NewPCG(3, 4))
-	away := make([]topo.Move, 8)
-	home := make([]topo.Move, len(away))
-	for i, u := range rng.Perm(net.N())[:len(away)] {
-		p := net.Pos(topo.NodeID(u))
-		home[i] = topo.Move{Node: topo.NodeID(u), X: p.X, Y: p.Y}
-		away[i] = topo.Move{Node: topo.NodeID(u), X: p.X + 2*rng.NormFloat64(), Y: p.Y + 2*rng.NormFloat64()}
-	}
 	bb.ReportAllocs()
 	bb.ResetTimer()
 	for i := 0; i < bb.N; i++ {
-		batch := away
-		if i%2 == 1 {
-			batch = home
-		}
 		bb.StopTimer()
-		dirty, err := net.SetPositions(batch)
+		dirty, err := net.SetPositions(next())
 		if err != nil {
 			bb.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package bound
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/par"
@@ -175,52 +174,14 @@ func rowOffsets(net *topo.Network) []int32 {
 
 // fillRow computes row u of the successor table: for the back-edge to
 // each neighbor prev, the CW sweep at u from prev's bearing, excluding
-// prev, bouncing back to prev at a dead end.
-// It gives sweepCW's exact answer without a sweep per back-edge: the CW
-// rotation from a bearing meets the alive columns in descending bearing
-// order, so walking that order computes sweepCW's deltas non-decreasing
-// (up to rounding, which the stop margin absorbs). Deltas under 1e-12
-// still count as a full turn, but only the raw delta stops the walk.
+// prev, bouncing back to prev at a dead end. That is prev's rotation
+// predecessor, so each sweep starts one rotation position below prev.
 func (b *Boundaries) fillRow(u topo.NodeID) {
-	off := b.net.AdjOffset(u)
+	off := int32(b.net.AdjOffset(u))
 	angs := b.net.AdjacencyAngles(u)
-	row := b.net.AdjacencyRow(u)
-	// The alive columns by bearing, ties in column order (insertion sort).
-	var buf [64]int32
-	cols := buf[:0]
-	for k, v := range row {
-		if !b.net.Alive(v) {
-			continue
-		}
-		i := len(cols)
-		cols = append(cols, 0)
-		for ; i > 0 && angs[cols[i-1]] > angs[k]; i-- {
-			cols[i] = cols[i-1]
-		}
-		cols[i] = int32(k)
-	}
-	for j := range row {
-		from := angs[j]
-		p := sort.Search(len(cols), func(i int) bool { return angs[cols[i]] > from })
-		best, bestDelta := j, geom.TwoPi+1
-		for n := range cols {
-			k := int(cols[(p-1-n+len(cols))%len(cols)])
-			if k == j {
-				continue
-			}
-			raw := cwDelta(from, angs[k])
-			if raw > bestDelta+1e-9 {
-				break
-			}
-			delta := raw
-			if delta < 1e-12 {
-				delta = geom.TwoPi
-			}
-			if delta < bestDelta || (delta == bestDelta && k < best) {
-				best, bestDelta = k, delta
-			}
-		}
-		b.out[off+j] = int32(off + best)
+	rot := b.net.AdjacencyRotation(u)
+	for r, j := range rot {
+		b.out[off+j] = off + b.sweepCW(u, angs[j], r-1, len(rot)-1, j)
 	}
 }
 
@@ -243,8 +204,10 @@ func (b *Boundaries) fillRev(u topo.NodeID, oldRev, oldOff []int32) {
 
 // analyze re-runs TENT at u and sweeps the first hop of each stuck
 // interval: CW from the middle of the gap, the first neighbor hit is the
-// gap's boundary node. The column is row-relative, so it survives a CSR
-// shift of a row whose geometry did not change.
+// gap's boundary node. The sweep starts at the last rotation position
+// at or before the middle, found by binary search. The column is
+// row-relative, so it survives a CSR shift of a row whose geometry did
+// not change.
 func (b *Boundaries) analyze(u topo.NodeID) {
 	rec := &b.recs[u]
 	rec.tent, rec.first = TentResult{}, rec.first[:0]
@@ -252,12 +215,19 @@ func (b *Boundaries) analyze(u topo.NodeID) {
 		return
 	}
 	rec.tent = Tent(b.net, u)
+	angs := b.net.AdjacencyAngles(u)
+	rot := b.net.AdjacencyRotation(u)
 	for _, iv := range rec.tent.Intervals {
-		s := sweepCW(b.net, u, iv.MidDirection(), topo.NoNode)
-		if s >= 0 {
-			s -= int32(b.net.AdjOffset(u))
+		mid := iv.MidDirection()
+		p, hi := 0, len(rot) // p: the first position past mid
+		for p < hi {
+			if m := int(uint(p+hi) >> 1); angs[rot[m]] > mid {
+				hi = m
+			} else {
+				p = m + 1
+			}
 		}
-		rec.first = append(rec.first, s)
+		rec.first = append(rec.first, b.sweepCW(u, mid, p-1, len(rot), -1))
 	}
 }
 
@@ -414,33 +384,43 @@ func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
 	return bb
 }
 
-// sweepCW returns the CSR slot of the edge from u to the neighbor whose
-// direction is first reached when rotating clockwise from the angle
-// `from`, skipping `exclude` (pass topo.NoNode to allow all neighbors),
-// or -1 when no neighbor qualifies. Among neighbors sharing a bearing
-// the first in row order wins. It runs on the network's precomputed
-// edge bearings, so a sweep performs no trigonometry.
-func sweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) int32 {
-	angs := net.AdjacencyAngles(u)
-	checkAlive := net.DeadCount() > 0
-	bestDelta := geom.TwoPi + 1
-	bestJ := -1
-	for j, v := range net.AdjacencyRow(u) {
-		if v == exclude || (checkAlive && !net.Alive(v)) {
+// sweepCW returns the column of u's alive neighbor first reached
+// rotating clockwise from the bearing `from`, or none when no neighbor
+// qualifies. Deltas under 1e-12 count as a full turn, and among equal
+// deltas the lowest column wins. It walks n rotation positions down
+// from position p (cyclically), which must start at or below `from`:
+// the clockwise rotation meets the columns in descending bearing order,
+// so the deltas come non-decreasing (up to rounding at the 0/2π seam,
+// which the stop margin absorbs) and the walk stops once the raw delta
+// passes the best. A raw delta under 1e-12 comes out of order, but as
+// a full turn it can beat only a best that no raw delta passes.
+func (b *Boundaries) sweepCW(u topo.NodeID, from float64, p, n int, none int32) int32 {
+	angs := b.net.AdjacencyAngles(u)
+	row := b.net.AdjacencyRow(u)
+	rot := b.net.AdjacencyRotation(u)
+	best, bestDelta := none, geom.TwoPi+1
+	for ; n > 0; n-- {
+		if p < 0 {
+			p += len(rot)
+		}
+		k := rot[p]
+		p--
+		if !b.net.Alive(row[k]) {
 			continue
 		}
-		delta := cwDelta(from, angs[j])
+		raw := cwDelta(from, angs[k])
+		if raw > bestDelta+1e-9 {
+			break
+		}
+		delta := raw
 		if delta < 1e-12 {
 			delta = geom.TwoPi
 		}
-		if delta < bestDelta {
-			bestDelta, bestJ = delta, j
+		if delta < bestDelta || (delta == bestDelta && k < best) {
+			best, bestDelta = k, delta
 		}
 	}
-	if bestJ < 0 {
-		return -1
-	}
-	return int32(net.AdjOffset(u) + bestJ)
+	return best
 }
 
 // cwDelta is geom.CWDelta(from, to) for bearings in [0, 2π], whose

@@ -36,6 +36,16 @@
 // cycle. A walk starting there is stepped explicitly, stopping when it
 // comes round its cycle or passes the length cap.
 //
+// Every per-node step reads the row's rotation, the network's per-row
+// order of columns by bearing (topo.Network.AdjacencyRotation), rather
+// than sorting or scanning the row: the successor of a back-edge is the
+// nearest alive rotation predecessor of its column (the clockwise
+// sweep), TENT's directions are the rotation with near-equal bearings
+// merged in one linear pass, and a stuck interval's first hop is a
+// binary search for its middle bearing followed by the same walk. The
+// sort-based TENT and the row-scan sweep they replaced are the test
+// oracles.
+//
 // [FindHoles] fills the table and runs TENT plus the first-hop sweeps on
 // every node in one pass parallel across GOMAXPROCS, then derives the
 // holes from the orbits. A repair recomputes the table rows, TENT and

@@ -1,6 +1,7 @@
 package bound
 
 import (
+	"cmp"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -29,6 +30,101 @@ func refSweepCW(net *topo.Network, u topo.NodeID, from float64, exclude topo.Nod
 		}
 	}
 	return best
+}
+
+// refSweepSlot is the row-scan CW sweep, the oracle of the rotation
+// walks: the CSR slot of the edge from u to the neighbor first reached
+// rotating clockwise from the angle `from`, skipping `exclude` (pass
+// topo.NoNode to allow all neighbors), or -1 when no neighbor
+// qualifies. Deltas under 1e-12 count as a full turn; among neighbors
+// sharing a delta the first in row order wins.
+func refSweepSlot(net *topo.Network, u topo.NodeID, from float64, exclude topo.NodeID) int32 {
+	angs := net.AdjacencyAngles(u)
+	checkAlive := net.DeadCount() > 0
+	bestDelta := geom.TwoPi + 1
+	bestJ := -1
+	for j, v := range net.AdjacencyRow(u) {
+		if v == exclude || (checkAlive && !net.Alive(v)) {
+			continue
+		}
+		delta := cwDelta(from, angs[j])
+		if delta < 1e-12 {
+			delta = geom.TwoPi
+		}
+		if delta < bestDelta {
+			bestDelta, bestJ = delta, j
+		}
+	}
+	if bestJ < 0 {
+		return -1
+	}
+	return int32(net.AdjOffset(u) + bestJ)
+}
+
+// refTent is the sort-based TENT rule, the oracle of Tent: the alive
+// neighbors deduplicated by direction pairwise in row order (the nearest
+// of a direction representing it), then sorted by angle.
+func refTent(net *topo.Network, u topo.NodeID) TentResult {
+	res := TentResult{Node: u}
+	up := net.Pos(u)
+
+	// Collect one representative neighbor per distinct direction. When
+	// several neighbors share a direction the nearest one dominates the
+	// TENT test (its bisector half-plane covers the others'), so keep it.
+	type dirNbr struct {
+		angle float64
+		node  topo.NodeID
+		dist2 float64
+	}
+	var buf [64]dirNbr
+	dirs := buf[:0]
+	row := net.AdjacencyRow(u)
+	angs := net.AdjacencyAngles(u)
+	checkAlive := net.DeadCount() > 0
+	for j, v := range row {
+		if checkAlive && !net.Alive(v) {
+			continue
+		}
+		a := angs[j]
+		d2 := geom.Dist2(up, net.Pos(v))
+		merged := false
+		for i := range dirs {
+			if sameAngle(dirs[i].angle, a) {
+				if d2 < dirs[i].dist2 {
+					dirs[i] = dirNbr{angle: a, node: v, dist2: d2}
+				}
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			dirs = append(dirs, dirNbr{angle: a, node: v, dist2: d2})
+		}
+	}
+
+	switch len(dirs) {
+	case 0:
+		res.Intervals = []StuckInterval{{Lo: 0, Hi: geom.TwoPi - 1e-9}}
+		return res
+	case 1:
+		// Only the exact direction of the sole neighbor line is safe.
+		a := dirs[0].angle
+		res.Intervals = []StuckInterval{{Lo: geom.NormAngle(a + 1e-6), Hi: geom.NormAngle(a - 1e-6)}}
+		return res
+	}
+
+	slices.SortFunc(dirs, func(a, b dirNbr) int { return cmp.Compare(a.angle, b.angle) })
+	for i := range dirs {
+		d1 := dirs[i]
+		d2 := dirs[(i+1)%len(dirs)]
+		if geom.CCWDelta(d1.angle, d2.angle) < 1e-9 {
+			continue // no directions strictly between
+		}
+		if stuckBetween(net, up, d1.node, d2.node) {
+			res.Intervals = append(res.Intervals, StuckInterval{Lo: d1.angle, Hi: d2.angle})
+		}
+	}
+	return res
 }
 
 // refTrace is the reference BOUNDHOLE walk: one CW sweep per step from
@@ -82,7 +178,7 @@ func refRecs(net *topo.Network) []refNode {
 		if !net.Alive(u) {
 			continue
 		}
-		recs[i].tent = Tent(net, u)
+		recs[i].tent = refTent(net, u)
 		for _, iv := range recs[i].tent.Intervals {
 			recs[i].cycles = append(recs[i].cycles, refTrace(net, maxLen, u, iv))
 		}
@@ -125,11 +221,13 @@ func offCycle(b *Boundaries) (darts, walks int) {
 }
 
 // requireReference checks b against the reference on its network: the
-// TENT result of every node and the derived outcome of every stuck
-// interval's walk, then the hole set, the node index and the message
-// count assembled from the reference walks.
+// rotation walks against their sort-based oracles, the TENT result of
+// every node and the derived outcome of every stuck interval's walk,
+// then the hole set, the node index and the message count assembled
+// from the reference walks.
 func requireReference(t *testing.T, label string, b *Boundaries) {
 	t.Helper()
+	requireSortOracle(t, label, b)
 	net := b.net
 	want := refRecs(net)
 	for i := range want {
@@ -186,6 +284,134 @@ func requireReference(t *testing.T, label string, b *Boundaries) {
 	}
 }
 
+// requireSortOracle checks the rotation walks of b against the sort-
+// based oracles on its network: every slot of the successor table
+// (refSweepSlot from the back-edge's bearing, excluding it, bouncing at
+// a dead end), and per alive node the TENT intervals (refTent) and the
+// first-hop slot of every stuck interval (refSweepSlot from its middle).
+func requireSortOracle(t *testing.T, label string, b *Boundaries) {
+	t.Helper()
+	net := b.net
+	for i := range net.Nodes {
+		u := topo.NodeID(i)
+		off := int32(net.AdjOffset(u))
+		angs := net.AdjacencyAngles(u)
+		for j, v := range net.AdjacencyRow(u) {
+			want := refSweepSlot(net, u, angs[j], v)
+			if want < 0 {
+				want = off + int32(j)
+			}
+			if got := b.out[off+int32(j)]; got != want {
+				t.Fatalf("%s: successor of back-edge %d->%d is slot %d; oracle %d", label, u, v, got, want)
+			}
+		}
+		if !net.Alive(u) {
+			continue
+		}
+		tent := refTent(net, u)
+		if got := b.recs[i].tent.Intervals; !slices.Equal(got, tent.Intervals) {
+			t.Fatalf("%s: node %d TENT %v; oracle %v", label, u, got, tent.Intervals)
+		}
+		for k, iv := range tent.Intervals {
+			got, want := b.recs[i].first[k], refSweepSlot(net, u, iv.MidDirection(), topo.NoNode)
+			if got >= 0 {
+				got += off
+			}
+			if got != want {
+				t.Fatalf("%s: node %d interval %d first hop slot %d; oracle %d", label, u, k, got, want)
+			}
+		}
+	}
+}
+
+// churn runs an interleaved fail/revive/move sequence of the given
+// length on net, repairing b after every step and handing it to check
+// with the step's kind. Moves drift 6 random nodes, dead ones included.
+func churn(t *testing.T, net *topo.Network, b *Boundaries, seed uint64, steps int, check func(kind string)) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, 0xb0d4))
+	var dead []topo.NodeID
+	for step := 0; step < steps; step++ {
+		switch step % 3 {
+		case 0: // fail a few alive nodes
+			var changed []topo.NodeID
+			for len(changed) < 3 {
+				u := topo.NodeID(rng.IntN(net.N()))
+				if net.Alive(u) {
+					net.SetAlive(u, false)
+					changed = append(changed, u)
+				}
+			}
+			dead = append(dead, changed...)
+			b.Repair(changed)
+		case 1: // revive some of the dead
+			k := 1 + rng.IntN(len(dead))
+			changed := dead[:k]
+			for _, u := range changed {
+				net.SetAlive(u, true)
+			}
+			b.Repair(changed)
+			dead = slices.Clone(dead[k:])
+		default: // drift a batch, dead nodes included
+			moves := make([]topo.Move, 6)
+			for i, u := range rng.Perm(net.N())[:len(moves)] {
+				p := net.Pos(topo.NodeID(u))
+				x := min(max(p.X+rng.NormFloat64()*6, net.Field.Min.X), net.Field.Max.X)
+				y := min(max(p.Y+rng.NormFloat64()*6, net.Field.Min.Y), net.Field.Max.Y)
+				moves[i] = topo.Move{Node: topo.NodeID(u), X: x, Y: y}
+			}
+			dirty, err := net.SetPositions(moves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.RepairMoved(dirty)
+		}
+		check([]string{"fail", "revive", "move"}[step%3])
+	}
+}
+
+// edgeTies pushes the nodes of OB-300-5's left strip onto the field
+// edge in batches of four, where neighbors on the edge line share an
+// exact bearing from each other, and hands the repaired boundaries to
+// check after every batch. The sweep tie rule then sends two back-edges
+// to one successor, so σ stops being a bijection and walks start off
+// every σ-cycle: the scenario fails unless both happen.
+func edgeTies(t *testing.T, check func(b *Boundaries)) {
+	t.Helper()
+	dep, err := topo.Deploy(topo.DefaultDeployConfig(topo.ModelOB, 300, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := dep.Net
+	b := FindHoles(net)
+	var strip []topo.NodeID
+	for u := range net.Nodes {
+		if net.Pos(topo.NodeID(u)).X < net.Field.Min.X+30 {
+			strip = append(strip, topo.NodeID(u))
+		}
+	}
+	var darts, walks int
+	for len(strip) > 0 {
+		k := min(4, len(strip))
+		moves := make([]topo.Move, k)
+		for i, u := range strip[:k] {
+			moves[i] = topo.Move{Node: u, X: max(net.Pos(u).X-40, net.Field.Min.X), Y: net.Pos(u).Y}
+		}
+		strip = strip[k:]
+		dirty, err := net.SetPositions(moves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.RepairMoved(dirty)
+		check(b)
+		d, w := offCycle(b)
+		darts, walks = max(darts, d), max(walks, w)
+	}
+	if darts == 0 || walks == 0 {
+		t.Fatalf("scenario puts %d darts and %d walk starts off the σ-cycles; both must be positive, pick a new seed", darts, walks)
+	}
+}
+
 // TestBoundariesMatchReference pins FindHoles and all three repair
 // kinds to the sweep-per-step reference walk on IA, FA and OB
 // deployments: fresh, then after every step of an interleaved
@@ -207,88 +433,60 @@ func TestBoundariesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := dep.Net
-			b := FindHoles(net)
+			b := FindHoles(dep.Net)
 			requireReference(t, "fresh", b)
-
-			rng := rand.New(rand.NewPCG(tc.seed, 0xb0d4))
-			var dead []topo.NodeID
-			for step := 0; step < 12; step++ {
-				switch step % 3 {
-				case 0: // fail a few alive nodes
-					var changed []topo.NodeID
-					for len(changed) < 3 {
-						u := topo.NodeID(rng.IntN(net.N()))
-						if net.Alive(u) {
-							net.SetAlive(u, false)
-							changed = append(changed, u)
-						}
-					}
-					dead = append(dead, changed...)
-					b.Repair(changed)
-				case 1: // revive some of the dead
-					k := 1 + rng.IntN(len(dead))
-					changed := dead[:k]
-					for _, u := range changed {
-						net.SetAlive(u, true)
-					}
-					b.Repair(changed)
-					dead = slices.Clone(dead[k:])
-				default: // drift a batch, dead nodes included
-					moves := make([]topo.Move, 6)
-					for i, u := range rng.Perm(net.N())[:len(moves)] {
-						p := net.Pos(topo.NodeID(u))
-						x := min(max(p.X+rng.NormFloat64()*6, net.Field.Min.X), net.Field.Max.X)
-						y := min(max(p.Y+rng.NormFloat64()*6, net.Field.Min.Y), net.Field.Max.Y)
-						moves[i] = topo.Move{Node: topo.NodeID(u), X: x, Y: y}
-					}
-					dirty, err := net.SetPositions(moves)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b.RepairMoved(dirty)
-				}
-				requireReference(t, []string{"fail", "revive", "move"}[step%3], b)
-			}
+			churn(t, dep.Net, b, tc.seed, 12, func(kind string) { requireReference(t, kind, b) })
 		})
 	}
-	// Sweep ties: moves push nodes of the left strip onto the field
-	// edge, where neighbors on the edge line share an exact bearing from
-	// each other. The tie rule then sends two back-edges to one
-	// successor, so σ stops being a bijection and walks start off every
-	// σ-cycle; each step is still checked against the reference.
 	t.Run("edge-ties", func(t *testing.T) {
-		dep, err := topo.Deploy(topo.DefaultDeployConfig(topo.ModelOB, 300, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		net := dep.Net
-		b := FindHoles(net)
-		var strip []topo.NodeID
-		for u := range net.Nodes {
-			if net.Pos(topo.NodeID(u)).X < net.Field.Min.X+30 {
-				strip = append(strip, topo.NodeID(u))
-			}
-		}
-		var darts, walks int
-		for len(strip) > 0 {
-			k := min(4, len(strip))
-			moves := make([]topo.Move, k)
-			for i, u := range strip[:k] {
-				moves[i] = topo.Move{Node: u, X: max(net.Pos(u).X-40, net.Field.Min.X), Y: net.Pos(u).Y}
-			}
-			strip = strip[k:]
-			dirty, err := net.SetPositions(moves)
+		edgeTies(t, func(b *Boundaries) { requireReference(t, "edge move", b) })
+	})
+}
+
+// TestRotationWalksMatchSortOracle pins the rotation walks — the
+// successor table's rows, TENT and the first-hop sweeps — to the
+// sort-based TENT and row-scan sweeps they replaced, on the benchmark's
+// IA-, FA- and OB-800-42 networks fresh and through churn, and through
+// the edge-ties moves. A sparse lattice with some nodes nudged by 1e-14
+// m adds rows whose bearings tie exactly, differ by rounding only, or
+// meet across the 0/2π seam.
+func TestRotationWalksMatchSortOracle(t *testing.T) {
+	for _, model := range []topo.DeployModel{topo.ModelIA, topo.ModelFA, topo.ModelOB} {
+		t.Run(model.String(), func(t *testing.T) {
+			dep, err := topo.Deploy(topo.DefaultDeployConfig(model, 800, 42))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.RepairMoved(dirty)
-			requireReference(t, "edge move", b)
-			d, w := offCycle(b)
-			darts, walks = max(darts, d), max(walks, w)
+			b := FindHoles(dep.Net)
+			requireSortOracle(t, "fresh", b)
+			churn(t, dep.Net, b, 42, 9, func(kind string) { requireSortOracle(t, kind, b) })
+		})
+	}
+	t.Run("lattice", func(t *testing.T) {
+		var pos []geom.Point
+		for i := range 16 {
+			for j := range 16 {
+				p := geom.Pt(float64(i)*10, float64(j)*10)
+				switch (i*16 + j) % 7 {
+				case 1:
+					p.Y += 1e-14
+				case 2:
+					p.Y -= 1e-14
+				case 3:
+					p.X += 1e-14
+				}
+				pos = append(pos, p)
+			}
 		}
-		if darts == 0 || walks == 0 {
-			t.Fatalf("scenario puts %d darts and %d walk starts off the σ-cycles; both must be positive, pick a new seed", darts, walks)
+		net, err := topo.NewNetwork(pos, 21, geom.FromCorners(geom.Pt(0, 0), geom.Pt(150, 150)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		b := FindHoles(net)
+		requireSortOracle(t, "fresh", b)
+		churn(t, net, b, 7, 9, func(kind string) { requireSortOracle(t, kind, b) })
+	})
+	t.Run("edge-ties", func(t *testing.T) {
+		edgeTies(t, func(b *Boundaries) { requireSortOracle(t, "edge move", b) })
 	})
 }

@@ -1,9 +1,7 @@
 package bound
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/topo"
@@ -40,37 +38,49 @@ func Tent(net *topo.Network, u topo.NodeID) TentResult {
 	res := TentResult{Node: u}
 	up := net.Pos(u)
 
-	// Collect one representative neighbor per distinct direction. When
-	// several neighbors share a direction the nearest one dominates the
-	// TENT test (its bisector half-plane covers the others'), so keep it.
+	// One representative neighbor per distinct direction, in the row's
+	// rotation order: consecutive bearings within sameAngle share a
+	// direction, and the first and last directions meet across 0/2π.
+	// When several neighbors share a direction the nearest one (the
+	// lowest column among equals) dominates the TENT test (its bisector
+	// half-plane covers the others'), so it represents them.
 	type dirNbr struct {
 		angle float64
 		node  topo.NodeID
 		dist2 float64
+		col   int32
 	}
+	better := func(a, b dirNbr) bool { return a.dist2 < b.dist2 || a.dist2 == b.dist2 && a.col < b.col }
 	var buf [64]dirNbr
 	dirs := buf[:0]
 	row := net.AdjacencyRow(u)
 	angs := net.AdjacencyAngles(u)
 	checkAlive := net.DeadCount() > 0
-	for j, v := range row {
+	var first, last float64
+	for _, j := range net.AdjacencyRotation(u) {
+		v := row[j]
 		if checkAlive && !net.Alive(v) {
 			continue
 		}
-		a := angs[j]
-		d2 := geom.Dist2(up, net.Pos(v))
-		merged := false
-		for i := range dirs {
-			if sameAngle(dirs[i].angle, a) {
-				if d2 < dirs[i].dist2 {
-					dirs[i] = dirNbr{angle: a, node: v, dist2: d2}
-				}
-				merged = true
-				break
+		d := dirNbr{angle: angs[j], node: v, dist2: geom.Dist2(up, net.Pos(v)), col: j}
+		switch {
+		case len(dirs) == 0:
+			first = d.angle
+			dirs = append(dirs, d)
+		case sameAngle(last, d.angle):
+			if better(d, dirs[len(dirs)-1]) {
+				dirs[len(dirs)-1] = d
 			}
+		default:
+			dirs = append(dirs, d)
 		}
-		if !merged {
-			dirs = append(dirs, dirNbr{angle: a, node: v, dist2: d2})
+		last = d.angle
+	}
+	if n := len(dirs); n > 1 && sameAngle(last, first) {
+		if better(dirs[n-1], dirs[0]) {
+			dirs = dirs[1:]
+		} else {
+			dirs = dirs[:n-1]
 		}
 	}
 
@@ -85,7 +95,6 @@ func Tent(net *topo.Network, u topo.NodeID) TentResult {
 		return res
 	}
 
-	slices.SortFunc(dirs, func(a, b dirNbr) int { return cmp.Compare(a.angle, b.angle) })
 	for i := range dirs {
 		d1 := dirs[i]
 		d2 := dirs[(i+1)%len(dirs)]

@@ -606,6 +606,15 @@ func sweepPeek(st *state, hand Hand, f scanFilter) (topo.NodeID, float64) {
 // The tried test is a generation-stamp compare against the row's slice
 // of st.tried, and the liveness/safety tests run on the bitset and mask
 // exports — no per-candidate calls leave the loop.
+//
+// It walks the row's rotation from the ray's bearing in the hand's
+// direction (forward for the right hand's counter-clockwise sweep,
+// backward for the left hand's clockwise one), so the candidates come
+// in non-decreasing sweep delta and the walk stops once a preferred
+// candidate is held and the next delta passes its delta by more than
+// rounding at the 0/2π seam. Equal deltas go to the lowest column, the
+// row scan's first strict minimum. A ray within 1e-9 of the seam, where
+// a delta can wrap to 0 at the end of the walk, walks the whole row.
 func sweepScan(st *state, hand Hand, f scanFilter) (topo.NodeID, float64, int) {
 	if scanOracle != nil {
 		return scanOracle.sweep(st, hand, f)
@@ -616,6 +625,7 @@ func sweepScan(st *state, hand Hand, f scanFilter) (topo.NodeID, float64, int) {
 	row := st.net.AdjacencyRow(st.cur)
 	n := len(row)
 	angs := st.net.AdjacencyAngles(st.cur)[:n]
+	rot := st.net.AdjacencyRotation(st.cur)[:n]
 	xs, ys := st.net.AdjacencyXY(st.cur)
 	xs = xs[:n]
 	ys = ys[:n]
@@ -625,14 +635,43 @@ func sweepScan(st *state, hand Hand, f scanFilter) (topo.NodeID, float64, int) {
 	checkAlive := st.net.DeadCount() > 0
 	alive := st.net.AliveBits()
 	masks := f.masks
+	// p: the first rotation position at or past the ray in the hand's
+	// direction.
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a := angs[rot[m]]; a < from || hand == LeftHand && a == from {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	p, step := lo, 1
+	if hand == LeftHand {
+		p, step = lo-1, -1
+	}
+	seam := from < 1e-9 || from > geom.TwoPi-1e-9
+	stop := math.MaxFloat64
 	best := topo.NoNode
 	bestPreferred := false
 	bestDelta := math.MaxFloat64
-	bestSlot := -1
-	for j, v := range row {
+	bestJ := n
+	for range n {
+		if p == n {
+			p = 0
+		} else if p < 0 {
+			p = n - 1
+		}
+		j := int(rot[p])
+		p += step
+		delta := hand.sweepDelta(from, angs[j])
+		if delta > stop {
+			break
+		}
 		if marks[j] == gen {
 			continue
 		}
+		v := row[j]
 		if checkAlive && alive[v>>6]&(1<<(uint(v)&63)) == 0 {
 			continue
 		}
@@ -650,13 +689,20 @@ func sweepScan(st *state, hand Hand, f scanFilter) (topo.NodeID, float64, int) {
 			continue
 		}
 		pref := !st.confined || st.confine.Contains(geom.Pt(x, y))
-		delta := hand.sweepDelta(from, angs[j])
 		switch {
 		case pref && !bestPreferred:
-			best, bestDelta, bestPreferred, bestSlot = v, delta, true, base+j
-		case pref == bestPreferred && delta < bestDelta:
-			best, bestDelta, bestSlot = v, delta, base+j
+			best, bestDelta, bestPreferred, bestJ = v, delta, true, j
+		case pref == bestPreferred && (delta < bestDelta || delta == bestDelta && j < bestJ):
+			best, bestDelta, bestJ = v, delta, j
+		default:
+			continue
+		}
+		if bestPreferred && !seam {
+			stop = bestDelta + 1e-9
 		}
 	}
-	return best, bestDelta, bestSlot
+	if best == topo.NoNode {
+		return best, bestDelta, -1
+	}
+	return best, bestDelta, base + bestJ
 }

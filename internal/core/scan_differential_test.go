@@ -191,3 +191,71 @@ func TestRouteIntoZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepWalkMatchesRowScan pins the rotation walk of sweepScan to the
+// row scan of refSweepScan, candidate, delta and slot bit for bit, from
+// every node toward many destinations under both hands, with random
+// tried marks, liveness, safety masks, distance bounds and confine
+// boxes. Besides FA-300-7 it runs on a lattice whose rows are full of
+// exact bearing ties, with a few nodes nudged by 1e-14 m so rays and
+// bearings land within rounding of the 0/2π seam.
+func TestSweepWalkMatchesRowScan(t *testing.T) {
+	var pos []geom.Point
+	for i := range 14 {
+		for j := range 14 {
+			p := geom.Pt(float64(i)*10, float64(j)*10)
+			switch (i*14 + j) % 9 {
+			case 1:
+				p.Y += 1e-14
+			case 2:
+				p.Y -= 1e-14
+			}
+			pos = append(pos, p)
+		}
+	}
+	lattice, err := topo.NewNetwork(pos, 32, geom.FromCorners(geom.Pt(0, 0), geom.Pt(130, 130)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 0x5eed))
+	for _, net := range []*topo.Network{lattice, deployed(t, topo.ModelFA, 300, 7)} {
+		for _, u := range rng.Perm(net.N())[:net.N()/5] {
+			net.SetAlive(topo.NodeID(u), false)
+		}
+		masks := make([]uint8, net.N())
+		for i := range masks {
+			masks[i] = uint8(rng.IntN(16))
+		}
+		for u := range net.N() {
+			for range 6 {
+				dst := topo.NodeID(rng.IntN(net.N()))
+				if dst == topo.NodeID(u) {
+					continue
+				}
+				st := acquireState(net, topo.NodeID(u), dst)
+				base := net.AdjOffset(st.cur)
+				for j := range net.AdjacencyRow(st.cur) {
+					if rng.IntN(4) == 0 {
+						st.tried[base+j] = st.triedGen
+					}
+				}
+				if st.confined = rng.IntN(3) == 0; st.confined {
+					c := net.Pos(st.cur)
+					st.confine = geom.FromCorners(c, geom.Pt(c.X+rng.NormFloat64()*30, c.Y+rng.NormFloat64()*30))
+				}
+				for _, f := range []scanFilter{{}, {masks: masks}, {masks: masks, anySafe: true},
+					{bounded: true, maxDist: geom.Dist(net.Pos(st.cur), st.dstPos) + rng.NormFloat64()*10}} {
+					for _, hand := range []Hand{RightHand, LeftHand} {
+						v, d, s := sweepScan(st, hand, f)
+						rv, rd, rs := refSweepScan(st, hand, f)
+						if v != rv || d != rd || s != rs {
+							t.Fatalf("node %d toward %d, hand %v, filter %+v: walk (%d, %v, slot %d); row scan (%d, %v, slot %d)",
+								u, dst, hand, f, v, d, s, rv, rd, rs)
+						}
+					}
+				}
+				releaseState(st)
+			}
+		}
+	}
+}

@@ -241,6 +241,69 @@ func TestBinaryServerRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBinaryServerIdleDeadline pins the per-frame read deadline, at
+// 200ms: a conn that sends nothing and a conn stalled mid-frame are both
+// closed, while a persistent conn sending a ping every 50ms stays open
+// well past the deadline.
+func TestBinaryServerIdleDeadline(t *testing.T) {
+	svc, _ := testService(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const idle = 200 * time.Millisecond
+	srv := newBinaryServer(svc, ln, idle)
+	t.Cleanup(func() { srv.Close() })
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		return conn
+	}
+	// closed reports, once the server drops conn, how long after the
+	// call that took: the read must end in EOF (or a reset), not in data
+	// or the client's own 10s deadline.
+	closed := func(name string, conn net.Conn) <-chan time.Duration {
+		done := make(chan time.Duration, 1)
+		start := time.Now()
+		go func() {
+			_, err := conn.Read(make([]byte, 1))
+			if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+				t.Errorf("%s conn: read ended in %v, want the server to close it", name, err)
+			}
+			done <- time.Since(start)
+		}()
+		return done
+	}
+
+	silent := closed("silent", dial())
+	stalled := dial()
+	if _, err := stalled.Write([]byte{1, 0}); err != nil { // half a frame header
+		t.Fatal(err)
+	}
+	stalledDone := closed("stalled", stalled)
+	busy := dial()
+	for i := 0; i < 16; i++ { // 800ms, four deadlines
+		if err := writeFrame(busy, framePing, []byte{byte(i)}); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+		typ, payload, err := readFrame(busy)
+		if err != nil || typ != framePong || len(payload) != 1 || payload[0] != byte(i) {
+			t.Fatalf("ping %d: pong (%d, %v, %v)", i, typ, payload, err)
+		}
+		time.Sleep(idle / 4)
+	}
+	for name, done := range map[string]<-chan time.Duration{"silent": silent, "stalled": stalledDone} {
+		if waited := <-done; waited < idle*3/4 {
+			t.Errorf("%s conn closed after %v, before the %v deadline", name, waited, idle)
+		}
+	}
+}
+
 func TestBinaryClientBrokenAfterServerClose(t *testing.T) {
 	svc, name := testService(t)
 	srv := startBinaryServer(t, svc)

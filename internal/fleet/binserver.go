@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/straightpath/wasn/internal/serve"
 )
@@ -16,10 +17,12 @@ import (
 // HTTP surface uses — one routing engine, two wire formats. Connections
 // are persistent: a client keeps one conn and pushes batches down it
 // back to back, which is the whole point (no per-request connection,
-// header, or JSON costs).
+// header, or JSON costs). A connection that starts no frame, or does not
+// finish one, within two minutes is closed.
 type BinaryServer struct {
-	svc *serve.Service
-	ln  net.Listener
+	svc  *serve.Service
+	ln   net.Listener
+	idle time.Duration
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -32,10 +35,22 @@ type BinaryServer struct {
 	routesTotal  atomic.Uint64
 }
 
+// idleTimeout bounds the wait for one frame, from the end of the
+// previous answer to the frame's last byte: a silent connection, or one
+// stalled mid-frame, is closed after it. It equals wasnd's HTTP idle
+// timeout, so both transports drop an idle client alike.
+const idleTimeout = 2 * time.Minute
+
 // NewBinaryServer wraps an existing listener (so callers can bind ":0"
 // and learn the port first) and starts the accept loop.
 func NewBinaryServer(svc *serve.Service, ln net.Listener) *BinaryServer {
-	b := &BinaryServer{svc: svc, ln: ln, conns: make(map[net.Conn]struct{})}
+	return newBinaryServer(svc, ln, idleTimeout)
+}
+
+// newBinaryServer is NewBinaryServer with the per-frame read deadline
+// idle.
+func newBinaryServer(svc *serve.Service, ln net.Listener, idle time.Duration) *BinaryServer {
+	b := &BinaryServer{svc: svc, ln: ln, idle: idle, conns: make(map[net.Conn]struct{})}
 	b.wg.Add(1)
 	go b.acceptLoop()
 	return b
@@ -103,9 +118,12 @@ func (b *BinaryServer) serveConn(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
 	for {
+		if conn.SetReadDeadline(time.Now().Add(b.idle)) != nil {
+			return
+		}
 		typ, payload, err := readFrame(r)
 		if err != nil {
-			return // EOF, reset, or garbage framing: drop the conn
+			return // EOF, reset, timeout, or garbage framing: drop the conn
 		}
 		switch typ {
 		case framePing:

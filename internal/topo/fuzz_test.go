@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -33,11 +34,25 @@ func decodeMoves(net *Network, data []byte, maxOps int) []Move {
 	return moves
 }
 
+// stableRotation is the rotation oracle: u's columns stably sorted by
+// bearing, so equal bearings stay in column order.
+func stableRotation(net *Network, u NodeID) []int32 {
+	angs := net.AdjacencyAngles(u)
+	rot := make([]int32, len(angs))
+	for j := range rot {
+		rot[j] = int32(j)
+	}
+	slices.SortStableFunc(rot, func(a, b int32) int { return cmp.Compare(angs[a], angs[b]) })
+	return rot
+}
+
 // FuzzSetPosition drives arbitrary encoded move batches through
 // SetPositions and asserts the repaired CSR adjacency — offsets, rows,
-// bearings, packed positions — is bit-for-bit the fresh NewNetwork build
-// over the same coordinates, and that the dirty set covers every row
-// that changed.
+// bearings, packed positions, rotations — is bit-for-bit the fresh
+// NewNetwork build over the same coordinates, that every rotation is
+// the stable sort of its row by bearing, and that the dirty set covers
+// every row that changed. Every other batch runs on a Clone, which must
+// leave its parent's rows and rotations untouched.
 func FuzzSetPosition(f *testing.F) {
 	// Range-boundary: node 3 lands exactly one radius from node 7's cell
 	// scale; batch splits exercise multi-batch repair.
@@ -68,9 +83,16 @@ func FuzzSetPosition(f *testing.F) {
 			if len(moves) == 0 {
 				break
 			}
+			parent, parentList, parentRot := net, slices.Clone(net.adjList), slices.Clone(net.adjRot)
+			if len(data)%2 == 0 {
+				net = net.Clone()
+			}
 			dirty, err := net.SetPositions(moves)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if parent != net && (!slices.Equal(parent.adjList, parentList) || !slices.Equal(parent.adjRot, parentRot)) {
+				t.Fatalf("SetPositions on a clone rewrote its parent's rows after moves %v", moves)
 			}
 			if !slices.IsSorted(dirty) {
 				t.Fatal("dirty set not sorted")
@@ -83,8 +105,14 @@ func FuzzSetPosition(f *testing.F) {
 				!slices.Equal(net.adjList, fresh.adjList) ||
 				!slices.Equal(net.adjAng, fresh.adjAng) ||
 				!slices.Equal(net.adjX, fresh.adjX) ||
-				!slices.Equal(net.adjY, fresh.adjY) {
+				!slices.Equal(net.adjY, fresh.adjY) ||
+				!slices.Equal(net.adjRot, fresh.adjRot) {
 				t.Fatalf("CSR diverged from fresh build after moves %v", moves)
+			}
+			for u := range net.Nodes {
+				if got, want := net.AdjacencyRotation(NodeID(u)), stableRotation(net, NodeID(u)); !slices.Equal(got, want) {
+					t.Fatalf("rotation of row %d = %v; stable sort by bearing %v", u, got, want)
+				}
 			}
 			inDirty := make(map[NodeID]bool, len(dirty))
 			for _, u := range dirty {

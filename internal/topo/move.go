@@ -19,11 +19,11 @@ type Move struct {
 
 // SetPositions applies a batch of position updates and repairs the CSR
 // adjacency in place: coordinates, the packed AdjacencyXY arrays, and the
-// rows/bearings of every edge entering or leaving radio range. It returns
-// the sorted ids of all nodes whose geometric neighborhood changed — the
-// moved nodes, their old static neighbors, and their new in-range
-// neighbors — which is exactly the dirty set substrate position repair
-// (core.RepairSubstratesMoved) needs.
+// rows, bearings and rotations of every edge entering or leaving radio
+// range. It returns the sorted ids of all nodes whose geometric
+// neighborhood changed — the moved nodes, their old static neighbors,
+// and their new in-range neighbors — which is exactly the dirty set
+// substrate position repair (core.RepairSubstratesMoved) needs.
 //
 // The rewrite is double-buffered: rows of clean nodes are copied span-
 // for-span into scratch backing arrays, dirty rows are recomputed from
@@ -104,7 +104,9 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 // swaps the double buffers. A dirty node that did not move keeps every
 // neighbor that did not move either, with its bearing and position:
 // only its entries for the movers (sorted, distinct) change, so its row
-// is the old one with those entries merged in again, in range or not.
+// is the old one with those entries merged in again, in range or not,
+// and its rotation is the old one renumbered, with the movers' entries
+// dropped and their new ones inserted by bearing.
 func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 	n := len(net.Nodes)
 	r2 := net.Radius * net.Radius
@@ -160,14 +162,17 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 	net.angScratch = growScratch(net.angScratch, int(total))
 	net.xScratch = growScratch(net.xScratch, int(total))
 	net.yScratch = growScratch(net.yScratch, int(total))
+	net.rotScratch = growScratch(net.rotScratch, int(total))
 	list2 := net.listScratch[:total]
 	ang2 := net.angScratch[:total]
 	x2 := net.xScratch[:total]
 	y2 := net.yScratch[:total]
+	rot2 := net.rotScratch[:total]
 
-	// Fill pass: recompute dirty rows (sorted, with bearings and packed
-	// positions), copy clean spans verbatim.
+	// Fill pass: recompute dirty rows (sorted, with bearings, packed
+	// positions and rotation), copy clean spans verbatim.
 	par.For(n, func(lo, hi int) {
+		var buf [128]int32
 		for i := lo; i < hi; i++ {
 			dst, end := off2[i], off2[i+1]
 			if net.mvMark[i] != gen {
@@ -176,29 +181,51 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 				copy(ang2[dst:end], net.adjAng[src:])
 				copy(x2[dst:end], net.adjX[src:])
 				copy(y2[dst:end], net.adjY[src:])
+				copy(rot2[dst:end], net.adjRot[src:])
 				continue
 			}
 			u := &net.Nodes[i]
+			rot := rot2[dst:end]
 			if !moved(u.ID) {
 				old, src := net.row(u.ID), int(net.adjOff[i])
-				k, j, mi := int(dst), 0, 0
+				// col maps an old column to its new one, -1 for a
+				// mover's old entry; the movers' new columns fill the
+				// rotation from the back.
+				col := buf[:0]
+				if len(old) > len(buf) {
+					col = make([]int32, 0, len(old))
+				}
+				col = col[:len(old)]
+				k, j, mi, back := int(dst), 0, 0, len(rot)
 				for j < len(old) || mi < len(movers) {
 					if mi < len(movers) && (j == len(old) || movers[mi] <= old[j]) {
 						v := movers[mi]
 						mi++
 						if j < len(old) && old[j] == v {
-							j++ // the mover's old entry
+							col[j] = -1 // the mover's old entry
+							j++
 						}
 						if inRange(u.ID, v) {
 							pv := net.Nodes[v].Pos
 							list2[k], ang2[k], x2[k], y2[k] = v, geom.Angle(u.Pos, pv), pv.X, pv.Y
+							back--
+							rot[back] = int32(k) - dst
 							k++
 						}
 						continue
 					}
 					list2[k], ang2[k], x2[k], y2[k] = old[j], net.adjAng[src+j], net.adjX[src+j], net.adjY[src+j]
+					col[j] = int32(k) - dst
 					j, k = j+1, k+1
 				}
+				h := 0
+				for _, c := range net.adjRot[src : src+len(old)] {
+					if col[c] >= 0 {
+						rot[h] = col[c]
+						h++
+					}
+				}
+				sortRotation(rot, ang2[dst:end], h)
 				continue
 			}
 			row := list2[dst:dst:end]
@@ -213,7 +240,9 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 				ang2[int(dst)+j] = geom.Angle(u.Pos, pv)
 				x2[int(dst)+j] = pv.X
 				y2[int(dst)+j] = pv.Y
+				rot[j] = int32(j)
 			}
+			sortRotation(rot, ang2[dst:end], 0)
 		}
 	})
 
@@ -222,8 +251,9 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 	net.adjAng, net.angScratch = ang2, net.adjAng
 	net.adjX, net.xScratch = x2, net.adjX
 	net.adjY, net.yScratch = y2, net.adjY
+	net.adjRot, net.rotScratch = rot2, net.adjRot
 	if net.sharedRows {
-		net.offScratch, net.listScratch, net.angScratch, net.xScratch, net.yScratch = nil, nil, nil, nil, nil
+		net.offScratch, net.listScratch, net.angScratch, net.xScratch, net.yScratch, net.rotScratch = nil, nil, nil, nil, nil, nil
 		net.sharedRows = false
 	}
 }

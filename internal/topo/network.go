@@ -24,6 +24,13 @@ import (
 // contiguous in memory — the routing hot path walks them with zero
 // pointer chasing.
 //
+// Every per-slot array is index aligned with adjList: the edge bearing
+// (adjAng), the packed neighbor position (adjX/adjY) and the row's
+// rotation (adjRot), its columns in ascending bearing order. The
+// rotation is the order the angular consumers walk — BOUNDHOLE's
+// clockwise successors and TENT, the routers' detour sweeps — so none
+// of them sorts a row.
+//
 // # Aliasing and ownership
 //
 // Neighbors returns a subslice of the internal CSR backing array whenever
@@ -57,6 +64,11 @@ type Network struct {
 	// Nodes[v].Pos through the node table. SetPositions keeps them
 	// consistent by rewriting exactly the rows whose geometry changed.
 	adjX, adjY []float64
+	// adjRot[adjOff[u]:adjOff[u+1]] is u's rotation: the row's column
+	// indices (row-relative) in ascending bearing order, equal bearings
+	// in column order. Columns are row-relative, so a row whose geometry
+	// did not change keeps its rotation verbatim when the CSR shifts.
+	adjRot []int32
 
 	// aliveBits is the node liveness as a bitset (bit u of word u/64),
 	// maintained by SetAlive. Scans over static CSR rows test a dead
@@ -85,6 +97,7 @@ type Network struct {
 	angScratch  []float64
 	xScratch    []float64
 	yScratch    []float64
+	rotScratch  []int32
 	// sharedRows marks CSR rows a Clone shares with the network it was
 	// cloned from: the next rewrite must not keep them as scratch.
 	sharedRows bool
@@ -148,9 +161,11 @@ func (net *Network) buildAdjacency() {
 	net.adjAng = make([]float64, total)
 	net.adjX = make([]float64, total)
 	net.adjY = make([]float64, total)
+	net.adjRot = make([]int32, total)
 
-	// Pass 2: fill and sort each row, then compute the edge bearings and
-	// pack the neighbor positions into the per-edge SoA arrays.
+	// Pass 2: fill and sort each row, then compute the edge bearings,
+	// pack the neighbor positions into the per-edge SoA arrays and sort
+	// the row's rotation.
 	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := &net.Nodes[i]
@@ -167,7 +182,9 @@ func (net *Network) buildAdjacency() {
 				net.adjAng[base+j] = geom.Angle(u.Pos, pv)
 				net.adjX[base+j] = pv.X
 				net.adjY[base+j] = pv.Y
+				net.adjRot[base+j] = int32(j)
 			}
+			sortRotation(net.adjRot[base:base+len(row)], net.adjAng[base:base+len(row)], 0)
 		}
 	})
 
@@ -183,9 +200,10 @@ func (net *Network) buildAdjacency() {
 // may mutate while other goroutines keep reading the receiver. The
 // receiver must not be mutated afterwards. Ownership of its parts:
 //
-//   - shared: Radius, Field and the CSR rows. SetPositions never writes
-//     a row in place — it writes fresh arrays and swaps them in — and
-//     never reuses shared rows as scratch;
+//   - shared: Radius, Field and the CSR rows, rotations included.
+//     SetPositions never writes a row in place — it writes fresh
+//     arrays and swaps them in — and never reuses shared rows as
+//     scratch;
 //   - copied: Nodes, the liveness bitset and the grid cells, which
 //     mutations write in place;
 //   - moved: the move marks, dirty and mover lists and row counts, only
@@ -197,7 +215,7 @@ func (net *Network) Clone() *Network {
 	c.Nodes = slices.Clone(net.Nodes)
 	c.aliveBits = slices.Clone(net.aliveBits)
 	c.grid = net.grid.clone()
-	c.offScratch, c.listScratch, c.angScratch, c.xScratch, c.yScratch = nil, nil, nil, nil, nil
+	c.offScratch, c.listScratch, c.angScratch, c.xScratch, c.yScratch, c.rotScratch = nil, nil, nil, nil, nil, nil
 	c.sharedRows = true
 	return &c
 }
@@ -258,6 +276,30 @@ func (net *Network) AdjacencyAngles(u NodeID) []float64 {
 // modified.
 func (net *Network) AdjacencyXY(u NodeID) (xs, ys []float64) {
 	return net.adjX[net.adjOff[u]:net.adjOff[u+1]], net.adjY[net.adjOff[u]:net.adjOff[u+1]]
+}
+
+// AdjacencyRotation returns u's rotation: the columns of AdjacencyRow(u)
+// in ascending bearing order (AdjacencyAngles), equal bearings in
+// column order. Walking it forward sweeps counter-clockwise, backward
+// clockwise; dead neighbors stay in it, as in the row. The slice aliases
+// internal storage and must not be modified.
+func (net *Network) AdjacencyRotation(u NodeID) []int32 {
+	return net.adjRot[net.adjOff[u]:net.adjOff[u+1]]
+}
+
+// sortRotation sorts a row's columns by (bearing, column) in place,
+// given that rot[:sorted] already is. It is an insertion sort: the
+// position repair hands it rotations that are sorted but for a few
+// appended columns, which it places in O(deg) each.
+func sortRotation(rot []int32, angs []float64, sorted int) {
+	for i := max(sorted, 1); i < len(rot); i++ {
+		c, a := rot[i], angs[rot[i]]
+		j := i
+		for ; j > 0 && (angs[rot[j-1]] > a || angs[rot[j-1]] == a && rot[j-1] > c); j-- {
+			rot[j] = rot[j-1]
+		}
+		rot[j] = c
+	}
 }
 
 // AliveBits returns the node-liveness bitset: bit u%64 of word u/64 is

@@ -276,8 +276,20 @@ func (sc *Scenario) Validate() error {
 			mb.IntervalMS = 250
 		}
 	}
+	// An empty list means none. Keep it nil, as a JSON round trip
+	// would (the lists are omitempty), so a scenario reads the same
+	// after the wire.
+	if len(sc.Churn) == 0 {
+		sc.Churn = nil
+	}
 	for i := range sc.Churn {
 		ev := &sc.Churn[i]
+		if len(ev.Fail) == 0 {
+			ev.Fail = nil
+		}
+		if len(ev.Revive) == 0 {
+			ev.Revive = nil
+		}
 		if ev.AtMS < 0 {
 			return fmt.Errorf("workload: churn event %d at negative time %d", i, ev.AtMS)
 		}
