@@ -55,13 +55,11 @@ type Boundaries struct {
 	maxLen int
 	recs   []nodeRec
 	// Successor table, indexed by CSR edge slot. A walk that arrived at
-	// cur over prev→cur leaves over out[b], where b is the slot of the
-	// back-edge cur→prev; rev[s] is the slot of the reverse of edge s.
-	// Both out[b] and b lie in cur's row, so a row of out depends only on
-	// that row's geometry and its neighbors' liveness. off holds the row
-	// offsets the table was laid out against, and spare is the second
-	// buffer position repair shifts clean rows into.
-	out, rev, off, spare []int32
+	// cur over prev→cur leaves over the column out.At[b] of cur's row,
+	// where b is the slot of the back-edge cur→prev, the network's
+	// reverse slot of prev→cur (see next). A row of out depends only on
+	// that row's geometry and its neighbors' liveness.
+	out topo.SlotTable[int32]
 	// σ's orbit labels and the dedup claims, rebuilt by every derive.
 	orbits
 	// Scratch reused across calls (repairs are serialized by the
@@ -92,19 +90,15 @@ type nodeRec struct {
 // mutate while other goroutines keep reading the receiver. The receiver
 // must not be repaired afterwards. Ownership of its parts:
 //
-//   - shared: Holes and the node index, which derive allocates afresh,
-//     and the reverse and offset tables, which only RepairMoved
-//     replaces, wholesale;
-//   - copied: the successor table and the per-node analyses, which a
-//     repair writes in place;
+//   - shared: Holes and the node index, which derive allocates afresh;
+//   - copied: the successor table (topo.SlotTable.Clone) and the
+//     per-node analyses, which a repair writes in place;
 //   - moved: the dirty marks and list, the kept walks and the orbit
-//     labels, scratch only a repair reads;
-//   - dropped: spare, the second successor buffer, which may still be
-//     the table an earlier clone is being read through.
+//     labels, scratch only a repair reads.
 func (b *Boundaries) Clone(net *topo.Network) *Boundaries {
 	c := *b
 	c.net = net
-	c.out, c.spare = slices.Clone(b.out), nil
+	c.out = b.out.Clone()
 	c.recs = slices.Clone(b.recs)
 	// analyze appends into a record's first hops: give each its own span.
 	var total int
@@ -147,14 +141,11 @@ func FindHoles(net *topo.Network) *Boundaries {
 		net:    net,
 		maxLen: boundaryLenCap(net),
 		recs:   make([]nodeRec, net.N()),
-		out:    make([]int32, net.AdjSlots()),
-		rev:    make([]int32, net.AdjSlots()),
-		off:    rowOffsets(net),
+		out:    topo.NewSlotTable[int32](net),
 	}
 	par.For(net.N(), func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			b.fillRow(topo.NodeID(u))
-			b.fillRev(topo.NodeID(u), nil, nil)
 			b.analyze(topo.NodeID(u))
 		}
 	})
@@ -162,52 +153,30 @@ func FindHoles(net *topo.Network) *Boundaries {
 	return b
 }
 
-// rowOffsets returns a copy of the network's CSR row offsets (n+1
-// entries).
-func rowOffsets(net *topo.Network) []int32 {
-	off := make([]int32, net.N()+1)
-	for u := range off {
-		off[u] = int32(net.AdjOffset(topo.NodeID(u)))
-	}
-	return off
-}
-
 // fillRow computes row u of the successor table: for the back-edge to
-// each neighbor prev, the CW sweep at u from prev's bearing, excluding
-// prev, bouncing back to prev at a dead end. That is prev's rotation
-// predecessor, so each sweep starts one rotation position below prev.
+// each neighbor prev, the CW sweep at u from prev's bearing, skipping
+// prev, bouncing back to prev at a dead end.
 func (b *Boundaries) fillRow(u topo.NodeID) {
-	off := int32(b.net.AdjOffset(u))
-	angs := b.net.AdjacencyAngles(u)
-	rot := b.net.AdjacencyRotation(u)
-	for r, j := range rot {
-		b.out[off+j] = off + b.sweepCW(u, angs[j], r-1, len(rot)-1, j)
+	out := b.out.Row(b.net, u)
+	for j, a := range b.net.AdjacencyAngles(u) {
+		out[j] = b.net.RotationStep(u, a, false, int32(j), nil)
+		if out[j] < 0 {
+			out[j] = int32(j)
+		}
 	}
 }
 
-// fillRev computes row u of the reverse-slot table. Rows are sorted
-// ascending and the adjacency is symmetric, so u sits in each
-// neighbor's row at its binary-search position. Given the table and
-// the row offsets from before a move (RepairMoved), an edge between two
-// rows the move left unchanged keeps that position and only shifts.
-func (b *Boundaries) fillRev(u topo.NodeID, oldRev, oldOff []int32) {
-	off := b.net.AdjOffset(u)
-	for j, v := range b.net.AdjacencyRow(u) {
-		if oldRev != nil && !b.mark[u] && !b.mark[v] {
-			b.rev[off+j] = oldRev[int(oldOff[u])+j] - oldOff[v] + b.off[v]
-			continue
-		}
-		k, _ := slices.BinarySearch(b.net.AdjacencyRow(v), u)
-		b.rev[off+j] = int32(b.net.AdjOffset(v) + k)
-	}
+// next returns σ(s), the dart a walk that arrived over s leaves over:
+// the successor column of the back-edge, the reverse of s, in the row
+// of s's head.
+func (b *Boundaries) next(s int32) int32 {
+	return int32(b.net.AdjOffset(b.net.AdjHead(s))) + b.out.At[b.net.AdjReverse(s)]
 }
 
 // analyze re-runs TENT at u and sweeps the first hop of each stuck
 // interval: CW from the middle of the gap, the first neighbor hit is the
-// gap's boundary node. The sweep starts at the last rotation position
-// at or before the middle, found by binary search. The column is
-// row-relative, so it survives a CSR shift of a row whose geometry did
-// not change.
+// gap's boundary node. The column is row-relative, so it survives a CSR
+// shift of a row whose geometry did not change.
 func (b *Boundaries) analyze(u topo.NodeID) {
 	rec := &b.recs[u]
 	rec.tent, rec.first = TentResult{}, rec.first[:0]
@@ -215,19 +184,8 @@ func (b *Boundaries) analyze(u topo.NodeID) {
 		return
 	}
 	rec.tent = Tent(b.net, u)
-	angs := b.net.AdjacencyAngles(u)
-	rot := b.net.AdjacencyRotation(u)
 	for _, iv := range rec.tent.Intervals {
-		mid := iv.MidDirection()
-		p, hi := 0, len(rot) // p: the first position past mid
-		for p < hi {
-			if m := int(uint(p+hi) >> 1); angs[rot[m]] > mid {
-				hi = m
-			} else {
-				p = m + 1
-			}
-		}
-		rec.first = append(rec.first, b.sweepCW(u, mid, p-1, len(rot), -1))
+		rec.first = append(rec.first, b.net.RotationStep(u, iv.MidDirection(), false, -1, nil))
 	}
 }
 
@@ -250,7 +208,7 @@ func (b *Boundaries) derive() {
 			if col < 0 {
 				continue
 			}
-			s0 := b.off[u] + col
+			s0 := int32(b.net.AdjOffset(u)) + col
 			n := b.walkLen(u, s0)
 			if n < 3 {
 				continue
@@ -298,8 +256,8 @@ func (b *Boundaries) derive() {
 // failures and revivals are handled). A changed node alters the sweeps
 // and the TENT analysis only at itself and its static neighbors, so
 // exactly those successor rows and stuck analyses are recomputed
-// (SetAlive leaves the CSR layout, and so rev, alone); the orbits are
-// then re-derived. The resulting hole set is identical to FindHoles on
+// (SetAlive leaves the CSR layout alone); the orbits are then
+// re-derived. The resulting hole set is identical to FindHoles on
 // the mutated network.
 func (b *Boundaries) Repair(changed []topo.NodeID) {
 	b.mark = growClear(b.mark, b.net.N())
@@ -330,37 +288,16 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 // positions changed (topo.Network.SetPositions already applied). dirty
 // is the geometric dirty set SetPositions returned: both the TENT
 // analysis and a successor row read exactly their node's row geometry,
-// so they are recomputed there and nowhere else.
+// so the successor table follows the CSR to its new layout, clean rows
+// shifted verbatim, and only the dirty nodes are recomputed.
 func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
-	b.mark = growClear(b.mark, b.net.N())
-	for _, x := range dirty {
-		b.mark[x] = true
-	}
-	// SetPositions moved the CSR slots: dirty rows are recomputed, clean
-	// rows keep their successors shifted by their row's offset delta, and
-	// the reverse slots are re-derived for every row. The reverse and
-	// offset tables are replaced, never rewritten, so a Clone can share
-	// them.
-	slots := b.net.AdjSlots()
-	oldOut, oldRev, oldOff := b.out, b.rev, b.off
-	b.out = slices.Grow(b.spare[:0], slots)[:slots]
-	b.rev = make([]int32, slots)
-	b.off = rowOffsets(b.net)
-	par.For(b.net.N(), func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			if b.mark[u] {
-				b.fillRow(topo.NodeID(u))
-				b.analyze(topo.NodeID(u))
-			} else {
-				delta := b.off[u] - oldOff[u]
-				for s := oldOff[u]; s < oldOff[u+1]; s++ {
-					b.out[s+delta] = oldOut[s] + delta
-				}
-			}
-			b.fillRev(topo.NodeID(u), oldRev, oldOff)
+	b.out.Relayout(b.net, dirty)
+	par.For(len(dirty), func(lo, hi int) {
+		for _, u := range dirty[lo:hi] {
+			b.fillRow(u)
+			b.analyze(u)
 		}
 	})
-	b.spare = oldOut
 	b.derive()
 }
 
@@ -382,57 +319,6 @@ func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
 		bb.Max.X, bb.Max.Y = math.Max(bb.Max.X, p.X), math.Max(bb.Max.Y, p.Y)
 	}
 	return bb
-}
-
-// sweepCW returns the column of u's alive neighbor first reached
-// rotating clockwise from the bearing `from`, or none when no neighbor
-// qualifies. Deltas under 1e-12 count as a full turn, and among equal
-// deltas the lowest column wins. It walks n rotation positions down
-// from position p (cyclically), which must start at or below `from`:
-// the clockwise rotation meets the columns in descending bearing order,
-// so the deltas come non-decreasing (up to rounding at the 0/2π seam,
-// which the stop margin absorbs) and the walk stops once the raw delta
-// passes the best. A raw delta under 1e-12 comes out of order, but as
-// a full turn it can beat only a best that no raw delta passes.
-func (b *Boundaries) sweepCW(u topo.NodeID, from float64, p, n int, none int32) int32 {
-	angs := b.net.AdjacencyAngles(u)
-	row := b.net.AdjacencyRow(u)
-	rot := b.net.AdjacencyRotation(u)
-	best, bestDelta := none, geom.TwoPi+1
-	for ; n > 0; n-- {
-		if p < 0 {
-			p += len(rot)
-		}
-		k := rot[p]
-		p--
-		if !b.net.Alive(row[k]) {
-			continue
-		}
-		raw := cwDelta(from, angs[k])
-		if raw > bestDelta+1e-9 {
-			break
-		}
-		delta := raw
-		if delta < 1e-12 {
-			delta = geom.TwoPi
-		}
-		if delta < bestDelta || (delta == bestDelta && k < best) {
-			best, bestDelta = k, delta
-		}
-	}
-	return best
-}
-
-// cwDelta is geom.CWDelta(from, to) for bearings in [0, 2π], whose
-// difference needs no general reduction, so it inlines into the sweeps.
-func cwDelta(from, to float64) float64 {
-	d := from - to
-	if d < 0 {
-		d += geom.TwoPi
-	} else if d >= geom.TwoPi {
-		d = 0
-	}
-	return d
 }
 
 // FollowBoundary returns the boundary successor of u on hole h moving in

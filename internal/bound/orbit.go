@@ -6,7 +6,7 @@ import (
 	"github.com/straightpath/wasn/internal/topo"
 )
 
-// orbits labels the successor permutation σ(s) = out[rev[s]] over the
+// orbits labels the successor permutation σ (Boundaries.next) over the
 // live darts (directed edges with both endpoints alive). A BOUNDHOLE
 // walk from stuck node t0 follows σ from its first-hop dart s0 and
 // closes at the first dart whose head is t0. Since tail(σ(d)) = head(d),
@@ -74,7 +74,7 @@ func (b *Boundaries) label() {
 			continue
 		}
 		for j, v := range net.AdjacencyRow(u) {
-			s := b.off[u] + int32(j)
+			s := int32(net.AdjOffset(u) + j)
 			if !net.Alive(v) || o.state[s] != 0 {
 				continue
 			}
@@ -83,7 +83,7 @@ func (b *Boundaries) label() {
 				o.state[s] = 1
 				path, tails = append(path, s), append(tails, tail)
 				tail = net.AdjHead(s)
-				s = b.out[b.rev[s]]
+				s = b.next(s)
 			}
 			if o.state[s] == 1 {
 				k := len(path) - 1
@@ -152,7 +152,7 @@ func (b *Boundaries) walkLen(t0 topo.NodeID, s0 int32) int {
 		if tail == t0 {
 			return n
 		}
-		s = b.out[b.rev[s]]
+		s = b.next(s)
 		if b.at[s] >= 0 {
 			if s == entry {
 				return 0
@@ -180,7 +180,7 @@ func (b *Boundaries) claim(s0 int32, n int) (dup bool) {
 		dup = testAndSet(o.claimed, int(i), hi)
 		return testAndSet(o.claimed, lo, lo+end-hi) || dup
 	}
-	for s, k := s0, 0; k < n; s, k = b.out[b.rev[s]], k+1 {
+	for s, k := s0, 0; k < n; s, k = b.next(s), k+1 {
 		if i := o.at[s]; i >= 0 {
 			dup = testAndSet(o.claimed, int(i), int(i)+1) || dup
 			continue
@@ -200,7 +200,7 @@ func (b *Boundaries) appendCycle(c []topo.NodeID, t0 topo.NodeID, s0 int32, n in
 		c = append(c, o.seq[i:min(i+n, hi)]...)
 		return append(c, o.seq[lo:lo+max(i+n-hi, 0)]...)
 	}
-	for tail, s, k := t0, s0, 0; k < n; s, k = b.out[b.rev[s]], k+1 {
+	for tail, s, k := t0, s0, 0; k < n; s, k = b.next(s), k+1 {
 		c = append(c, tail)
 		tail = b.net.AdjHead(s)
 	}

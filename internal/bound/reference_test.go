@@ -47,7 +47,7 @@ func refSweepSlot(net *topo.Network, u topo.NodeID, from float64, exclude topo.N
 		if v == exclude || (checkAlive && !net.Alive(v)) {
 			continue
 		}
-		delta := cwDelta(from, angs[j])
+		delta := geom.CWDelta(from, angs[j])
 		if delta < 1e-12 {
 			delta = geom.TwoPi
 		}
@@ -147,7 +147,8 @@ func refTrace(net *topo.Network, maxLen int, t0 topo.NodeID, iv StuckInterval) [
 		if len(cycle) > maxLen {
 			return nil
 		}
-		from, _ := net.EdgeBearing(cur, prev)
+		j, _ := slices.BinarySearch(net.AdjacencyRow(cur), prev)
+		from := net.AdjacencyAngles(cur)[j]
 		next := refSweepCW(net, cur, from, prev)
 		if next == topo.NoNode {
 			next = prev
@@ -193,7 +194,7 @@ func derivedCycle(b *Boundaries, u topo.NodeID, k int) []topo.NodeID {
 	if col < 0 {
 		return nil
 	}
-	s0 := b.off[u] + col
+	s0 := int32(b.net.AdjOffset(u)) + col
 	n := b.walkLen(u, s0)
 	if n == 0 {
 		return nil
@@ -207,12 +208,12 @@ func derivedCycle(b *Boundaries, u topo.NodeID, k int) []topo.NodeID {
 func offCycle(b *Boundaries) (darts, walks int) {
 	for u := range b.net.Nodes {
 		for j, v := range b.net.AdjacencyRow(topo.NodeID(u)) {
-			if b.net.Alive(topo.NodeID(u)) && b.net.Alive(v) && b.at[b.off[u]+int32(j)] < 0 {
+			if b.net.Alive(topo.NodeID(u)) && b.net.Alive(v) && b.at[b.net.AdjOffset(topo.NodeID(u))+j] < 0 {
 				darts++
 			}
 		}
 		for _, col := range b.recs[u].first {
-			if col >= 0 && b.at[b.off[u]+col] < 0 {
+			if col >= 0 && b.at[int32(b.net.AdjOffset(topo.NodeID(u)))+col] < 0 {
 				walks++
 			}
 		}
@@ -301,7 +302,7 @@ func requireSortOracle(t *testing.T, label string, b *Boundaries) {
 			if want < 0 {
 				want = off + int32(j)
 			}
-			if got := b.out[off+int32(j)]; got != want {
+			if got := off + b.out.At[off+int32(j)]; got != want {
 				t.Fatalf("%s: successor of back-edge %d->%d is slot %d; oracle %d", label, u, v, got, want)
 			}
 		}

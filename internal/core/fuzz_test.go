@@ -141,9 +141,11 @@ func FuzzRepairSubstrates(f *testing.F) {
 						t.Fatalf("shape diverged at node %d zone %d", u, z)
 					}
 				}
-				if !slices.Equal(g.Neighbors(id), fg.Neighbors(id)) {
-					t.Fatalf("planar row diverged at node %d: %v vs fresh %v",
-						u, g.Neighbors(id), fg.Neighbors(id))
+				for _, v := range slices.Concat(net.AdjacencyRow(id), fresh.AdjacencyRow(id)) {
+					if g.HasEdge(id, v) != fg.HasEdge(id, v) {
+						t.Fatalf("planar edge %d->%d diverged: kept=%v, fresh kept=%v",
+							u, v, g.HasEdge(id, v), fg.HasEdge(id, v))
+					}
 				}
 			}
 			if len(b.Holes) != len(fb.Holes) || b.MessageCount != fb.MessageCount {

@@ -95,13 +95,13 @@ func (a *gpsrAlg) step(st *state) topo.NodeID {
 	a.stuckDist = geom.Dist(a.stuckPos, st.dstPos)
 	clear(a.visited)
 	st.phase = PhasePerimeter
-	next := a.g.FaceStep(st.cur, topo.NoNode, geom.Angle(a.stuckPos, st.dstPos))
+	next := a.g.FaceStep(st.cur, topo.NoNode, geom.Angle(a.stuckPos, st.dstPos), true)
 	return a.claimEdge(st.cur, next)
 }
 
 func (a *gpsrAlg) faceStep(st *state) topo.NodeID {
 	st.phase = PhasePerimeter
-	next := a.g.FaceStep(st.cur, st.prev, 0)
+	next := a.g.FaceStep(st.cur, st.prev, 0, true)
 	return a.claimEdge(st.cur, next)
 }
 

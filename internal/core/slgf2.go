@@ -276,7 +276,7 @@ func (a *slgf2Alg) step(st *state) topo.NodeID {
 			prev = topo.NoNode
 		}
 		ref := geom.Angle(st.net.Pos(st.cur), st.dstPos)
-		next := g.FaceStepHand(st.cur, prev, ref, st.hand != LeftHand)
+		next := g.FaceStep(st.cur, prev, ref, st.hand != LeftHand)
 		if next != topo.NoNode {
 			key := [2]topo.NodeID{st.cur, next}
 			if !a.faceVisited[key] {

@@ -2,7 +2,6 @@ package planar
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/par"
@@ -30,16 +29,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Graph is a planar subgraph of a network with adjacency sorted by angle,
-// ready for face traversal.
+// Graph is a planar subgraph of a network: a keep-mask over the
+// network's CSR edge slots. Face steps walk the network's rotation
+// (topo.Network.RotationStep) over the kept slots.
 type Graph struct {
 	Net  *topo.Network
 	Kind Kind
-	// adj[u] lists u's planar neighbors sorted counter-clockwise by the
-	// angle of the edge u->v; ang[u] holds those angles index-aligned,
-	// so face steps rotate without recomputing atan2.
-	adj [][]topo.NodeID
-	ang [][]float64
+	// keep.At[s] reports whether the edge in slot s survives the rule;
+	// rows of dead nodes and slots of dead neighbors keep nothing.
+	keep topo.SlotTable[bool]
 	// Repair scratch reused across calls (repairs are serialized by the
 	// caller): the touched marks and the expanded dirty-row id list.
 	touched  []bool
@@ -47,15 +45,10 @@ type Graph struct {
 }
 
 // Build computes the planar subgraph of net under rule k. Dead nodes are
-// excluded. O(sum_u deg(u)^2). Every node's witness test and row sort
-// are independent, so the build fans out across GOMAXPROCS.
+// excluded. O(sum_u deg(u)^2). Every node's witness tests are
+// independent, so the build fans out across GOMAXPROCS.
 func Build(net *topo.Network, k Kind) *Graph {
-	g := &Graph{
-		Net:  net,
-		Kind: k,
-		adj:  make([][]topo.NodeID, net.N()),
-		ang:  make([][]float64, net.N()),
-	}
+	g := &Graph{Net: net, Kind: k, keep: topo.NewSlotTable[bool](net)}
 	par.For(net.N(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g.rebuildRow(topo.NodeID(i))
@@ -66,43 +59,33 @@ func Build(net *topo.Network, k Kind) *Graph {
 
 // Clone returns a copy of the graph over net, a topo.Network.Clone of
 // g.Net, that Repair and RepairRows may mutate while others read the
-// receiver, which must not be repaired afterwards. The rows are shared
-// (a repair replaces a row wholesale), the row tables copied (a repair
-// writes them in place), and the repair scratch moves to the clone.
+// receiver, which must not be repaired afterwards. The mask is copied
+// (a repair writes it in place) and the repair scratch moves to the
+// clone.
 func (g *Graph) Clone(net *topo.Network) *Graph {
 	c := *g
 	c.Net = net
-	c.adj, c.ang = slices.Clone(g.adj), slices.Clone(g.ang)
+	c.keep = g.keep.Clone()
 	return &c
 }
 
-// rebuildRow recomputes u's planar adjacency from its current alive
-// neighborhood — the per-node unit of work shared by Build and Repair.
-// Dead nodes get empty rows.
+// rebuildRow recomputes u's mask row from its current alive
+// neighborhood — the per-node unit of work shared by Build and the
+// repairs.
 func (g *Graph) rebuildRow(u topo.NodeID) {
-	if !g.Net.Alive(u) {
-		g.adj[u], g.ang[u] = nil, nil
+	net := g.Net
+	keep := g.keep.Row(net, u)
+	if !net.Alive(u) {
+		clear(keep)
 		return
 	}
-	net := g.Net
 	nbrs := net.Neighbors(u)
-	var kept []topo.NodeID
-	for _, v := range nbrs {
-		if keepEdge(net, g.Kind, u, v, nbrs) {
-			kept = append(kept, v)
-		}
+	for j, v := range net.AdjacencyRow(u) {
+		keep[j] = net.Alive(v) && keepEdge(net, g.Kind, u, v, nbrs)
 	}
-	up := net.Pos(u)
-	angles := make([]float64, len(kept))
-	for j, v := range kept {
-		angles[j] = geom.Angle(up, net.Pos(v))
-	}
-	sort.Sort(&byAngle{ids: kept, ang: angles})
-	g.adj[u] = kept
-	g.ang[u] = angles
 }
 
-// Repair recomputes the planar rows invalidated by the liveness changes
+// Repair recomputes the mask rows invalidated by the liveness changes
 // of the given nodes (topo.Network.SetAlive already applied; failures
 // and revivals both work). Both rules are witness-local: any witness
 // for edge uv lies within range of u and of v, so the liveness of x can
@@ -131,40 +114,30 @@ func (g *Graph) Repair(changed []topo.NodeID) {
 		}
 	}
 	g.dirtyIDs = ids
-	par.For(len(ids), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.rebuildRow(ids[i])
-		}
-	})
+	g.rebuildRows(ids)
 }
 
-// RepairRows rebuilds exactly the given planar rows after node positions
-// changed (topo.Network.SetPositions already applied). Unlike Repair it
-// does NOT expand the set: the geometric dirty set SetPositions returns
-// is already neighborhood-closed — it contains every node whose own
-// position, in-range set, or neighbor coordinates changed, and a planar
-// row (witness tests included) reads only those inputs — so expanding
-// again would rebuild rows that provably cannot have changed. The result
-// is identical to Build on the moved network.
+// RepairRows repairs the mask after node positions changed
+// (topo.Network.SetPositions already applied): dirty is the geometric
+// dirty set SetPositions returned. The mask follows the CSR to its new
+// layout, clean rows shifted verbatim, and exactly the dirty rows are
+// rebuilt. Unlike Repair it does NOT expand the set: the dirty set is
+// already neighborhood-closed — it contains every node whose own
+// position, in-range set, or neighbor coordinates changed, and a mask
+// row (witness tests included) reads only those inputs. The result is
+// identical to Build on the moved network.
 func (g *Graph) RepairRows(dirty []topo.NodeID) {
-	par.For(len(dirty), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.rebuildRow(dirty[i])
+	g.keep.Relayout(g.Net, dirty)
+	g.rebuildRows(dirty)
+}
+
+// rebuildRows rebuilds the given rows in parallel across GOMAXPROCS.
+func (g *Graph) rebuildRows(ids []topo.NodeID) {
+	par.For(len(ids), func(lo, hi int) {
+		for _, u := range ids[lo:hi] {
+			g.rebuildRow(u)
 		}
 	})
-}
-
-// byAngle sorts a planar row and its angle cache together.
-type byAngle struct {
-	ids []topo.NodeID
-	ang []float64
-}
-
-func (s *byAngle) Len() int           { return len(s.ids) }
-func (s *byAngle) Less(i, j int) bool { return s.ang[i] < s.ang[j] }
-func (s *byAngle) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ang[i], s.ang[j] = s.ang[j], s.ang[i]
 }
 
 // keepEdge applies the witness test. Any witness for uv lies within range
@@ -201,114 +174,28 @@ func keepEdge(net *topo.Network, k Kind, u, v topo.NodeID, candidates []topo.Nod
 	}
 }
 
-// Neighbors returns the planar neighbors of u in CCW angular order. The
-// slice must not be modified.
-func (g *Graph) Neighbors(u topo.NodeID) []topo.NodeID { return g.adj[u] }
-
-// Degree returns the planar degree of u.
-func (g *Graph) Degree(u topo.NodeID) int { return len(g.adj[u]) }
-
-// EdgeCount returns the number of undirected planar edges.
-func (g *Graph) EdgeCount() int {
-	total := 0
-	for _, l := range g.adj {
-		total += len(l)
-	}
-	return total / 2
-}
-
-// NextCCW returns the planar neighbor of u that follows the direction
-// `fromAngle` counter-clockwise (strictly after, wrapping around). This is
-// the GPSR right-hand-rule step: taking the next edge counter-clockwise
-// from the in-edge walks the face with the interior on the right.
-// Returns topo.NoNode when u has no planar neighbors.
-func (g *Graph) NextCCW(u topo.NodeID, fromAngle float64) topo.NodeID {
-	nbrs := g.adj[u]
-	if len(nbrs) == 0 {
-		return topo.NoNode
-	}
-	angs := g.ang[u]
-	best := topo.NoNode
-	bestDelta := geom.TwoPi + 1
-	for j := range nbrs {
-		delta := geom.CCWDelta(fromAngle, angs[j])
-		if delta < 1e-12 {
-			delta = geom.TwoPi // the in-edge itself sorts last
-		}
-		if delta < bestDelta {
-			bestDelta = delta
-			best = nbrs[j]
-		}
-	}
-	return best
-}
-
-// HasEdge reports whether uv is a planar edge.
+// HasEdge reports whether uv is a kept edge.
 func (g *Graph) HasEdge(u, v topo.NodeID) bool {
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	j, ok := slices.BinarySearch(g.Net.AdjacencyRow(u), v)
+	return ok && g.keep.Row(g.Net, u)[j]
 }
 
-// NextCW mirrors NextCCW: the planar neighbor first reached rotating
-// clockwise from fromAngle — the left-hand-rule step.
-func (g *Graph) NextCW(u topo.NodeID, fromAngle float64) topo.NodeID {
-	nbrs := g.adj[u]
-	if len(nbrs) == 0 {
+// FaceStep advances one step of a face walk at u: the kept neighbor
+// first met rotating from the bearing of the in-edge u→prev,
+// counter-clockwise when ccw (the right-hand rule, which walks the face
+// with the interior on the right; GPSR's perimeter mode) and clockwise
+// otherwise (the left-hand rule). On entry, prev == topo.NoNode and the
+// walk rotates from ref instead, e.g. the bearing toward the
+// destination. The in-edge itself comes last, so a dead end bounces
+// back. Returns topo.NoNode when u keeps no edge.
+func (g *Graph) FaceStep(u, prev topo.NodeID, ref float64, ccw bool) topo.NodeID {
+	if prev != topo.NoNode {
+		j, _ := slices.BinarySearch(g.Net.AdjacencyRow(u), prev)
+		ref = g.Net.AdjacencyAngles(u)[j]
+	}
+	c := g.Net.RotationStep(u, ref, ccw, -1, g.keep.At)
+	if c < 0 {
 		return topo.NoNode
 	}
-	angs := g.ang[u]
-	best := topo.NoNode
-	bestDelta := geom.TwoPi + 1
-	for j := range nbrs {
-		delta := geom.CWDelta(fromAngle, angs[j])
-		if delta < 1e-12 {
-			delta = geom.TwoPi // the in-edge itself sorts last
-		}
-		if delta < bestDelta {
-			bestDelta = delta
-			best = nbrs[j]
-		}
-	}
-	return best
-}
-
-// FaceStep advances one right-hand-rule step of a face walk: the packet
-// sits at u having arrived from prev (prev == topo.NoNode on entry, in
-// which case refAngle seeds the sweep, e.g. the direction toward the
-// destination).
-func (g *Graph) FaceStep(u, prev topo.NodeID, refAngle float64) topo.NodeID {
-	return g.FaceStepHand(u, prev, refAngle, true)
-}
-
-// FaceStepHand generalizes FaceStep to both hands: ccw=true walks with
-// the right-hand rule (counter-clockwise sweep), ccw=false with the
-// left-hand rule.
-func (g *Graph) FaceStepHand(u, prev topo.NodeID, refAngle float64, ccw bool) topo.NodeID {
-	if prev != topo.NoNode {
-		// The in-edge u->prev is planar whenever prev came from a face
-		// walk, so its bearing is usually a cache lookup.
-		if a, ok := g.angleTo(u, prev); ok {
-			refAngle = a
-		} else {
-			refAngle = geom.Angle(g.Net.Pos(u), g.Net.Pos(prev))
-		}
-	}
-	if ccw {
-		return g.NextCCW(u, refAngle)
-	}
-	return g.NextCW(u, refAngle)
-}
-
-// angleTo returns the cached bearing of planar edge u->v, if present.
-func (g *Graph) angleTo(u, v topo.NodeID) (float64, bool) {
-	for j, w := range g.adj[u] {
-		if w == v {
-			return g.ang[u][j], true
-		}
-	}
-	return 0, false
+	return g.Net.AdjacencyRow(u)[c]
 }

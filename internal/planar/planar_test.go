@@ -2,6 +2,7 @@ package planar
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/straightpath/wasn/internal/geom"
@@ -26,19 +27,39 @@ func deployed(t *testing.T, model topo.DeployModel, n int, seed uint64) *topo.Ne
 	return dep.Net
 }
 
+// neighbors lists u's kept neighbors in column (ascending id) order.
+func neighbors(g *Graph, u topo.NodeID) []topo.NodeID {
+	var out []topo.NodeID
+	for j, v := range g.Net.AdjacencyRow(u) {
+		if g.keep.Row(g.Net, u)[j] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// edgeCount returns the number of undirected kept edges.
+func edgeCount(g *Graph) int {
+	n := 0
+	for _, k := range g.keep.At {
+		if k {
+			n++
+		}
+	}
+	return n / 2
+}
+
 func TestGabrielRemovesWitnessedEdge(t *testing.T) {
 	// w sits at the midpoint of uv: the Gabriel disk of uv contains w,
 	// so uv must be dropped while uw and wv survive.
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 0.5)}
 	net := buildNet(t, pts, 15)
 	g := Build(net, GabrielGraph)
-	for _, v := range g.Neighbors(0) {
-		if v == 1 {
-			t.Error("witnessed edge 0-1 kept in Gabriel graph")
-		}
+	if g.HasEdge(0, 1) || g.HasEdge(1, 0) {
+		t.Error("witnessed edge 0-1 kept in Gabriel graph")
 	}
-	if g.Degree(2) != 2 {
-		t.Errorf("witness degree = %d, want 2", g.Degree(2))
+	if d := len(neighbors(g, 2)); d != 2 {
+		t.Errorf("witness degree = %d, want 2", d)
 	}
 }
 
@@ -48,16 +69,16 @@ func TestRNGSubsetOfGabriel(t *testing.T) {
 	rng := Build(net, RelativeNeighborhood)
 	for u := 0; u < net.N(); u++ {
 		ggSet := map[topo.NodeID]bool{}
-		for _, v := range gg.Neighbors(topo.NodeID(u)) {
+		for _, v := range neighbors(gg, topo.NodeID(u)) {
 			ggSet[v] = true
 		}
-		for _, v := range rng.Neighbors(topo.NodeID(u)) {
+		for _, v := range neighbors(rng, topo.NodeID(u)) {
 			if !ggSet[v] {
 				t.Fatalf("RNG edge %d-%d missing from Gabriel graph", u, v)
 			}
 		}
 	}
-	if rng.EdgeCount() > gg.EdgeCount() {
+	if edgeCount(rng) > edgeCount(gg) {
 		t.Error("RNG has more edges than GG")
 	}
 }
@@ -67,7 +88,7 @@ func TestPlanarSubgraphOfUDG(t *testing.T) {
 	for _, kind := range []Kind{GabrielGraph, RelativeNeighborhood} {
 		g := Build(net, kind)
 		for u := 0; u < net.N(); u++ {
-			for _, v := range g.Neighbors(topo.NodeID(u)) {
+			for _, v := range neighbors(g, topo.NodeID(u)) {
 				if !net.InRange(topo.NodeID(u), v) {
 					t.Fatalf("%v edge %d-%d not a UDG edge", kind, u, v)
 				}
@@ -84,7 +105,7 @@ func TestGabrielPlanarity(t *testing.T) {
 		type edge struct{ u, v topo.NodeID }
 		var edges []edge
 		for u := 0; u < net.N(); u++ {
-			for _, v := range g.Neighbors(topo.NodeID(u)) {
+			for _, v := range neighbors(g, topo.NodeID(u)) {
 				if topo.NodeID(u) < v {
 					edges = append(edges, edge{u: topo.NodeID(u), v: v})
 				}
@@ -126,7 +147,7 @@ func TestPlanarizationPreservesConnectivity(t *testing.T) {
 			for len(queue) > 0 {
 				u := queue[0]
 				queue = queue[1:]
-				for _, v := range g.Neighbors(u) {
+				for _, v := range neighbors(g, u) {
 					if comp[v] == -1 {
 						comp[v] = count
 						queue = append(queue, v)
@@ -145,18 +166,22 @@ func TestPlanarizationPreservesConnectivity(t *testing.T) {
 	}
 }
 
+// TestNeighborsSortedCCW checks that the kept neighbors met walking the
+// rotation forward are the sorted rows of the oracle, in their order.
 func TestNeighborsSortedCCW(t *testing.T) {
 	net := deployed(t, topo.ModelIA, 200, 11)
 	g := Build(net, GabrielGraph)
+	want := buildSortedRows(net, GabrielGraph)
 	for u := 0; u < net.N(); u++ {
-		up := net.Pos(topo.NodeID(u))
-		nbrs := g.Neighbors(topo.NodeID(u))
-		for i := 1; i < len(nbrs); i++ {
-			a := geom.Angle(up, net.Pos(nbrs[i-1]))
-			b := geom.Angle(up, net.Pos(nbrs[i]))
-			if a > b {
-				t.Fatalf("node %d planar neighbors not angle-sorted", u)
+		var got []topo.NodeID
+		row, keep := net.AdjacencyRow(topo.NodeID(u)), g.keep.Row(net, topo.NodeID(u))
+		for _, j := range net.AdjacencyRotation(topo.NodeID(u)) {
+			if keep[j] {
+				got = append(got, row[j])
 			}
+		}
+		if !slices.Equal(got, want.adj[u]) {
+			t.Fatalf("node %d kept neighbors in rotation order %v; sorted rows %v", u, got, want.adj[u])
 		}
 	}
 }
@@ -181,16 +206,16 @@ func TestNextCCW(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := g.NextCCW(0, tt.from); got != tt.want {
-				t.Errorf("NextCCW(0, %v) = %v, want %v", tt.from, got, tt.want)
+			if got := g.FaceStep(0, topo.NoNode, tt.from, true); got != tt.want {
+				t.Errorf("CCW face step at 0 from %v = %v, want %v", tt.from, got, tt.want)
 			}
 		})
 	}
 	// Isolated node.
 	iso := buildNet(t, []geom.Point{geom.Pt(0, 0), geom.Pt(100, 100)}, 10)
 	gi := Build(iso, GabrielGraph)
-	if got := gi.NextCCW(0, 0); got != topo.NoNode {
-		t.Errorf("NextCCW on isolated node = %v, want NoNode", got)
+	if got := gi.FaceStep(0, topo.NoNode, 0, true); got != topo.NoNode {
+		t.Errorf("face step on isolated node = %v, want NoNode", got)
 	}
 }
 
@@ -202,12 +227,12 @@ func TestFaceStep(t *testing.T) {
 	g := Build(net, GabrielGraph)
 	// Arriving at center from the east neighbor, the right-hand rule
 	// continues to the north neighbor.
-	if got := g.FaceStep(0, 1, 0); got != 2 {
+	if got := g.FaceStep(0, 1, 0, true); got != 2 {
 		t.Errorf("FaceStep(0, from 1) = %v, want 2", got)
 	}
 	// On entry (no prev), seed with the direction toward a destination
 	// to the west: the sweep starts just past west.
-	if got := g.FaceStep(0, topo.NoNode, math.Pi); got != 4 {
+	if got := g.FaceStep(0, topo.NoNode, math.Pi, true); got != 4 {
 		t.Errorf("FaceStep entry toward west = %v, want 4", got)
 	}
 }
@@ -221,7 +246,7 @@ func TestFaceWalkTerminatesOnTriangle(t *testing.T) {
 	seen := 0
 	start := u
 	for {
-		next := g.FaceStep(u, prev, 0)
+		next := g.FaceStep(u, prev, 0, true)
 		if next == topo.NoNode {
 			t.Fatal("walk died")
 		}
@@ -247,12 +272,10 @@ func TestBuildSkipsDeadNodes(t *testing.T) {
 	net := buildNet(t, pts, 12)
 	net.SetAlive(1, false)
 	g := Build(net, GabrielGraph)
-	if g.Degree(1) != 0 {
+	if len(neighbors(g, 1)) != 0 {
 		t.Error("dead node has planar edges")
 	}
-	for _, v := range g.Neighbors(0) {
-		if v == 1 {
-			t.Error("edge to dead node kept")
-		}
+	if g.HasEdge(0, 1) {
+		t.Error("edge to dead node kept")
 	}
 }

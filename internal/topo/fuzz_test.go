@@ -48,11 +48,12 @@ func stableRotation(net *Network, u NodeID) []int32 {
 
 // FuzzSetPosition drives arbitrary encoded move batches through
 // SetPositions and asserts the repaired CSR adjacency — offsets, rows,
-// bearings, packed positions, rotations — is bit-for-bit the fresh
-// NewNetwork build over the same coordinates, that every rotation is
-// the stable sort of its row by bearing, and that the dirty set covers
-// every row that changed. Every other batch runs on a Clone, which must
-// leave its parent's rows and rotations untouched.
+// bearings, packed positions, rotations, reverse slots — is bit-for-bit
+// the fresh NewNetwork build over the same coordinates, that every
+// rotation is the stable sort of its row by bearing, that every reverse
+// slot holds the reverse edge, and that the dirty set covers every row
+// that changed. Every other batch runs on a Clone, which must leave its
+// parent's rows, rotations and reverse slots untouched.
 func FuzzSetPosition(f *testing.F) {
 	// Range-boundary: node 3 lands exactly one radius from node 7's cell
 	// scale; batch splits exercise multi-batch repair.
@@ -83,7 +84,7 @@ func FuzzSetPosition(f *testing.F) {
 			if len(moves) == 0 {
 				break
 			}
-			parent, parentList, parentRot := net, slices.Clone(net.adjList), slices.Clone(net.adjRot)
+			parent, parentList, parentRot, parentRev := net, slices.Clone(net.adjList), slices.Clone(net.adjRot), slices.Clone(net.adjRev)
 			if len(data)%2 == 0 {
 				net = net.Clone()
 			}
@@ -91,7 +92,8 @@ func FuzzSetPosition(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if parent != net && (!slices.Equal(parent.adjList, parentList) || !slices.Equal(parent.adjRot, parentRot)) {
+			if parent != net && (!slices.Equal(parent.adjList, parentList) || !slices.Equal(parent.adjRot, parentRot) ||
+				!slices.Equal(parent.adjRev, parentRev)) {
 				t.Fatalf("SetPositions on a clone rewrote its parent's rows after moves %v", moves)
 			}
 			if !slices.IsSorted(dirty) {
@@ -106,8 +108,16 @@ func FuzzSetPosition(f *testing.F) {
 				!slices.Equal(net.adjAng, fresh.adjAng) ||
 				!slices.Equal(net.adjX, fresh.adjX) ||
 				!slices.Equal(net.adjY, fresh.adjY) ||
-				!slices.Equal(net.adjRot, fresh.adjRot) {
+				!slices.Equal(net.adjRot, fresh.adjRot) ||
+				!slices.Equal(net.adjRev, fresh.adjRev) {
 				t.Fatalf("CSR diverged from fresh build after moves %v", moves)
+			}
+			for u := range net.Nodes {
+				for s := net.adjOff[u]; s < net.adjOff[u+1]; s++ {
+					if r := net.adjRev[s]; net.adjList[r] != NodeID(u) || net.adjRev[r] != s {
+						t.Fatalf("reverse of slot %d (%d->%d) is slot %d, not the reverse edge", s, u, net.adjList[s], r)
+					}
+				}
 			}
 			for u := range net.Nodes {
 				if got, want := net.AdjacencyRotation(NodeID(u)), stableRotation(net, NodeID(u)); !slices.Equal(got, want) {

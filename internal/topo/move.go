@@ -18,9 +18,9 @@ type Move struct {
 }
 
 // SetPositions applies a batch of position updates and repairs the CSR
-// adjacency in place: coordinates, the packed AdjacencyXY arrays, and the
+// adjacency in place: coordinates, the packed AdjacencyXY arrays, the
 // rows, bearings and rotations of every edge entering or leaving radio
-// range. It returns the sorted ids of all nodes whose geometric
+// range, and the reverse slots of every edge. It returns the sorted ids of all nodes whose geometric
 // neighborhood changed — the moved nodes, their old static neighbors,
 // and their new in-range neighbors — which is exactly the dirty set
 // substrate position repair (core.RepairSubstratesMoved) needs.
@@ -34,8 +34,9 @@ type Move struct {
 //
 // Liveness is orthogonal: dead nodes may move, and moving never changes
 // alive bits. Edge-slot consumers beware: row offsets (AdjOffset,
-// AdjSlotOf, AdjSlots) shift when rows resize, so per-edge state keyed by
-// slot index must be re-derived or generation-stamped after a move batch.
+// AdjSlots) shift when rows resize, so per-edge state keyed by slot
+// index must be re-derived, generation-stamped, or kept in a SlotTable
+// and relaid out with the returned dirty set after a move batch.
 func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 	if len(moves) == 0 {
 		return nil, nil
@@ -101,7 +102,8 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 
 // rebuildRows rewrites the CSR backing arrays with fresh rows for the
 // dirty nodes (mvMark[i]==gen) and span copies for everyone else, then
-// swaps the double buffers. A dirty node that did not move keeps every
+// swaps the double buffers; the reverse slots are derived last, from
+// the new rows (fillRev). A dirty node that did not move keeps every
 // neighbor that did not move either, with its bearing and position:
 // only its entries for the movers (sorted, distinct) change, so its row
 // is the old one with those entries merged in again, in range or not,
@@ -163,11 +165,13 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 	net.xScratch = growScratch(net.xScratch, int(total))
 	net.yScratch = growScratch(net.yScratch, int(total))
 	net.rotScratch = growScratch(net.rotScratch, int(total))
+	net.revScratch = growScratch(net.revScratch, int(total))
 	list2 := net.listScratch[:total]
 	ang2 := net.angScratch[:total]
 	x2 := net.xScratch[:total]
 	y2 := net.yScratch[:total]
 	rot2 := net.rotScratch[:total]
+	rev2 := net.revScratch[:total]
 
 	// Fill pass: recompute dirty rows (sorted, with bearings, packed
 	// positions and rotation), copy clean spans verbatim.
@@ -246,14 +250,18 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 		}
 	})
 
+	net.mvCounts = growScratch(net.mvCounts, n)
+	fillRev(rev2, off2, list2, net.mvCounts[:n])
+
 	net.adjOff, net.offScratch = off2, net.adjOff
 	net.adjList, net.listScratch = list2, net.adjList
 	net.adjAng, net.angScratch = ang2, net.adjAng
 	net.adjX, net.xScratch = x2, net.adjX
 	net.adjY, net.yScratch = y2, net.adjY
 	net.adjRot, net.rotScratch = rot2, net.adjRot
+	net.adjRev, net.revScratch = rev2, net.adjRev
 	if net.sharedRows {
-		net.offScratch, net.listScratch, net.angScratch, net.xScratch, net.yScratch, net.rotScratch = nil, nil, nil, nil, nil, nil
+		net.offScratch, net.listScratch, net.angScratch, net.xScratch, net.yScratch, net.rotScratch, net.revScratch = nil, nil, nil, nil, nil, nil, nil
 		net.sharedRows = false
 	}
 }

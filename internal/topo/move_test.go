@@ -47,6 +47,9 @@ func requireCSREqual(t *testing.T, got, fresh *Network) {
 	if !slices.Equal(got.adjX, fresh.adjX) || !slices.Equal(got.adjY, fresh.adjY) {
 		t.Fatalf("packed neighbor positions diverged from fresh build")
 	}
+	if !slices.Equal(got.adjRot, fresh.adjRot) || !slices.Equal(got.adjRev, fresh.adjRev) {
+		t.Fatalf("rotations or reverse slots diverged from fresh build")
+	}
 }
 
 func TestSetPositionsMatchesFreshBuild(t *testing.T) {

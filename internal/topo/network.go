@@ -25,11 +25,15 @@ import (
 // pointer chasing.
 //
 // Every per-slot array is index aligned with adjList: the edge bearing
-// (adjAng), the packed neighbor position (adjX/adjY) and the row's
-// rotation (adjRot), its columns in ascending bearing order. The
-// rotation is the order the angular consumers walk — BOUNDHOLE's
-// clockwise successors and TENT, the routers' detour sweeps — so none
-// of them sorts a row.
+// (adjAng), the packed neighbor position (adjX/adjY), the reverse slot
+// (adjRev: the slot of v→u for the slot of u→v) and the row's rotation
+// (adjRot), its columns in ascending bearing order. The rotation is the
+// one order every angular consumer walks — BOUNDHOLE's clockwise
+// successors and TENT, the planar face steps (both through
+// RotationStep), the routers' detour sweeps — so none of them sorts a
+// row. Substrates keep their own per-slot state in SlotTables, whose
+// entries are row-relative so that SetPositions' shift of clean rows
+// carries them over verbatim.
 //
 // # Aliasing and ownership
 //
@@ -69,6 +73,9 @@ type Network struct {
 	// in column order. Columns are row-relative, so a row whose geometry
 	// did not change keeps its rotation verbatim when the CSR shifts.
 	adjRot []int32
+	// adjRev[s] is the slot of the reverse edge: for s the slot of u→v,
+	// the slot of v→u in v's row.
+	adjRev []int32
 
 	// aliveBits is the node liveness as a bitset (bit u of word u/64),
 	// maintained by SetAlive. Scans over static CSR rows test a dead
@@ -98,6 +105,7 @@ type Network struct {
 	xScratch    []float64
 	yScratch    []float64
 	rotScratch  []int32
+	revScratch  []int32
 	// sharedRows marks CSR rows a Clone shares with the network it was
 	// cloned from: the next rewrite must not keep them as scratch.
 	sharedRows bool
@@ -187,6 +195,8 @@ func (net *Network) buildAdjacency() {
 			sortRotation(net.adjRot[base:base+len(row)], net.adjAng[base:base+len(row)], 0)
 		}
 	})
+	net.adjRev = make([]int32, total)
+	fillRev(net.adjRev, net.adjOff, net.adjList, counts)
 
 	net.aliveBits = make([]uint64, (n+63)/64)
 	for i, nd := range net.Nodes {
@@ -200,7 +210,8 @@ func (net *Network) buildAdjacency() {
 // may mutate while other goroutines keep reading the receiver. The
 // receiver must not be mutated afterwards. Ownership of its parts:
 //
-//   - shared: Radius, Field and the CSR rows, rotations included.
+//   - shared: Radius, Field and the CSR rows, rotations and reverse
+//     slots included.
 //     SetPositions never writes a row in place — it writes fresh
 //     arrays and swaps them in — and never reuses shared rows as
 //     scratch;
@@ -215,7 +226,7 @@ func (net *Network) Clone() *Network {
 	c.Nodes = slices.Clone(net.Nodes)
 	c.aliveBits = slices.Clone(net.aliveBits)
 	c.grid = net.grid.clone()
-	c.offScratch, c.listScratch, c.angScratch, c.xScratch, c.yScratch, c.rotScratch = nil, nil, nil, nil, nil, nil
+	c.offScratch, c.listScratch, c.angScratch, c.xScratch, c.yScratch, c.rotScratch, c.revScratch = nil, nil, nil, nil, nil, nil, nil
 	c.sharedRows = true
 	return &c
 }
@@ -287,6 +298,87 @@ func (net *Network) AdjacencyRotation(u NodeID) []int32 {
 	return net.adjRot[net.adjOff[u]:net.adjOff[u+1]]
 }
 
+// RotationStep returns the column of u's neighbor first met rotating
+// from the bearing from — counter-clockwise when ccw, clockwise
+// otherwise — among those that are alive, are not the column skip (-1
+// skips none) and whose slot keep admits (nil admits every slot); -1
+// when none qualifies. Deltas under 1e-12 count as a full turn, so a
+// neighbor at the bearing itself comes last, and among equal deltas the
+// lowest column wins. It is the one rotation walk of the package's
+// angular consumers: BOUNDHOLE's clockwise sweeps (skipping the
+// back-edge) and the planar face steps (keep is the planar mask).
+//
+// The walk starts at the rotation position where the bearing falls,
+// found by binary search, and meets the columns in order of their
+// delta, which therefore comes non-decreasing (up to rounding at the
+// 0/2π seam, which the stop margin absorbs): it stops once the raw delta
+// passes the best. A raw delta under 1e-12 comes out of order, but as a
+// full turn it can beat only a best that no raw delta passes.
+func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, keep []bool) int32 {
+	off := int(net.adjOff[u])
+	row := net.adjList[off:net.adjOff[u+1]]
+	angs := net.adjAng[off : off+len(row)]
+	rot := net.adjRot[off : off+len(row)]
+	// p: the first position at or past the bearing in the turn's
+	// direction; a clockwise walk starts just below it.
+	p, dir := 0, 1
+	if skip >= 0 && angs[skip] == from {
+		// Rotating from the skipped column's own bearing: start at its
+		// position, which it passes first; columns sharing the bearing
+		// come last, at the full turn they count as.
+		p = slices.Index(rot, skip)
+	} else {
+		hi := len(rot)
+		for p < hi {
+			if m := int(uint(p+hi) >> 1); angs[rot[m]] < from || !ccw && angs[rot[m]] == from {
+				p = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if !ccw {
+			p--
+		}
+	}
+	if !ccw {
+		dir = -1
+	}
+	best, bestDelta := int32(-1), geom.TwoPi+1
+	for range rot {
+		if p < 0 {
+			p += len(rot)
+		} else if p == len(rot) {
+			p = 0
+		}
+		k := rot[p]
+		p += dir
+		v := row[k]
+		if k == skip || keep != nil && !keep[off+int(k)] || net.aliveBits[v>>6]&(1<<(uint(v)&63)) == 0 {
+			continue
+		}
+		raw := from - angs[k]
+		if ccw {
+			raw = -raw
+		}
+		if raw < 0 {
+			raw += geom.TwoPi
+		} else if raw >= geom.TwoPi {
+			raw = 0
+		}
+		if raw > bestDelta+1e-9 {
+			break
+		}
+		delta := raw
+		if delta < 1e-12 {
+			delta = geom.TwoPi
+		}
+		if delta < bestDelta || delta == bestDelta && k < best {
+			best, bestDelta = k, delta
+		}
+	}
+	return best
+}
+
 // sortRotation sorts a row's columns by (bearing, column) in place,
 // given that rot[:sorted] already is. It is an insertion sort: the
 // position repair hands it rotations that are sorted but for a few
@@ -312,41 +404,38 @@ func (net *Network) AliveBits() []uint64 { return net.aliveBits }
 
 // AdjOffset returns the global CSR slot index of the first edge of u's
 // row: AdjacencyRow(u)[j] occupies slot AdjOffset(u)+j. Callers keeping
-// per-edge state in AdjSlots()-length arrays use it to address a whole
-// row without the per-edge AdjSlotOf search.
+// per-edge state in AdjSlots()-length arrays use it to address a row.
 func (net *Network) AdjOffset(u NodeID) int { return int(net.adjOff[u]) }
 
 // AdjSlots returns the number of directed CSR edge slots (the length of
-// the flat adjacency array). Together with AdjSlotOf it lets callers
+// the flat adjacency array). Together with AdjOffset it lets callers
 // keep O(1)-clearable per-edge state in flat arrays instead of maps —
-// BOUNDHOLE keeps its successor table and orbit labels this way.
+// BOUNDHOLE keeps its orbit labels this way, and SlotTable its
+// per-slot entries.
 func (net *Network) AdjSlots() int { return len(net.adjList) }
 
 // AdjHead returns the neighbor of the directed edge in CSR slot s: the
 // head of the edge, AdjacencyRow(u)[s-AdjOffset(u)] for its tail u.
 func (net *Network) AdjHead(s int32) NodeID { return net.adjList[s] }
 
-// AdjSlotOf returns the global CSR slot index of the directed edge u→v,
-// or -1 when v is not a static neighbor of u. The slot identifies the
-// edge uniquely across the network and indexes arrays of AdjSlots()
-// length.
-func (net *Network) AdjSlotOf(u, v NodeID) int {
-	for i := int(net.adjOff[u]); i < int(net.adjOff[u+1]); i++ {
-		if net.adjList[i] == v {
-			return i
+// AdjReverse returns the slot of the reverse of the directed edge in
+// slot s: for s the slot of u→v, the slot of v→u.
+func (net *Network) AdjReverse(s int32) int32 { return net.adjRev[s] }
+
+// fillRev derives the reverse slots of the layout (off, list) from its
+// rows alone, using cur (n entries) as scratch. Rows are sorted
+// ascending and the adjacency is symmetric, so scanning the rows in
+// order, the k-th row that lists v is v's k-th neighbor: one pass with
+// a cursor per row, no search.
+func fillRev(rev, off []int32, list []NodeID, cur []int32) {
+	copy(cur, off)
+	for u := range cur {
+		for s := off[u]; s < off[u+1]; s++ {
+			v := list[s]
+			rev[s] = cur[v]
+			cur[v]++
 		}
 	}
-	return -1
-}
-
-// EdgeBearing returns the precomputed bearing of the directed edge u→v
-// (geom.Angle from u to v), or ok=false when v is not a static neighbor
-// of u. Callers walking along edges use it to avoid recomputing atan2.
-func (net *Network) EdgeBearing(u, v NodeID) (float64, bool) {
-	if slot := net.AdjSlotOf(u, v); slot >= 0 {
-		return net.adjAng[slot], true
-	}
-	return 0, false
 }
 
 // Neighbors returns N(u): the alive neighbors of u. When u itself is dead
