@@ -62,7 +62,11 @@ func TestLoadRecordReplayCLI(t *testing.T) {
 }
 
 // TestSweepCLI runs a tiny sweep through the CLI, checks the curve
-// artifact, and gates a second sweep against it as its own baseline.
+// artifact, and gates fresh sweeps against two baselines rewritten from
+// it whose verdicts no live curve can change: one it cannot regress
+// against, one it must. The band arithmetic itself is pinned in
+// internal/sweep's Compare tests, and the live knee check is the CI
+// perf gate's; this test pins the gate plumbing.
 func TestSweepCLI(t *testing.T) {
 	dir := t.TempDir()
 	cfgFile := filepath.Join(dir, "sweep.json")
@@ -95,17 +99,50 @@ func TestSweepCLI(t *testing.T) {
 	if len(curve.Rungs) != 3 {
 		t.Fatalf("curve has %d rungs; want 3", len(curve.Rungs))
 	}
-	// Gate a fresh sweep against the curve we just produced. The p99
-	// band is deliberately huge: open-loop tail latency is scheduler-
-	// noisy on a loaded single-core box, and this test pins the gate
-	// *plumbing* — the band arithmetic itself is pinned in
-	// internal/sweep's Compare tests.
+	baseline := func(name string, edit func(c *sweep.CapacityCurve)) string {
+		c, err := sweep.ParseCurveFile(curveFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(c)
+		path := filepath.Join(dir, name)
+		if err := c.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	// Knee at the first rung, every rung saturated with nothing
+	// delivered and a huge p99: no anchor check can fire, and no live
+	// knee sits below the lowest rung.
+	lenient := baseline("lenient.json", func(c *sweep.CapacityCurve) {
+		c.KneeRung, c.KneeRPS = 0, c.Rungs[0].OfferedRPS
+		for i := range c.Rungs {
+			c.Rungs[i].Saturated, c.Rungs[i].DeliveryRate, c.Rungs[i].Latency.P99us = true, 0, 1e12
+		}
+	})
 	out.Reset()
-	if err := run([]string{"-sweep", cfgFile, "-baseline", curveFile, "-p99-tol", "50"}, &out); err != nil {
-		t.Fatalf("self-baseline gate failed: %v\n%s", err, out.String())
+	if err := run([]string{"-sweep", cfgFile, "-baseline", lenient}, &out); err != nil {
+		t.Fatalf("gate against a baseline no curve can regress failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "no regressions") {
 		t.Fatalf("no gate confirmation in output:\n%s", out.String())
+	}
+
+	// A p99 of 1µs at every rung and a 1% band: every live curve's
+	// anchor p99 regresses.
+	strict := baseline("strict.json", func(c *sweep.CapacityCurve) {
+		for i := range c.Rungs {
+			c.Rungs[i].Latency.P99us = 1
+		}
+	})
+	out.Reset()
+	err = run([]string{"-sweep", cfgFile, "-baseline", strict, "-p99-tol", "0.01"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "perf regression") {
+		t.Fatalf("gate against a 1us-p99 baseline passed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESSION: p99") {
+		t.Fatalf("no p99 regression reported:\n%s", out.String())
 	}
 }
 

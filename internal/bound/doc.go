@@ -17,7 +17,9 @@
 // arrived on: from the back-edge cur→prev, sweep clockwise at cur,
 // skipping prev (bouncing back to it at a dead end). [Boundaries] keep
 // that function as a successor table over the network's CSR edge slots
-// — σ(s) = out[rev[s]] — whose row at a node reads only that node's row
+// — σ(s) = out[rev[s]], where rev[s] is the reverse slot the network
+// keeps (topo.Network.AdjReverse) and out[b] the successor's column in
+// the back-edge's row — whose row at a node reads only that node's row
 // geometry and its neighbors' liveness.
 //
 // A walk from stuck node t0 follows σ from its first-hop dart and closes
@@ -38,13 +40,13 @@
 //
 // Every per-node step reads the row's rotation, the network's per-row
 // order of columns by bearing (topo.Network.AdjacencyRotation), rather
-// than sorting or scanning the row: the successor of a back-edge is the
-// nearest alive rotation predecessor of its column (the clockwise
-// sweep), TENT's directions are the rotation with near-equal bearings
-// merged in one linear pass, and a stuck interval's first hop is a
-// binary search for its middle bearing followed by the same walk. The
-// sort-based TENT and the row-scan sweep they replaced are the test
-// oracles.
+// than sorting or scanning the row: the successor of a back-edge and a
+// stuck interval's first hop are the network's rotation step
+// (topo.Network.RotationStep) clockwise from the back-edge's bearing,
+// skipping it, and from the interval's middle bearing, and TENT's
+// directions are the rotation with near-equal bearings merged in one
+// linear pass. The sort-based TENT and the row-scan sweep they replaced
+// are the test oracles.
 //
 // [FindHoles] fills the table and runs TENT plus the first-hop sweeps on
 // every node in one pass parallel across GOMAXPROCS, then derives the
@@ -52,11 +54,12 @@
 // first hops only where they changed, then derives again:
 //
 //   - Fail/revive of x ([Boundaries.Repair]): SetAlive leaves the CSR
-//     layout (and so rev) alone; the nodes of {x} ∪ N(x) are recomputed.
-//   - Move ([Boundaries.RepairMoved]): SetPositions moves slots, so the
-//     geometric dirty set is recomputed, clean rows are shifted by their
-//     row's offset delta (first hops are row-relative and survive), and
-//     rev is re-derived.
+//     layout alone; the nodes of {x} ∪ N(x) are recomputed.
+//   - Move ([Boundaries.RepairMoved]): SetPositions moves slots and
+//     re-derives rev itself; the table follows the CSR to its new
+//     layout (topo.SlotTable.Relayout: successors and first hops are
+//     row-relative columns, so clean rows shift verbatim) and the
+//     geometric dirty set is recomputed.
 //
 // The result is identical to a from-scratch FindHoles on the mutated
 // network — hole ids, cycles, bounding boxes and message counts

@@ -28,12 +28,12 @@ import (
 // (adjAng), the packed neighbor position (adjX/adjY), the reverse slot
 // (adjRev: the slot of v→u for the slot of u→v) and the row's rotation
 // (adjRot), its columns in ascending bearing order. The rotation is the
-// one order every angular consumer walks — BOUNDHOLE's clockwise
-// successors and TENT, the planar face steps (both through
-// RotationStep), the routers' detour sweeps — so none of them sorts a
-// row. Substrates keep their own per-slot state in SlotTables, whose
-// entries are row-relative so that SetPositions' shift of clean rows
-// carries them over verbatim.
+// one order every angular consumer walks — through RotationStep
+// BOUNDHOLE's clockwise successors and first hops and the planar face
+// steps, directly TENT and the routers' detour sweeps — so none of them
+// sorts a row. Substrates keep their own per-slot state in SlotTables,
+// whose entries are row-relative, so that a clean row survives a
+// SetPositions shift verbatim (SlotTable.Relayout).
 //
 // # Aliasing and ownership
 //
@@ -304,44 +304,38 @@ func (net *Network) AdjacencyRotation(u NodeID) []int32 {
 // skips none) and whose slot keep admits (nil admits every slot); -1
 // when none qualifies. Deltas under 1e-12 count as a full turn, so a
 // neighbor at the bearing itself comes last, and among equal deltas the
-// lowest column wins. It is the one rotation walk of the package's
-// angular consumers: BOUNDHOLE's clockwise sweeps (skipping the
-// back-edge) and the planar face steps (keep is the planar mask).
+// lowest column wins. BOUNDHOLE's sweeps (skipping the back-edge) and
+// the planar face steps (keep is the planar mask) are this one walk.
 //
-// The walk starts at the rotation position where the bearing falls,
-// found by binary search, and meets the columns in order of their
-// delta, which therefore comes non-decreasing (up to rounding at the
-// 0/2π seam, which the stop margin absorbs): it stops once the raw delta
-// passes the best. A raw delta under 1e-12 comes out of order, but as a
-// full turn it can beat only a best that no raw delta passes.
+// The walk starts where the bearing falls in the rotation and meets
+// the columns in order of their delta, non-decreasing up to rounding at
+// the 0/2π seam, which the stop margin absorbs: it stops once the raw
+// delta passes the best. Two deltas come out of order, both at or near
+// a full turn: a clockwise walk's first, which the rest can only beat,
+// and a raw delta under 1e-12, which counts as a full turn and so can
+// beat only a best that no raw delta passes.
 func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, keep []bool) int32 {
 	off := int(net.adjOff[u])
 	row := net.adjList[off:net.adjOff[u+1]]
 	angs := net.adjAng[off : off+len(row)]
 	rot := net.adjRot[off : off+len(row)]
-	// p: the first position at or past the bearing in the turn's
-	// direction; a clockwise walk starts just below it.
+	// p: the first position at or past the bearing, found by binary
+	// search unless it is the skipped column's. A clockwise walk meets
+	// it at (nearly) a full turn, ahead of the order it then keeps.
 	p, dir := 0, 1
+	if !ccw {
+		dir = -1
+	}
 	if skip >= 0 && angs[skip] == from {
-		// Rotating from the skipped column's own bearing: start at its
-		// position, which it passes first; columns sharing the bearing
-		// come last, at the full turn they count as.
 		p = slices.Index(rot, skip)
 	} else {
-		hi := len(rot)
-		for p < hi {
-			if m := int(uint(p+hi) >> 1); angs[rot[m]] < from || !ccw && angs[rot[m]] == from {
+		for hi := len(rot); p < hi; {
+			if m := int(uint(p+hi) >> 1); angs[rot[m]] < from {
 				p = m + 1
 			} else {
 				hi = m
 			}
 		}
-		if !ccw {
-			p--
-		}
-	}
-	if !ccw {
-		dir = -1
 	}
 	best, bestDelta := int32(-1), geom.TwoPi+1
 	for range rot {
