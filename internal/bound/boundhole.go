@@ -286,7 +286,7 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 
 // RepairMoved incrementally re-derives the boundaries after node
 // positions changed (topo.Network.SetPositions already applied). dirty
-// is the geometric dirty set SetPositions returned: both the TENT
+// is the geometric dirty set SetPositions returned, sorted: both the TENT
 // analysis and a successor row read exactly their node's row geometry,
 // so the successor table follows the CSR to its new layout, clean rows
 // shifted verbatim, and only the dirty nodes are recomputed.

@@ -104,7 +104,7 @@ func RepairSubstrates(m *safety.Model, b *bound.Boundaries, g *planar.Graph, cha
 // RepairSubstratesMoved incrementally repairs previously built
 // substrates after node positions changed (topo.Network.SetPositions
 // already applied). dirty is the geometric dirty set SetPositions
-// returned — every node whose own position, in-range set, or neighbor
+// returned, in its sorted order — every node whose own position, in-range set, or neighbor
 // coordinates changed. The safety model relabels a reset region grown
 // from the dirty set, BOUNDHOLE re-analyzes the dirty nodes and
 // re-derives its walks, and the planar graph rebuilds

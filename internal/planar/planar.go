@@ -119,7 +119,7 @@ func (g *Graph) Repair(changed []topo.NodeID) {
 
 // RepairRows repairs the mask after node positions changed
 // (topo.Network.SetPositions already applied): dirty is the geometric
-// dirty set SetPositions returned. The mask follows the CSR to its new
+// dirty set SetPositions returned, sorted. The mask follows the CSR to its new
 // layout, clean rows shifted verbatim, and exactly the dirty rows are
 // rebuilt. Unlike Repair it does NOT expand the set: the dirty set is
 // already neighborhood-closed — it contains every node whose own
@@ -184,10 +184,11 @@ func (g *Graph) HasEdge(u, v topo.NodeID) bool {
 // first met rotating from the bearing of the in-edge u→prev,
 // counter-clockwise when ccw (the right-hand rule, which walks the face
 // with the interior on the right; GPSR's perimeter mode) and clockwise
-// otherwise (the left-hand rule). On entry, prev == topo.NoNode and the
-// walk rotates from ref instead, e.g. the bearing toward the
-// destination. The in-edge itself comes last, so a dead end bounces
-// back. Returns topo.NoNode when u keeps no edge.
+// otherwise (the left-hand rule). prev is the neighbor of u the packet
+// arrived from, kept or not; on entry, prev == topo.NoNode and the walk
+// rotates from ref instead, e.g. the bearing toward the destination.
+// The in-edge itself comes last, so a dead end bounces back. Returns
+// topo.NoNode when u keeps no edge.
 func (g *Graph) FaceStep(u, prev topo.NodeID, ref float64, ccw bool) topo.NodeID {
 	if prev != topo.NoNode {
 		j, _ := slices.BinarySearch(g.Net.AdjacencyRow(u), prev)

@@ -20,10 +20,11 @@ type Move struct {
 // SetPositions applies a batch of position updates and repairs the CSR
 // adjacency in place: coordinates, the packed AdjacencyXY arrays, the
 // rows, bearings and rotations of every edge entering or leaving radio
-// range, and the reverse slots of every edge. It returns the sorted ids of all nodes whose geometric
-// neighborhood changed — the moved nodes, their old static neighbors,
-// and their new in-range neighbors — which is exactly the dirty set
-// substrate position repair (core.RepairSubstratesMoved) needs.
+// range, and the reverse slots of every edge. It returns the sorted ids
+// of all nodes whose geometric neighborhood changed — the moved nodes,
+// their old static neighbors, and their new in-range neighbors — which
+// is exactly the dirty set substrate position repair
+// (core.RepairSubstratesMoved) needs.
 //
 // The rewrite is double-buffered: rows of clean nodes are copied span-
 // for-span into scratch backing arrays, dirty rows are recomputed from
@@ -103,7 +104,7 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 // rebuildRows rewrites the CSR backing arrays with fresh rows for the
 // dirty nodes (mvMark[i]==gen) and span copies for everyone else, then
 // swaps the double buffers; the reverse slots are derived last, from
-// the new rows (fillRev). A dirty node that did not move keeps every
+// the new rows (deriveRev). A dirty node that did not move keeps every
 // neighbor that did not move either, with its bearing and position:
 // only its entries for the movers (sorted, distinct) change, so its row
 // is the old one with those entries merged in again, in range or not,
@@ -250,8 +251,9 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 		}
 	})
 
+	// The row counts are spent; their buffer holds deriveRev's cursors.
 	net.mvCounts = growScratch(net.mvCounts, n)
-	fillRev(rev2, off2, list2, net.mvCounts[:n])
+	deriveRev(rev2, off2, list2, net.mvCounts[:n])
 
 	net.adjOff, net.offScratch = off2, net.adjOff
 	net.adjList, net.listScratch = list2, net.adjList

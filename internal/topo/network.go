@@ -196,7 +196,7 @@ func (net *Network) buildAdjacency() {
 		}
 	})
 	net.adjRev = make([]int32, total)
-	fillRev(net.adjRev, net.adjOff, net.adjList, counts)
+	deriveRev(net.adjRev, net.adjOff, net.adjList, counts) // counts: spent, reused as cursors
 
 	net.aliveBits = make([]uint64, (n+63)/64)
 	for i, nd := range net.Nodes {
@@ -309,8 +309,8 @@ func (net *Network) AdjacencyRotation(u NodeID) []int32 {
 //
 // The walk starts where the bearing falls in the rotation and meets
 // the columns in order of their delta, non-decreasing up to rounding at
-// the 0/2π seam, which the stop margin absorbs: it stops once the raw
-// delta passes the best. Two deltas come out of order, both at or near
+// the 0/2π seam, which the stop margin absorbs: it stops at the first
+// column, qualifying or not, whose raw delta passes the best. Two deltas come out of order, both at or near
 // a full turn: a clockwise walk's first, which the rest can only beat,
 // and a raw delta under 1e-12, which counts as a full turn and so can
 // beat only a best that no raw delta passes.
@@ -346,10 +346,6 @@ func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, k
 		}
 		k := rot[p]
 		p += dir
-		v := row[k]
-		if k == skip || keep != nil && !keep[off+int(k)] || net.aliveBits[v>>6]&(1<<(uint(v)&63)) == 0 {
-			continue
-		}
 		raw := from - angs[k]
 		if ccw {
 			raw = -raw
@@ -361,6 +357,12 @@ func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, k
 		}
 		if raw > bestDelta+1e-9 {
 			break
+		}
+		if k == skip || keep != nil && !keep[off+int(k)] {
+			continue
+		}
+		if v := row[k]; net.aliveBits[v>>6]&(1<<(uint(v)&63)) == 0 {
+			continue
 		}
 		delta := raw
 		if delta < 1e-12 {
@@ -416,12 +418,12 @@ func (net *Network) AdjHead(s int32) NodeID { return net.adjList[s] }
 // slot s: for s the slot of u→v, the slot of v→u.
 func (net *Network) AdjReverse(s int32) int32 { return net.adjRev[s] }
 
-// fillRev derives the reverse slots of the layout (off, list) from its
+// deriveRev derives the reverse slots of the layout (off, list) from its
 // rows alone, using cur (n entries) as scratch. Rows are sorted
 // ascending and the adjacency is symmetric, so scanning the rows in
 // order, the k-th row that lists v is v's k-th neighbor: one pass with
 // a cursor per row, no search.
-func fillRev(rev, off []int32, list []NodeID, cur []int32) {
+func deriveRev(rev, off []int32, list []NodeID, cur []int32) {
 	copy(cur, off)
 	for u := range cur {
 		for s := off[u]; s < off[u+1]; s++ {

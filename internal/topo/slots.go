@@ -37,11 +37,15 @@ func (t *SlotTable[T]) Clone() SlotTable[T] {
 }
 
 // Relayout lays the table out against net's CSR after SetPositions
-// returned dirty (sorted ascending). A clean row keeps its length and
-// entries and only shifts, by an offset delta that changes only at a
-// dirty row, so each run of clean rows moves over in one copy. Dirty
-// rows are left stale for the caller to refill.
+// returned dirty, which must be sorted ascending as SetPositions returns
+// it. A clean row keeps its length and entries and only shifts, by an
+// offset delta that changes only at a dirty row, so each run of clean
+// rows moves over in one copy. Dirty rows are left stale for the caller
+// to refill.
 func (t *SlotTable[T]) Relayout(net *Network, dirty []NodeID) {
+	if !slices.IsSorted(dirty) {
+		panic("topo: SlotTable.Relayout needs the sorted dirty set SetPositions returns")
+	}
 	old, oldOff := t.At, t.off
 	t.At = slices.Grow(t.spare[:0], len(net.adjList))[:len(net.adjList)]
 	t.off = slices.Clone(net.adjOff)
