@@ -55,10 +55,11 @@ type Boundaries struct {
 	maxLen int
 	recs   []nodeRec
 	// Successor table, indexed by CSR edge slot. A walk that arrived at
-	// cur over prev→cur leaves over the column out.At[b] of cur's row,
-	// where b is the slot of the back-edge cur→prev, the network's
-	// reverse slot of prev→cur (see next). A row of out depends only on
-	// that row's geometry and its neighbors' liveness.
+	// cur over prev→cur leaves over slot b+out.At[b], where b is the slot
+	// of the back-edge cur→prev, the network's reverse slot of prev→cur
+	// (see next): out.At[b] is the successor's column less b's, so it
+	// survives a CSR shift of the row. A row of out depends only on that
+	// row's geometry and its neighbors' liveness.
 	out topo.SlotTable[int32]
 	// σ's orbit labels and the dedup claims, rebuilt by every derive.
 	orbits
@@ -159,18 +160,18 @@ func FindHoles(net *topo.Network) *Boundaries {
 func (b *Boundaries) fillRow(u topo.NodeID) {
 	out := b.out.Row(b.net, u)
 	for j, a := range b.net.AdjacencyAngles(u) {
-		out[j] = b.net.RotationStep(u, a, false, int32(j), nil)
-		if out[j] < 0 {
-			out[j] = int32(j)
+		out[j] = 0
+		if c := b.net.RotationStep(u, a, false, int32(j), nil); c >= 0 {
+			out[j] = c - int32(j)
 		}
 	}
 }
 
 // next returns σ(s), the dart a walk that arrived over s leaves over:
-// the successor column of the back-edge, the reverse of s, in the row
-// of s's head.
+// the successor of the back-edge, the reverse of s.
 func (b *Boundaries) next(s int32) int32 {
-	return int32(b.net.AdjOffset(b.net.AdjHead(s))) + b.out.At[b.net.AdjReverse(s)]
+	r := b.net.AdjReverse(s)
+	return r + b.out.At[r]
 }
 
 // analyze re-runs TENT at u and sweeps the first hop of each stuck

@@ -17,10 +17,10 @@
 // arrived on: from the back-edge cur→prev, sweep clockwise at cur,
 // skipping prev (bouncing back to it at a dead end). [Boundaries] keep
 // that function as a successor table over the network's CSR edge slots
-// — σ(s) = out[rev[s]], where rev[s] is the reverse slot the network
-// keeps (topo.Network.AdjReverse) and out[b] the successor's column in
-// the back-edge's row — whose row at a node reads only that node's row
-// geometry and its neighbors' liveness.
+// — σ(s) = b + out[b] for b = rev[s], the reverse slot the network
+// keeps (topo.Network.AdjReverse), where out[b] is the successor's
+// column less the back-edge's — whose row at a node reads only that
+// node's row geometry and its neighbors' liveness.
 //
 // A walk from stuck node t0 follows σ from its first-hop dart and closes
 // at the first dart whose head is t0: the dart before the next one whose
@@ -58,7 +58,7 @@
 //   - Move ([Boundaries.RepairMoved]): SetPositions moves slots and
 //     re-derives rev itself; the table follows the CSR to its new
 //     layout (topo.SlotTable.Relayout: successors and first hops are
-//     row-relative columns, so clean rows shift verbatim) and the
+//     row-relative, so clean rows shift verbatim) and the
 //     geometric dirty set is recomputed.
 //
 // The result is identical to a from-scratch FindHoles on the mutated

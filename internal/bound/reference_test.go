@@ -302,7 +302,7 @@ func requireSortOracle(t *testing.T, label string, b *Boundaries) {
 			if want < 0 {
 				want = off + int32(j)
 			}
-			if got := off + b.out.At[off+int32(j)]; got != want {
+			if got := off + int32(j) + b.out.At[off+int32(j)]; got != want {
 				t.Fatalf("%s: successor of back-edge %d->%d is slot %d; oracle %d", label, u, v, got, want)
 			}
 		}
