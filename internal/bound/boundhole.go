@@ -158,7 +158,7 @@ func FindHoles(net *topo.Network) *Boundaries {
 // each neighbor prev, the CW sweep at u from prev's bearing, skipping
 // prev, bouncing back to prev at a dead end.
 func (b *Boundaries) fillRow(u topo.NodeID) {
-	out := b.out.Row(b.net, u)
+	out := b.out.Row(u)
 	for j, a := range b.net.AdjacencyAngles(u) {
 		out[j] = 0
 		if c := b.net.RotationStep(u, a, false, int32(j), nil); c >= 0 {

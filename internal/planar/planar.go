@@ -74,7 +74,7 @@ func (g *Graph) Clone(net *topo.Network) *Graph {
 // repairs.
 func (g *Graph) rebuildRow(u topo.NodeID) {
 	net := g.Net
-	keep := g.keep.Row(net, u)
+	keep := g.keep.Row(u)
 	if !net.Alive(u) {
 		clear(keep)
 		return
@@ -177,7 +177,7 @@ func keepEdge(net *topo.Network, k Kind, u, v topo.NodeID, candidates []topo.Nod
 // HasEdge reports whether uv is a kept edge.
 func (g *Graph) HasEdge(u, v topo.NodeID) bool {
 	j, ok := slices.BinarySearch(g.Net.AdjacencyRow(u), v)
-	return ok && g.keep.Row(g.Net, u)[j]
+	return ok && g.keep.Row(u)[j]
 }
 
 // FaceStep advances one step of a face walk at u: the kept neighbor

@@ -31,7 +31,7 @@ func deployed(t *testing.T, model topo.DeployModel, n int, seed uint64) *topo.Ne
 func neighbors(g *Graph, u topo.NodeID) []topo.NodeID {
 	var out []topo.NodeID
 	for j, v := range g.Net.AdjacencyRow(u) {
-		if g.keep.Row(g.Net, u)[j] {
+		if g.keep.Row(u)[j] {
 			out = append(out, v)
 		}
 	}
@@ -174,7 +174,7 @@ func TestNeighborsSortedCCW(t *testing.T) {
 	want := buildSortedRows(net, GabrielGraph)
 	for u := 0; u < net.N(); u++ {
 		var got []topo.NodeID
-		row, keep := net.AdjacencyRow(topo.NodeID(u)), g.keep.Row(net, topo.NodeID(u))
+		row, keep := net.AdjacencyRow(topo.NodeID(u)), g.keep.Row(topo.NodeID(u))
 		for _, j := range net.AdjacencyRotation(topo.NodeID(u)) {
 			if keep[j] {
 				got = append(got, row[j])

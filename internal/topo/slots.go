@@ -21,11 +21,9 @@ func NewSlotTable[T any](net *Network) SlotTable[T] {
 	return SlotTable[T]{At: make([]T, len(net.adjList)), off: slices.Clone(net.adjOff)}
 }
 
-// Row returns the entries of u's row, index aligned with
-// AdjacencyRow(u). The table must be laid out against net's CSR.
-func (t *SlotTable[T]) Row(net *Network, u NodeID) []T {
-	return t.At[net.adjOff[u]:net.adjOff[u+1]]
-}
+// Row returns the entries of u's row, index aligned with the
+// AdjacencyRow(u) the table is laid out against.
+func (t *SlotTable[T]) Row(u NodeID) []T { return t.At[t.off[u]:t.off[u+1]] }
 
 // Clone returns a copy whose entries a repair may write in place while
 // others read the receiver, which must not be written afterwards. The
