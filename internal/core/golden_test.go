@@ -30,9 +30,6 @@ const goldenPairs = 32
 // unchanged; regenerate it with -update-routes only for an intended
 // change of routing behaviour.
 func TestRoutesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("routes golden routes three 800-node networks through ten states")
-	}
 	var out bytes.Buffer
 	for _, model := range []topo.DeployModel{topo.ModelIA, topo.ModelFA, topo.ModelOB} {
 		goldenRoutes(t, &out, model)

@@ -310,10 +310,11 @@ func (net *Network) AdjacencyRotation(u NodeID) []int32 {
 // The walk starts where the bearing falls in the rotation and meets
 // the columns in order of their delta, non-decreasing up to rounding at
 // the 0/2π seam, which the stop margin absorbs: it stops at the first
-// column, qualifying or not, whose raw delta passes the best. Two deltas come out of order, both at or near
-// a full turn: a clockwise walk's first, which the rest can only beat,
-// and a raw delta under 1e-12, which counts as a full turn and so can
-// beat only a best that no raw delta passes.
+// column, qualifying or not, whose raw delta passes the best. Two
+// deltas come out of order, both at or near a full turn: a clockwise
+// walk's first, which the rest can only beat, and a raw delta under
+// 1e-12, which counts as a full turn and so can beat only a best that
+// no raw delta passes.
 func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, keep []bool) int32 {
 	off := int(net.adjOff[u])
 	row := net.adjList[off:net.adjOff[u+1]]
