@@ -151,6 +151,21 @@ func mallocs(f func()) float64 {
 	return float64(after.Mallocs - before.Mallocs)
 }
 
+// TestFindHolesAllocs pins the allocations of the full build on
+// FA-800-42 on one P, so that slice growth does not creep back: per
+// stuck node its TENT intervals and first hops, one allocation each,
+// and per build the successor table, the orbit scratch sized from the
+// slot count, and the hole set. The budget is the count, 1,634, plus
+// 10%.
+func TestFindHolesAllocs(t *testing.T) {
+	net := benchNet(t)
+	allocs := testing.AllocsPerRun(5, func() { FindHoles(net) })
+	t.Logf("FindHoles on FA-800-42: %.0f allocations", allocs)
+	if allocs > 1800 {
+		t.Fatalf("FindHoles allocates %.0f objects on FA-800-42; budget 1800", allocs)
+	}
+}
+
 // TestBoundRepairAllocs pins the steady-state allocations of a repair on
 // FA-800-42: a 4-node fail or revive and an 8-node drift. What remains
 // is retained state — the re-run TENT results and the rebuilt hole set

@@ -154,16 +154,29 @@ func FindHoles(net *topo.Network) *Boundaries {
 	return b
 }
 
-// fillRow computes row u of the successor table: for the back-edge to
-// each neighbor prev, the CW sweep at u from prev's bearing, skipping
-// prev, bouncing back to prev at a dead end.
+// fillRow computes row u of the successor table in rotation order: for
+// the back-edge to each neighbor prev, the CW sweep at u from prev's
+// bearing, started at prev's own rotation position with prev masked
+// out, bouncing back to prev at a dead end.
 func (b *Boundaries) fillRow(u topo.NodeID) {
 	out := b.out.Row(u)
-	for j, a := range b.net.AdjacencyAngles(u) {
+	angs := b.net.AdjacencyAngles(u)
+	var buf [128]bool
+	keep := buf[:0]
+	if len(angs) > len(buf) {
+		keep = make([]bool, 0, len(angs))
+	}
+	keep = keep[:len(angs)]
+	for j := range keep {
+		keep[j] = true
+	}
+	for p, j := range b.net.AdjacencyRotation(u) {
+		keep[j] = false
 		out[j] = 0
-		if c := b.net.RotationStep(u, a, false, int32(j), nil); c >= 0 {
-			out[j] = c - int32(j)
+		if c := b.net.RotationStep(u, p, angs[j], false, keep); c >= 0 {
+			out[j] = c - j
 		}
+		keep[j] = true
 	}
 }
 
@@ -175,7 +188,8 @@ func (b *Boundaries) next(s int32) int32 {
 }
 
 // analyze re-runs TENT at u and sweeps the first hop of each stuck
-// interval: CW from the middle of the gap, the first neighbor hit is the
+// interval: CW from the middle of the gap, starting where TENT found
+// that bearing falls in the rotation, the first neighbor hit is the
 // gap's boundary node. The column is row-relative, so it survives a CSR
 // shift of a row whose geometry did not change.
 func (b *Boundaries) analyze(u topo.NodeID) {
@@ -184,9 +198,10 @@ func (b *Boundaries) analyze(u topo.NodeID) {
 	if !b.net.Alive(u) {
 		return
 	}
-	rec.tent = Tent(b.net, u)
-	for _, iv := range rec.tent.Intervals {
-		rec.first = append(rec.first, b.net.RotationStep(u, iv.MidDirection(), false, -1, nil))
+	// first holds the rotation positions until each is swept.
+	rec.tent, rec.first = tent(b.net, u, rec.first)
+	for k, iv := range rec.tent.Intervals {
+		rec.first[k] = b.net.RotationStep(u, int(rec.first[k]), iv.MidDirection(), false, nil)
 	}
 }
 

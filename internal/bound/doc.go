@@ -40,13 +40,17 @@
 //
 // Every per-node step reads the row's rotation, the network's per-row
 // order of columns by bearing (topo.Network.AdjacencyRotation), rather
-// than sorting or scanning the row: the successor of a back-edge and a
-// stuck interval's first hop are the network's rotation step
-// (topo.Network.RotationStep) clockwise from the back-edge's bearing,
-// skipping it, and from the interval's middle bearing, and TENT's
-// directions are the rotation with near-equal bearings merged in one
-// linear pass. The sort-based TENT and the row-scan sweep they replaced
-// are the test oracles.
+// than sorting or scanning the row, and each is linear in the row. A
+// successor row walks the rotation in order: a back-edge's successor is
+// the network's rotation step (topo.Network.RotationStep) clockwise from
+// its bearing, started at its own rotation position with it masked out,
+// so each step meets only the few columns up to the next live one.
+// TENT's directions are the rotation with near-equal bearings merged in
+// one linear pass, which also notes where each stuck interval's middle
+// bearing falls, walking back from the interval's far neighbor; the
+// interval's first hop is the rotation step clockwise from that bearing,
+// started there. The sort-based TENT and the row-scan sweep they
+// replaced are the test oracles.
 //
 // [FindHoles] fills the table and runs TENT plus the first-hop sweeps on
 // every node in one pass parallel across GOMAXPROCS, then derives the

@@ -19,11 +19,11 @@ import (
 // darts upstream of the merge lie off every σ-cycle. A walk starting
 // there is the one walk still stepped explicitly (walkLen).
 type orbits struct {
-	// state is the labeling scratch per slot: 0 unvisited, 1 on the
-	// current path, 2 labeled. at is a dart's index into seq, or -1
-	// when it lies off every σ-cycle (or is not live).
-	state []uint8
-	at    []int32
+	// at is a dart's index into seq, or one of the labeling states
+	// below zero: dartOff once the dart is labeled off every σ-cycle,
+	// dartOnPath while it is on the current labeling path, and
+	// dartUnvisited before (and for ever, if the dart is not live).
+	at []int32
 	// seq holds the tail of every on-cycle dart, one orbit after
 	// another; orbit o spans seq[span[o]:span[o+1]]. orbit[i] is the
 	// orbit of seq[i], and dist[i] the number of σ steps to the next
@@ -32,12 +32,10 @@ type orbits struct {
 	orbit []int32
 	dist  []int32
 	span  []int32
-	// path/pathTail are the darts and their tails on the current
-	// labeling path; last is the per-node last-seen index of the dist
-	// passes, -1 between orbits.
-	path     []int32
-	pathTail []topo.NodeID
-	last     []int32
+	// path holds the darts of the current labeling path; last is the
+	// per-node last-seen index of the dist passes, -1 between orbits.
+	path []int32
+	last []int32
 	// claimed marks the seq positions a walk has claimed; off-cycle darts
 	// are claimed by a generation stamp per slot.
 	claimed []uint64
@@ -45,21 +43,28 @@ type orbits struct {
 	gen     uint32
 }
 
+// The labeling states of a dart that is not on a σ-cycle (orbits.at).
+const (
+	dartOff       = -1
+	dartOnPath    = -2
+	dartUnvisited = -3
+)
+
 // label rebuilds the orbit labels with the functional-graph cycle walk —
 // from every unvisited live dart, follow σ until reaching a labeled dart
 // or closing a new cycle on the current path, O(live darts) — and clears
-// both claim spaces.
+// both claim spaces. The scratch holds every slot from the start, so a
+// fresh Boundaries grows nothing while labeling.
 func (b *Boundaries) label() {
 	net, o := b.net, &b.orbits
 	slots := net.AdjSlots()
-	o.state = growClear(o.state, slots)
 	o.gen++
 	if len(o.stamp) < slots || o.gen == 0 {
 		o.stamp, o.gen = make([]uint32, slots), 1
 	}
 	o.at = slices.Grow(o.at[:0], slots)[:slots]
 	for s := range o.at {
-		o.at[s] = -1
+		o.at[s] = dartUnvisited
 	}
 	if len(o.last) < net.N() {
 		o.last = make([]int32, net.N())
@@ -67,7 +72,8 @@ func (b *Boundaries) label() {
 			o.last[u] = -1
 		}
 	}
-	o.seq, o.orbit, o.dist, o.span = o.seq[:0], o.orbit[:0], o.dist[:0], append(o.span[:0], 0)
+	o.seq, o.orbit, o.dist = slices.Grow(o.seq[:0], slots), slices.Grow(o.orbit[:0], slots), slices.Grow(o.dist[:0], slots)
+	o.path, o.span = slices.Grow(o.path[:0], slots), append(o.span[:0], 0)
 	for i := range b.recs {
 		u := topo.NodeID(i)
 		if !net.Alive(u) {
@@ -75,44 +81,45 @@ func (b *Boundaries) label() {
 		}
 		for j, v := range net.AdjacencyRow(u) {
 			s := int32(net.AdjOffset(u) + j)
-			if !net.Alive(v) || o.state[s] != 0 {
+			if !net.Alive(v) || o.at[s] != dartUnvisited {
 				continue
 			}
-			path, tails, tail := o.path[:0], o.pathTail[:0], u
-			for o.state[s] == 0 {
-				o.state[s] = 1
-				path, tails = append(path, s), append(tails, tail)
-				tail = net.AdjHead(s)
+			path := o.path[:0]
+			for o.at[s] == dartUnvisited {
+				o.at[s] = dartOnPath
+				path = append(path, s)
 				s = b.next(s)
 			}
-			if o.state[s] == 1 {
-				k := len(path) - 1
-				for path[k] != s {
-					k--
+			k := len(path)
+			if o.at[s] == dartOnPath {
+				for k--; path[k] != s; k-- {
 				}
-				o.addOrbit(path[k:], tails[k:])
+				o.addOrbit(net, path[k:])
 			}
-			for _, d := range path {
-				o.state[d] = 2
+			for _, d := range path[:k] {
+				o.at[d] = dartOff
 			}
-			o.path, o.pathTail = path, tails
+			o.path = path
 		}
 	}
 	o.claimed = growClear(o.claimed, (len(o.seq)+63)/64)
 }
 
-// addOrbit appends one σ-cycle to seq and computes its dist entries with
-// two backward passes over a per-node last-seen index: the first finds
-// each dart's next same-tail dart ahead of it, the second wraps a tail's
-// last occurrence round to its first and resets the index.
-func (o *orbits) addOrbit(darts []int32, tails []topo.NodeID) {
+// addOrbit appends one σ-cycle to seq — the tail of each dart, the head
+// of the dart before it — and computes its dist entries with two
+// backward passes over a per-node last-seen index: the first finds each
+// dart's next same-tail dart ahead of it, the second wraps a tail's last
+// occurrence round to its first and resets the index.
+func (o *orbits) addOrbit(net *topo.Network, darts []int32) {
 	base, id := int32(len(o.seq)), int32(len(o.span)-1)
+	prev := darts[len(darts)-1]
 	for k, d := range darts {
 		o.at[d] = base + int32(k)
+		o.seq = append(o.seq, net.AdjHead(prev))
 		o.orbit = append(o.orbit, id)
+		prev = d
 	}
-	o.seq = append(o.seq, tails...)
-	o.dist = append(o.dist, make([]int32, len(tails))...)
+	o.dist = append(o.dist, make([]int32, len(darts))...)
 	n := int32(len(o.seq))
 	o.span = append(o.span, n)
 	for i := n - 1; i >= base; i-- {

@@ -120,7 +120,7 @@ func refTent(net *topo.Network, u topo.NodeID) TentResult {
 		if geom.CCWDelta(d1.angle, d2.angle) < 1e-9 {
 			continue // no directions strictly between
 		}
-		if stuckBetween(net, up, d1.node, d2.node) {
+		if stuckBetween(up, net.Pos(d1.node), net.Pos(d2.node), net.Radius) {
 			res.Intervals = append(res.Intervals, StuckInterval{Lo: d1.angle, Hi: d2.angle})
 		}
 	}

@@ -2,6 +2,7 @@ package bound
 
 import (
 	"math"
+	"slices"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/topo"
@@ -35,34 +36,48 @@ type TentResult struct {
 // 120° rule). Nodes with zero or one neighbor are stuck in all (or the
 // complement) directions.
 func Tent(net *topo.Network, u topo.NodeID) TentResult {
+	res, _ := tent(net, u, nil)
+	return res
+}
+
+// tent is Tent that also appends to at, per stuck interval, the
+// rotation position where the interval's middle direction falls (what
+// topo.Network.RotationSearch returns), found by walking back from the
+// position of the interval's far neighbor, which the rotation pass
+// already met. It allocates the intervals once and grows at at most
+// once.
+func tent(net *topo.Network, u topo.NodeID, at []int32) (TentResult, []int32) {
 	res := TentResult{Node: u}
 	up := net.Pos(u)
+	angs, rot := net.AdjacencyAngles(u), net.AdjacencyRotation(u)
 
 	// One representative neighbor per distinct direction, in the row's
 	// rotation order: consecutive bearings within sameAngle share a
 	// direction, and the first and last directions meet across 0/2π.
 	// When several neighbors share a direction the nearest one (the
 	// lowest column among equals) dominates the TENT test (its bisector
-	// half-plane covers the others'), so it represents them.
+	// half-plane covers the others'), so it represents them. Positions
+	// are the packed row coordinates; pos is the rotation position.
 	type dirNbr struct {
-		angle float64
-		node  topo.NodeID
-		dist2 float64
-		col   int32
+		angle    float64
+		col, pos int32
 	}
-	better := func(a, b dirNbr) bool { return a.dist2 < b.dist2 || a.dist2 == b.dist2 && a.col < b.col }
+	row := net.AdjacencyRow(u)
+	xs, ys := net.AdjacencyXY(u)
+	pt := func(d dirNbr) geom.Point { return geom.Pt(xs[d.col], ys[d.col]) }
+	better := func(a, b dirNbr) bool {
+		da, db := geom.Dist2(up, pt(a)), geom.Dist2(up, pt(b))
+		return da < db || da == db && a.col < b.col
+	}
 	var buf [64]dirNbr
 	dirs := buf[:0]
-	row := net.AdjacencyRow(u)
-	angs := net.AdjacencyAngles(u)
 	checkAlive := net.DeadCount() > 0
 	var first, last float64
-	for _, j := range net.AdjacencyRotation(u) {
-		v := row[j]
-		if checkAlive && !net.Alive(v) {
+	for pos, j := range rot {
+		if checkAlive && !net.Alive(row[j]) {
 			continue
 		}
-		d := dirNbr{angle: angs[j], node: v, dist2: geom.Dist2(up, net.Pos(v)), col: j}
+		d := dirNbr{angle: angs[j], col: j, pos: int32(pos)}
 		switch {
 		case len(dirs) == 0:
 			first = d.angle
@@ -84,28 +99,47 @@ func Tent(net *topo.Network, u topo.NodeID) TentResult {
 		}
 	}
 
+	// where returns the rotation position of the bearing mid, walking
+	// back from position h, which must be at or past it.
+	where := func(mid float64, h int) int32 {
+		if h < len(rot) && angs[rot[h]] < mid {
+			h = len(rot)
+		}
+		for h > 0 && angs[rot[h-1]] >= mid {
+			h--
+		}
+		return int32(h)
+	}
+	var ivBuf [32]StuckInterval
+	var atBuf [32]int32
+	ivs, pos := ivBuf[:0], atBuf[:0]
 	switch len(dirs) {
 	case 0:
-		res.Intervals = []StuckInterval{{Lo: 0, Hi: geom.TwoPi - 1e-9}}
-		return res
+		ivs = append(ivs, StuckInterval{Lo: 0, Hi: geom.TwoPi - 1e-9})
+		pos = append(pos, where(ivs[0].MidDirection(), len(rot)))
 	case 1:
 		// Only the exact direction of the sole neighbor line is safe.
 		a := dirs[0].angle
-		res.Intervals = []StuckInterval{{Lo: geom.NormAngle(a + 1e-6), Hi: geom.NormAngle(a - 1e-6)}}
-		return res
-	}
-
-	for i := range dirs {
-		d1 := dirs[i]
-		d2 := dirs[(i+1)%len(dirs)]
-		if geom.CCWDelta(d1.angle, d2.angle) < 1e-9 {
-			continue // no directions strictly between
+		ivs = append(ivs, StuckInterval{Lo: geom.NormAngle(a + 1e-6), Hi: geom.NormAngle(a - 1e-6)})
+		pos = append(pos, where(ivs[0].MidDirection(), len(rot)))
+	default:
+		for i := range dirs {
+			d1 := dirs[i]
+			d2 := dirs[(i+1)%len(dirs)]
+			if geom.CCWDelta(d1.angle, d2.angle) < 1e-9 {
+				continue // no directions strictly between
+			}
+			if stuckBetween(up, pt(d1), pt(d2), net.Radius) {
+				iv := StuckInterval{Lo: d1.angle, Hi: d2.angle}
+				ivs = append(ivs, iv)
+				pos = append(pos, where(iv.MidDirection(), int(d2.pos)))
+			}
 		}
-		if stuckBetween(net, up, d1.node, d2.node) {
-			res.Intervals = append(res.Intervals, StuckInterval{Lo: d1.angle, Hi: d2.angle})
-		}
 	}
-	return res
+	if len(ivs) > 0 {
+		res.Intervals = slices.Clone(ivs)
+	}
+	return res, append(at, pos...)
 }
 
 // sameAngle absorbs float noise when comparing neighbor directions.
@@ -118,8 +152,9 @@ func sameAngle(a, b float64) bool {
 	return geom.CCWDelta(a, b) < 1e-9 || geom.CWDelta(a, b) < 1e-9
 }
 
-func stuckBetween(net *topo.Network, up geom.Point, v1, v2 topo.NodeID) bool {
-	p1, p2 := net.Pos(v1), net.Pos(v2)
+// stuckBetween reports whether the directions between the neighbors at
+// p1 and p2 are stuck at up, for radio range r.
+func stuckBetween(up, p1, p2 geom.Point, r float64) bool {
 	c, ok := geom.PerpBisectorIntersection(up, p1, p2)
 	if !ok {
 		// u, v1, v2 collinear: the bisectors are parallel, no point is
@@ -127,7 +162,17 @@ func stuckBetween(net *topo.Network, up geom.Point, v1, v2 topo.NodeID) bool {
 		// gap spans at least a half-plane).
 		return true
 	}
-	return geom.Dist(up, c) > net.Radius+1e-9
+	// The squared distance decides unless it lies within a relative 1e-9
+	// of the squared bound, a band far wider than its rounding error;
+	// inside the band Dist decides, so the answer is Dist's everywhere.
+	t := r + 1e-9
+	switch d2 := geom.Dist2(up, c); {
+	case d2 > t*t*(1+1e-9):
+		return true
+	case d2 < t*t*(1-1e-9):
+		return false
+	}
+	return geom.Dist(up, c) > t
 }
 
 // MidDirection returns the middle direction of the interval, useful for

@@ -142,9 +142,9 @@ func FuzzRepairSubstrates(f *testing.F) {
 					}
 				}
 				for _, v := range slices.Concat(net.AdjacencyRow(id), fresh.AdjacencyRow(id)) {
-					if g.HasEdge(id, v) != fg.HasEdge(id, v) {
+					if (g.EdgeSlot(id, v) >= 0) != (fg.EdgeSlot(id, v) >= 0) {
 						t.Fatalf("planar edge %d->%d diverged: kept=%v, fresh kept=%v",
-							u, v, g.HasEdge(id, v), fg.HasEdge(id, v))
+							u, v, g.EdgeSlot(id, v) >= 0, fg.EdgeSlot(id, v) >= 0)
 					}
 				}
 			}

@@ -60,6 +60,9 @@ type gpsrAlg struct {
 	g *planar.Graph
 
 	perimeter bool
+	// hop is the slot of the last face hop, the one the packet arrived
+	// over while in perimeter mode.
+	hop       int32
 	stuckPos  geom.Point
 	stuckDist float64
 	// visited records directed planar edges walked in the current
@@ -95,27 +98,29 @@ func (a *gpsrAlg) step(st *state) topo.NodeID {
 	a.stuckDist = geom.Dist(a.stuckPos, st.dstPos)
 	clear(a.visited)
 	st.phase = PhasePerimeter
-	next := a.g.FaceStep(st.cur, topo.NoNode, geom.Angle(a.stuckPos, st.dstPos), true)
-	return a.claimEdge(st.cur, next)
+	return a.claimHop(st, a.g.FaceStep(st.cur, -1, geom.Angle(a.stuckPos, st.dstPos), true))
 }
 
+// faceStep continues the face walk from the slot the packet arrived
+// over: every hop since perimeter mode began was a face hop.
 func (a *gpsrAlg) faceStep(st *state) topo.NodeID {
 	st.phase = PhasePerimeter
-	next := a.g.FaceStep(st.cur, st.prev, 0, true)
-	return a.claimEdge(st.cur, next)
+	return a.claimHop(st, a.g.FaceStep(st.cur, st.net.AdjReverse(a.hop), 0, true))
 }
 
-// claimEdge records the directed edge and drops the packet when the walk
-// repeats one (unreachable destination), the standard GPSR termination
-// criterion.
-func (a *gpsrAlg) claimEdge(u, v topo.NodeID) topo.NodeID {
-	if v == topo.NoNode {
+// claimHop takes the face hop in slot s, recording its directed edge,
+// and drops the packet when there is none or the walk repeats one
+// (unreachable destination), the standard GPSR termination criterion.
+func (a *gpsrAlg) claimHop(st *state, s int32) topo.NodeID {
+	if s < 0 {
 		return topo.NoNode
 	}
-	key := [2]topo.NodeID{u, v}
+	v := st.net.AdjHead(s)
+	key := [2]topo.NodeID{st.cur, v}
 	if a.visited[key] {
 		return topo.NoNode
 	}
 	a.visited[key] = true
+	a.hop = s
 	return v
 }

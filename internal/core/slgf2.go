@@ -154,6 +154,9 @@ type slgf2Alg struct {
 	// cleared per walk.
 	faceVisited map[[2]topo.NodeID]bool
 	faceDead    bool
+	// faceHop is the slot of the last face hop taken, -1 before the
+	// first.
+	faceHop int32
 	// shapes caches the visible estimates at the current node; nearby is
 	// the unfiltered collection buffer. Both backing arrays are retained
 	// across pooled routes.
@@ -175,6 +178,7 @@ func (a *slgf2Alg) reset(r *SLGF2) {
 	a.perimeterLocked = false
 	clear(a.faceVisited)
 	a.faceDead = false
+	a.faceHop = -1
 	a.shapes = a.shapes[:0]
 	a.shapesFor = topo.NoNode
 	a.shapesOK = false
@@ -268,19 +272,26 @@ func (a *slgf2Alg) step(st *state) topo.NodeID {
 	a.perimeterLocked = true
 	st.phase = PhasePerimeter
 	if !a.faceDead {
-		g := a.r.planar()
-		prev := st.prev
-		if prev != topo.NoNode && !g.HasEdge(st.cur, prev) {
-			// Arrived over a non-planar edge (greedy/backup hop): seed
-			// the sweep from the destination bearing instead.
-			prev = topo.NoNode
+		g, net := a.r.planar(), st.net
+		back := int32(-1)
+		// The in-edge is the reverse of the last face hop when the packet
+		// arrived over it; after a greedy or backup hop it is searched
+		// for. Either way an unkept in-edge (-1) seeds the sweep from the
+		// destination bearing instead.
+		if h := a.faceHop; h >= 0 && net.AdjHead(h) == st.cur && net.AdjHead(net.AdjReverse(h)) == st.prev {
+			if back = net.AdjReverse(h); !g.Keeps(back) {
+				back = -1
+			}
+		} else if st.prev != topo.NoNode {
+			back = g.EdgeSlot(st.cur, st.prev)
 		}
-		ref := geom.Angle(st.net.Pos(st.cur), st.dstPos)
-		next := g.FaceStep(st.cur, prev, ref, st.hand != LeftHand)
-		if next != topo.NoNode {
+		ref := geom.Angle(net.Pos(st.cur), st.dstPos)
+		if h := g.FaceStep(st.cur, back, ref, st.hand != LeftHand); h >= 0 {
+			next := net.AdjHead(h)
 			key := [2]topo.NodeID{st.cur, next}
 			if !a.faceVisited[key] {
 				a.faceVisited[key] = true
+				a.faceHop = h
 				return next
 			}
 		}

@@ -23,7 +23,14 @@
 // of their delta from the bearing and stops past the best, so it reads
 // the kept slots near the bearing and the unkept ones between them, and
 // never sorts a row. The sorted rows and linear scans it replaced are
-// the oracle of TestFaceStepMatchesSortedRows.
+// the oracle of TestFaceStepMatchesSortedRows. A face walk hands the
+// step the in-edge as a slot, the reverse (topo.Network.AdjReverse) of
+// the hop it arrived over, and gets the next hop back as a slot, so
+// GPSR and SLGF2 carry it from hop to hop instead of searching the row
+// for prev ([Graph.EdgeSlot] does that after a non-face hop).
+//
+// The witness tests read the static row, its packed coordinates and the
+// liveness bitset, so a row with a dead neighbor is tested in place.
 //
 // # Lifecycle: build once, repair on failure and on moves
 //

@@ -31,7 +31,7 @@ func buildSortedRows(net *topo.Network, k Kind) *sortedRows {
 		nbrs := net.Neighbors(u)
 		var kept []topo.NodeID
 		for _, v := range nbrs {
-			if keepEdge(net, k, u, v, nbrs) {
+			if witnessKeeps(net, k, u, v, nbrs) {
 				kept = append(kept, v)
 			}
 		}
@@ -43,6 +43,29 @@ func buildSortedRows(net *topo.Network, k Kind) *sortedRows {
 		r.adj[u], r.ang[u] = kept, angles
 	}
 	return r
+}
+
+// witnessKeeps is the oracle of keepEdge: the witness test of edge uv
+// over the candidate list Neighbors(u) copies, reading node positions.
+func witnessKeeps(net *topo.Network, k Kind, u, v topo.NodeID, candidates []topo.NodeID) bool {
+	up, vp := net.Pos(u), net.Pos(v)
+	for _, w := range candidates {
+		if w == v {
+			continue
+		}
+		wp := net.Pos(w)
+		switch k {
+		case GabrielGraph:
+			if geom.Dist2(wp, geom.Midpoint(up, vp)) < geom.Dist2(up, vp)/4-1e-12 {
+				return false
+			}
+		case RelativeNeighborhood:
+			if d2 := geom.Dist2(up, vp); geom.Dist2(wp, up) < d2-1e-12 && geom.Dist2(wp, vp) < d2-1e-12 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // byAngle sorts a row and its bearings together.
@@ -134,12 +157,12 @@ func requireSortedRows(t *testing.T, label string, g *Graph) {
 		}
 		for _, ccw := range []bool{true, false} {
 			for _, ref := range refs {
-				if got, w := g.FaceStep(u, topo.NoNode, ref, ccw), want.faceStep(net, u, topo.NoNode, ref, ccw); got != w {
+				if got, w := faceStepFrom(g, u, topo.NoNode, ref, ccw), want.faceStep(net, u, topo.NoNode, ref, ccw); got != w {
 					t.Fatalf("%s: %v entry step at %d from %v (ccw %v) = %d; oracle %d", label, g.Kind, u, ref, ccw, got, w)
 				}
 			}
 			for _, prev := range net.AdjacencyRow(u) {
-				if got, w := g.FaceStep(u, prev, 0, ccw), want.faceStep(net, u, prev, 0, ccw); got != w {
+				if got, w := faceStepFrom(g, u, prev, 0, ccw), want.faceStep(net, u, prev, 0, ccw); got != w {
 					t.Fatalf("%s: %v step at %d from %d (ccw %v) = %d; oracle %d", label, g.Kind, u, prev, ccw, got, w)
 				}
 			}

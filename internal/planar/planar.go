@@ -79,9 +79,13 @@ func (g *Graph) rebuildRow(u topo.NodeID) {
 		clear(keep)
 		return
 	}
-	nbrs := net.Neighbors(u)
-	for j, v := range net.AdjacencyRow(u) {
-		keep[j] = net.Alive(v) && keepEdge(net, g.Kind, u, v, nbrs)
+	w := witnesses{row: net.AdjacencyRow(u), up: net.Pos(u)}
+	w.xs, w.ys = net.AdjacencyXY(u)
+	if net.DeadCount() > 0 {
+		w.alive = net.AliveBits()
+	}
+	for j := range w.row {
+		keep[j] = w.isAlive(j) && w.keep(g.Kind, j)
 	}
 }
 
@@ -140,31 +144,43 @@ func (g *Graph) rebuildRows(ids []topo.NodeID) {
 	})
 }
 
-// keepEdge applies the witness test. Any witness for uv lies within range
-// of both endpoints, so scanning N(u) suffices in a unit-disk graph.
-func keepEdge(net *topo.Network, k Kind, u, v topo.NodeID, candidates []topo.NodeID) bool {
-	up, vp := net.Pos(u), net.Pos(v)
+// witnesses is a row as the witness tests read it: the static row of u,
+// u's position, the packed row coordinates and, while any node is dead,
+// the liveness bitset (nil otherwise).
+type witnesses struct {
+	row    []topo.NodeID
+	up     geom.Point
+	xs, ys []float64
+	alive  []uint64
+}
+
+// isAlive reports whether the neighbor in column i is alive.
+func (w *witnesses) isAlive(i int) bool {
+	v := w.row[i]
+	return w.alive == nil || w.alive[v>>6]&(1<<(uint(v)&63)) != 0
+}
+
+// keep applies the witness test to the edge from u to its column j. Any
+// witness for the edge lies within range of both endpoints, so scanning
+// u's alive neighbors suffices in a unit-disk graph.
+func (w *witnesses) keep(k Kind, j int) bool {
+	vp := geom.Pt(w.xs[j], w.ys[j])
+	xs, ys := w.xs[:len(w.row)], w.ys[:len(w.row)]
 	switch k {
 	case GabrielGraph:
-		mid := geom.Midpoint(up, vp)
-		r2 := geom.Dist2(up, vp) / 4
-		for _, w := range candidates {
-			if w == v {
-				continue
-			}
-			if geom.Dist2(net.Pos(w), mid) < r2-1e-12 {
+		mid := geom.Midpoint(w.up, vp)
+		r2 := geom.Dist2(w.up, vp)/4 - 1e-12
+		for i := range xs {
+			if geom.Dist2(geom.Pt(xs[i], ys[i]), mid) < r2 && i != j && w.isAlive(i) {
 				return false
 			}
 		}
 		return true
 	case RelativeNeighborhood:
-		d2 := geom.Dist2(up, vp)
-		for _, w := range candidates {
-			if w == v {
-				continue
-			}
-			wp := net.Pos(w)
-			if geom.Dist2(wp, up) < d2-1e-12 && geom.Dist2(wp, vp) < d2-1e-12 {
+		d2 := geom.Dist2(w.up, vp) - 1e-12
+		for i := range xs {
+			wp := geom.Pt(xs[i], ys[i])
+			if geom.Dist2(wp, w.up) < d2 && geom.Dist2(wp, vp) < d2 && i != j && w.isAlive(i) {
 				return false
 			}
 		}
@@ -174,29 +190,39 @@ func keepEdge(net *topo.Network, k Kind, u, v topo.NodeID, candidates []topo.Nod
 	}
 }
 
-// HasEdge reports whether uv is a kept edge.
-func (g *Graph) HasEdge(u, v topo.NodeID) bool {
+// Keeps reports whether the graph keeps the edge in CSR slot s.
+func (g *Graph) Keeps(s int32) bool { return g.keep.At[s] }
+
+// EdgeSlot returns the CSR slot of the edge from u to v when the graph
+// keeps it, -1 otherwise.
+func (g *Graph) EdgeSlot(u, v topo.NodeID) int32 {
 	j, ok := slices.BinarySearch(g.Net.AdjacencyRow(u), v)
-	return ok && g.keep.Row(u)[j]
+	if !ok || !g.keep.Row(u)[j] {
+		return -1
+	}
+	return int32(g.Net.AdjOffset(u) + j)
 }
 
-// FaceStep advances one step of a face walk at u: the kept neighbor
-// first met rotating from the bearing of the in-edge u→prev,
-// counter-clockwise when ccw (the right-hand rule, which walks the face
-// with the interior on the right; GPSR's perimeter mode) and clockwise
-// otherwise (the left-hand rule). prev is the neighbor of u the packet
-// arrived from, kept or not; on entry, prev == topo.NoNode and the walk
+// FaceStep advances one step of a face walk at u and returns the slot
+// of the hop, the kept edge from u to the neighbor first met rotating
+// from the bearing of the in-edge u→prev, counter-clockwise when ccw
+// (the right-hand rule, which walks the face with the interior on the
+// right; GPSR's perimeter mode) and clockwise otherwise (the left-hand
+// rule). back is the slot of u→prev, kept or not: the reverse
+// (topo.Network.AdjReverse) of the slot the packet arrived over, so a
+// walk carries it from hop to hop. On entry back is -1 and the walk
 // rotates from ref instead, e.g. the bearing toward the destination.
-// The in-edge itself comes last, so a dead end bounces back. Returns
-// topo.NoNode when u keeps no edge.
-func (g *Graph) FaceStep(u, prev topo.NodeID, ref float64, ccw bool) topo.NodeID {
-	if prev != topo.NoNode {
-		j, _ := slices.BinarySearch(g.Net.AdjacencyRow(u), prev)
-		ref = g.Net.AdjacencyAngles(u)[j]
+// The in-edge itself comes last, so a dead end bounces back. Returns -1
+// when u keeps no edge.
+func (g *Graph) FaceStep(u topo.NodeID, back int32, ref float64, ccw bool) int32 {
+	net := g.Net
+	off := int32(net.AdjOffset(u))
+	if back >= 0 {
+		ref = net.AdjacencyAngles(u)[back-off]
 	}
-	c := g.Net.RotationStep(u, ref, ccw, -1, g.keep.At)
+	c := net.RotationStep(u, net.RotationSearch(u, ref), ref, ccw, g.keep.Row(u))
 	if c < 0 {
-		return topo.NoNode
+		return -1
 	}
-	return g.Net.AdjacencyRow(u)[c]
+	return off + c
 }

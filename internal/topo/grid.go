@@ -7,9 +7,19 @@ import (
 )
 
 // grid is a uniform spatial hash over the deployment field used to answer
-// "which nodes lie within distance r of p" in expected O(1) per neighbor.
-// Cell size equals the radio range, so a range query only inspects the
-// 3×3 cell block around the query point.
+// "which nodes lie within radio range of p" in expected O(1) per neighbor.
+//
+// Cells are a hair wider than the range, r·(1+1e-9), so a range query
+// inspects only the 3×3 cell block around the query point, and it is
+// exact: a pair that passes Dist2 ≤ r² is at most r·(1+1e-15) apart on
+// either axis, and the cell index — the clamped integer part of the
+// offset over the cell width, whose float error is a few ulps of a
+// quotient below the cell count — then differs by at most one along
+// each axis, since r over the cell width is 1−1e-9. The conversion
+// truncates toward zero, which differs from the floor only below zero,
+// where the clamp sends both to the first cell; clamping is monotone,
+// so nodes outside the field (accepted by NewNetwork and SetPositions)
+// hash into the edge cells and stay found.
 type grid struct {
 	origin geom.Point
 	cell   float64
@@ -18,18 +28,12 @@ type grid struct {
 	cells [][]NodeID
 }
 
-func newGrid(field geom.Rect, cell float64, nodes []Node) *grid {
-	if cell <= 0 {
-		cell = 1
-	}
-	nx := int(math.Ceil(field.Width()/cell)) + 1
-	ny := int(math.Ceil(field.Height()/cell)) + 1
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
+// newGrid hashes nodes into cells just wider than the radio range r,
+// laid out like clone's.
+func newGrid(field geom.Rect, r float64, nodes []Node) *grid {
+	cell := r * (1 + 1e-9)
+	nx := max(int(math.Ceil(field.Width()/cell))+1, 1)
+	ny := max(int(math.Ceil(field.Height()/cell))+1, 1)
 	g := &grid{
 		origin: field.Min,
 		cell:   cell,
@@ -37,10 +41,20 @@ func newGrid(field geom.Rect, cell float64, nodes []Node) *grid {
 		ny:     ny,
 		cells:  make([][]NodeID, nx*ny),
 	}
+	ends := make([]int32, len(g.cells)+1)
 	for _, n := range nodes {
-		ix, iy := g.cellOf(n.Pos)
-		idx := iy*g.nx + ix
-		g.cells[idx] = append(g.cells[idx], n.ID)
+		ends[g.index(n.Pos)+1]++
+	}
+	for i := range g.cells {
+		ends[i+1] += ends[i]
+	}
+	flat := make([]NodeID, len(nodes))
+	for i := range g.cells {
+		g.cells[i] = flat[ends[i]:ends[i]:ends[i+1]]
+	}
+	for _, n := range nodes {
+		i := g.index(n.Pos)
+		g.cells[i] = append(g.cells[i], n.ID)
 	}
 	return g
 }
@@ -63,6 +77,12 @@ func (g *grid) clone() *grid {
 	return &c
 }
 
+// index returns the index in cells of the cell p hashes to.
+func (g *grid) index(p geom.Point) int {
+	ix, iy := g.cellOf(p)
+	return iy*g.nx + ix
+}
+
 func (g *grid) cellOf(p geom.Point) (ix, iy int) {
 	ix = int((p.X - g.origin.X) / g.cell)
 	iy = int((p.Y - g.origin.Y) / g.cell)
@@ -77,12 +97,10 @@ func (g *grid) cellOf(p geom.Point) (ix, iy int) {
 // and append to the new, so a retained grid tracks position churn in O(1)
 // amortized per move.
 func (g *grid) move(id NodeID, from, to geom.Point) {
-	fx, fy := g.cellOf(from)
-	tx, ty := g.cellOf(to)
-	if fx == tx && fy == ty {
+	fi, ti := g.index(from), g.index(to)
+	if fi == ti {
 		return
 	}
-	fi := fy*g.nx + fx
 	cell := g.cells[fi]
 	for i, v := range cell {
 		if v == id {
@@ -91,20 +109,23 @@ func (g *grid) move(id NodeID, from, to geom.Point) {
 			break
 		}
 	}
-	ti := ty*g.nx + tx
 	g.cells[ti] = append(g.cells[ti], id)
 }
 
-// visitNear calls fn for every node id stored in cells that could contain a
-// point within distance r of p. Callers must still distance-filter.
-func (g *grid) visitNear(p geom.Point, r float64, fn func(NodeID)) {
-	span := int(math.Ceil(r/g.cell)) + 1
+// appendInRange appends to dst, in cell order, every node other than u
+// within range of u: Dist2(L(u), L(v)) ≤ r2, for r2 the square of the
+// range the grid was built for. It reads the 3×3 block around u's cell.
+func (g *grid) appendInRange(dst []NodeID, nodes []Node, u NodeID, r2 float64) []NodeID {
+	p := nodes[u].Pos
 	cx, cy := g.cellOf(p)
-	for iy := max(cy-span, 0); iy <= min(cy+span, g.ny-1); iy++ {
-		for ix := max(cx-span, 0); ix <= min(cx+span, g.nx-1); ix++ {
-			for _, id := range g.cells[iy*g.nx+ix] {
-				fn(id)
+	for iy := max(cy-1, 0); iy <= min(cy+1, g.ny-1); iy++ {
+		for _, cell := range g.cells[iy*g.nx+max(cx-1, 0) : iy*g.nx+min(cx+1, g.nx-1)+1] {
+			for _, v := range cell {
+				if v != u && geom.Dist2(p, nodes[v].Pos) <= r2 {
+					dst = append(dst, v)
+				}
 			}
 		}
 	}
+	return dst
 }

@@ -79,41 +79,58 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 		net.Nodes[u].Pos = np
 	}
 
-	// Phase 2 — with every new position in place: mark everyone who can
-	// see a moved node now. A node's row changes iff it moved, or a moved
-	// node was in range (phase 1) or is in range (here); nothing else can
-	// alter its in-range set or any neighbor coordinate.
+	// Phase 2 — with every new position in place: one grid query per
+	// mover gives its new row (unsorted, kept for rebuildRows) and marks
+	// everyone who can see it now. A node's row changes iff it moved, or
+	// a moved node was in range (phase 1) or is in range (here); nothing
+	// else can alter its in-range set or any neighbor coordinate.
+	slices.Sort(movers)
+	movers = slices.Compact(movers)
 	r2 := net.Radius * net.Radius
-	for _, m := range moves {
-		u := m.Node
-		p := net.Nodes[u].Pos
-		net.grid.visitNear(p, net.Radius, func(v NodeID) {
-			if v != u && geom.Dist2(p, net.Nodes[v].Pos) <= r2 {
-				mark(v)
-			}
-		})
+	near, ends := net.mvNear[:0], net.mvEnds[:0]
+	for _, u := range movers {
+		start := len(near)
+		near = net.grid.appendInRange(near, net.Nodes, u, r2)
+		for _, v := range near[start:] {
+			mark(v)
+		}
+		ends = append(ends, int32(len(near)))
 	}
 
 	slices.Sort(dirty)
-	slices.Sort(movers)
-	net.mvDirty, net.mvMovers = dirty, slices.Compact(movers)
-	net.rebuildRows(dirty, net.mvMovers, gen)
+	net.mvDirty, net.mvMovers, net.mvNear, net.mvEnds = dirty, movers, near, ends
+	net.rebuildRows(dirty, gen)
 	return dirty, nil
 }
 
 // rebuildRows rewrites the CSR backing arrays with fresh rows for the
 // dirty nodes (mvMark[i]==gen) and span copies for everyone else, then
 // swaps the double buffers; the reverse slots are derived last, from
-// the new rows (deriveRev). A dirty node that did not move keeps every
-// neighbor that did not move either, with its bearing and position:
-// only its entries for the movers (sorted, distinct) change, so its row
-// is the old one with those entries merged in again, in range or not,
-// and its rotation is the old one renumbered, with the movers' entries
-// dropped and their new ones inserted by bearing.
-func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
+// the new rows (deriveRev). A mover's row is the one SetPositions'
+// grid query found (mvNear), sorted and laid out afresh (layRow). A
+// dirty node that did not move keeps every neighbor that did not move
+// either, with its bearing and position: only its entries for the
+// movers (sorted, distinct) change, so its row is the old one with
+// those entries merged in again, in range or not, and its rotation is
+// the old one renumbered, with the movers' entries dropped and their
+// new ones inserted by bearing.
+func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	n := len(net.Nodes)
 	r2 := net.Radius * net.Radius
+	movers := net.mvMovers
 	moved := func(v NodeID) bool { _, ok := slices.BinarySearch(movers, v); return ok }
+	// moverRow returns the new row of mover v, unsorted, and whether v moved.
+	moverRow := func(v NodeID) ([]NodeID, bool) {
+		i, ok := slices.BinarySearch(movers, v)
+		if !ok {
+			return nil, false
+		}
+		lo := int32(0)
+		if i > 0 {
+			lo = net.mvEnds[i-1]
+		}
+		return net.mvNear[lo:net.mvEnds[i]], true
+	}
 	inRange := func(u, v NodeID) bool { return v != u && geom.Dist2(net.Nodes[u].Pos, net.Nodes[v].Pos) <= r2 }
 
 	// Count pass: new row sizes for dirty nodes only.
@@ -123,12 +140,8 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 		for i := lo; i < hi; i++ {
 			u := dirty[i]
 			var c int32
-			if moved(u) {
-				net.grid.visitNear(net.Nodes[u].Pos, net.Radius, func(v NodeID) {
-					if inRange(u, v) {
-						c++
-					}
-				})
+			if row, ok := moverRow(u); ok {
+				c = int32(len(row))
 			} else {
 				for _, v := range net.row(u) {
 					if !moved(v) {
@@ -233,21 +246,11 @@ func (net *Network) rebuildRows(dirty, movers []NodeID, gen uint32) {
 				sortRotation(rot, ang2[dst:end], h)
 				continue
 			}
-			row := list2[dst:dst:end]
-			net.grid.visitNear(u.Pos, net.Radius, func(v NodeID) {
-				if inRange(u.ID, v) {
-					row = append(row, v)
-				}
-			})
+			near, _ := moverRow(u.ID)
+			row := list2[dst:end]
+			copy(row, near)
 			slices.Sort(row)
-			for j, v := range row {
-				pv := net.Nodes[v].Pos
-				ang2[int(dst)+j] = geom.Angle(u.Pos, pv)
-				x2[int(dst)+j] = pv.X
-				y2[int(dst)+j] = pv.Y
-				rot[j] = int32(j)
-			}
-			sortRotation(rot, ang2[dst:end], 0)
+			net.layRow(u.ID, row, ang2[dst:end], x2[dst:end], y2[dst:end], rot)
 		}
 	})
 

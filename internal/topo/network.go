@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/par"
@@ -31,9 +30,19 @@ import (
 // one order every angular consumer walks — through RotationStep
 // BOUNDHOLE's clockwise successors and first hops and the planar face
 // steps, directly TENT and the routers' detour sweeps — so none of them
-// sorts a row. Substrates keep their own per-slot state in SlotTables,
-// whose entries are row-relative, so that a clean row survives a
-// SetPositions shift verbatim (SlotTable.Relayout).
+// sorts a row. A walk starts at a rotation position its caller knows
+// (a back-edge's own, the one TENT found for a bearing) or finds by
+// RotationSearch, so a row of successors costs O(deg), not O(deg²).
+// Substrates keep their own per-slot state in SlotTables, whose entries
+// are row-relative, so that a clean row survives a SetPositions shift
+// verbatim (SlotTable.Relayout).
+//
+// # Build
+//
+// NewNetwork enumerates the in-range pairs once: one 3×3 grid query per
+// node (see grid) gives its row, which it sorts; the rows are then
+// placed at their prefix-summed offsets and laid out (layRow), and the
+// reverse slots derived in one cursor pass (deriveRev).
 //
 // # Aliasing and ownership
 //
@@ -98,6 +107,8 @@ type Network struct {
 	mvMark      []uint32
 	mvDirty     []NodeID
 	mvMovers    []NodeID
+	mvNear      []NodeID // the movers' new rows, unsorted, ending at mvEnds
+	mvEnds      []int32
 	mvCounts    []int32
 	offScratch  []int32
 	listScratch []NodeID
@@ -131,38 +142,39 @@ func NewNetwork(positions []geom.Point, radius float64, field geom.Rect) (*Netwo
 	return net, nil
 }
 
-// buildAdjacency computes the CSR adjacency in two parallel passes over
-// the spatial hash grid: a counting pass fixing the row offsets, then a
-// fill pass writing each row (sorted ascending) into its slot. Both
-// passes touch disjoint index ranges per worker, so they fan out across
-// GOMAXPROCS via par.For.
+// buildAdjacency computes the CSR adjacency from one enumeration of
+// the in-range pairs, in two parallel passes over node ranges: the first
+// queries the spatial grid once per node and sorts the row into a
+// per-worker buffer, the second places each row at its prefix-summed
+// offset and lays out its bearings, packed positions and rotation
+// (layRow). Both passes touch disjoint index ranges per worker, so they
+// fan out across GOMAXPROCS via par.For.
 func (net *Network) buildAdjacency() {
 	n := len(net.Nodes)
-	g := newGrid(net.Field, net.Radius, net.Nodes)
-	net.grid = g
+	net.grid = newGrid(net.Field, net.Radius, net.Nodes)
 	r2 := net.Radius * net.Radius
 
-	// Pass 1: count neighbors per node.
-	counts := make([]int32, n)
+	// Pass 1: every node's sorted row, from one grid query each. A
+	// worker's rows share its buffer, sized for a mean degree of 32; one
+	// that outgrows it leaves its earlier rows on the old array, which
+	// they keep alive.
+	rows := make([][]NodeID, n)
 	par.For(n, func(lo, hi int) {
+		buf := make([]NodeID, 0, 32*(hi-lo))
 		for i := lo; i < hi; i++ {
-			u := &net.Nodes[i]
-			var c int32
-			g.visitNear(u.Pos, net.Radius, func(v NodeID) {
-				if v != u.ID && geom.Dist2(u.Pos, net.Nodes[v].Pos) <= r2 {
-					c++
-				}
-			})
-			counts[i] = c
+			start := len(buf)
+			buf = net.grid.appendInRange(buf, net.Nodes, NodeID(i), r2)
+			slices.Sort(buf[start:])
+			rows[i] = buf[start:len(buf):len(buf)]
 		}
 	})
 
-	// Prefix-sum the counts into row offsets.
+	// Prefix-sum the row lengths into row offsets.
 	net.adjOff = make([]int32, n+1)
 	var total int32
-	for i, c := range counts {
+	for i, row := range rows {
 		net.adjOff[i] = total
-		total += c
+		total += int32(len(row))
 	}
 	net.adjOff[n] = total
 	net.adjList = make([]NodeID, total)
@@ -171,32 +183,16 @@ func (net *Network) buildAdjacency() {
 	net.adjY = make([]float64, total)
 	net.adjRot = make([]int32, total)
 
-	// Pass 2: fill and sort each row, then compute the edge bearings,
-	// pack the neighbor positions into the per-edge SoA arrays and sort
-	// the row's rotation.
+	// Pass 2: place each row and lay it out.
 	par.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			u := &net.Nodes[i]
-			row := net.adjList[net.adjOff[i]:net.adjOff[i]:net.adjOff[i+1]]
-			g.visitNear(u.Pos, net.Radius, func(v NodeID) {
-				if v != u.ID && geom.Dist2(u.Pos, net.Nodes[v].Pos) <= r2 {
-					row = append(row, v)
-				}
-			})
-			sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-			base := int(net.adjOff[i])
-			for j, v := range row {
-				pv := net.Nodes[v].Pos
-				net.adjAng[base+j] = geom.Angle(u.Pos, pv)
-				net.adjX[base+j] = pv.X
-				net.adjY[base+j] = pv.Y
-				net.adjRot[base+j] = int32(j)
-			}
-			sortRotation(net.adjRot[base:base+len(row)], net.adjAng[base:base+len(row)], 0)
+			a, b := net.adjOff[i], net.adjOff[i+1]
+			copy(net.adjList[a:b], rows[i])
+			net.layRow(NodeID(i), net.adjList[a:b], net.adjAng[a:b], net.adjX[a:b], net.adjY[a:b], net.adjRot[a:b])
 		}
 	})
 	net.adjRev = make([]int32, total)
-	deriveRev(net.adjRev, net.adjOff, net.adjList, counts) // counts: spent, reused as cursors
+	deriveRev(net.adjRev, net.adjOff, net.adjList, make([]int32, n))
 
 	net.aliveBits = make([]uint64, (n+63)/64)
 	for i, nd := range net.Nodes {
@@ -205,6 +201,39 @@ func (net *Network) buildAdjacency() {
 		}
 	}
 }
+
+// layRow lays out a fresh row of u from its sorted neighbor ids: the
+// bearings, the packed neighbor positions and the rotation. The rotation
+// is a bucket sort on bearing: the columns are distributed, in column
+// order, over rotBuckets equal arcs, which leaves only the few pairs
+// sharing an arc out of (bearing, column) order for sortRotation to
+// swap — linear in the row on average, where a comparison sort of ~24
+// columns costs twice sortRotation alone.
+func (net *Network) layRow(u NodeID, row []NodeID, ang, xs, ys []float64, rot []int32) {
+	up := net.Nodes[u].Pos
+	var ends [rotBuckets + 1]int32
+	for j, v := range row {
+		pv := net.Nodes[v].Pos
+		ang[j], xs[j], ys[j] = geom.Angle(up, pv), pv.X, pv.Y
+		ends[rotBucket(ang[j])+1]++
+	}
+	for k := 1; k < len(ends); k++ {
+		ends[k] += ends[k-1]
+	}
+	for j, a := range ang[:len(row)] {
+		k := rotBucket(a)
+		rot[ends[k]] = int32(j)
+		ends[k]++
+	}
+	sortRotation(rot, ang, 0)
+}
+
+// rotBuckets is the number of arcs layRow's bucket pass divides the
+// turn into.
+const rotBuckets = 64
+
+// rotBucket returns the arc of bearing a in [0, 2π), non-decreasing in a.
+func rotBucket(a float64) int { return min(int(a*(rotBuckets/geom.TwoPi)), rotBuckets-1) }
 
 // Clone returns a copy of the network that SetAlive and SetPositions
 // may mutate while other goroutines keep reading the receiver. The
@@ -217,8 +246,8 @@ func (net *Network) buildAdjacency() {
 //     scratch;
 //   - copied: Nodes, the liveness bitset and the grid cells, which
 //     mutations write in place;
-//   - moved: the move marks, dirty and mover lists and row counts, only
-//     a mutation reads;
+//   - moved: the move marks, dirty and mover lists, the movers' rows
+//     and the row counts, only a mutation reads;
 //   - dropped: the double-buffered CSR scratch, which may still back
 //     rows an earlier clone is being read through.
 func (net *Network) Clone() *Network {
@@ -298,45 +327,53 @@ func (net *Network) AdjacencyRotation(u NodeID) []int32 {
 	return net.adjRot[net.adjOff[u]:net.adjOff[u+1]]
 }
 
+// RotationSearch returns where the bearing from falls in u's rotation:
+// the first position whose bearing is at or past it, or the row length
+// when none is. It is the start position RotationStep needs for a
+// bearing no caller knows the position of.
+func (net *Network) RotationSearch(u NodeID, from float64) int {
+	off := int(net.adjOff[u])
+	angs, rot := net.adjAng[off:net.adjOff[u+1]], net.adjRot[off:net.adjOff[u+1]]
+	p := 0
+	for hi := len(rot); p < hi; {
+		if m := int(uint(p+hi) >> 1); angs[rot[m]] < from {
+			p = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return p
+}
+
 // RotationStep returns the column of u's neighbor first met rotating
 // from the bearing from — counter-clockwise when ccw, clockwise
-// otherwise — among those that are alive, are not the column skip (-1
-// skips none) and whose slot keep admits (nil admits every slot); -1
+// otherwise — among those that are alive and whose column keep admits
+// (keep is index aligned with the row; nil admits every column); -1
 // when none qualifies. Deltas under 1e-12 count as a full turn, so a
 // neighbor at the bearing itself comes last, and among equal deltas the
-// lowest column wins. BOUNDHOLE's sweeps (skipping the back-edge) and
-// the planar face steps (keep is the planar mask) are this one walk.
+// lowest column wins. BOUNDHOLE's sweeps (keep masks the back-edge out)
+// and the planar face steps (keep is the row's planar mask) are this
+// one walk.
 //
-// The walk starts where the bearing falls in the rotation and meets
-// the columns in order of their delta, non-decreasing up to rounding at
-// the 0/2π seam, which the stop margin absorbs: it stops at the first
-// column, qualifying or not, whose raw delta passes the best. Two
-// deltas come out of order, both at or near a full turn: a clockwise
-// walk's first, which the rest can only beat, and a raw delta under
-// 1e-12, which counts as a full turn and so can beat only a best that
-// no raw delta passes.
-func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, keep []bool) int32 {
+// The walk starts at rotation position p, which must split the rotation
+// at the bearing: every bearing before p at most from, every bearing
+// from p on at least from (RotationSearch finds the first such p; the
+// position of a column at bearing from is one too). It meets the columns
+// in order of their delta, non-decreasing up to rounding at the 0/2π
+// seam, which the stop margin absorbs: it stops at the first column,
+// qualifying or not, whose raw delta passes the best. Two deltas come
+// out of order, both at or near a full turn: a clockwise walk's first,
+// which the rest can only beat, and a raw delta under 1e-12, which
+// counts as a full turn and so can beat only a best that no raw delta
+// passes.
+func (net *Network) RotationStep(u NodeID, p int, from float64, ccw bool, keep []bool) int32 {
 	off := int(net.adjOff[u])
 	row := net.adjList[off:net.adjOff[u+1]]
 	angs := net.adjAng[off : off+len(row)]
 	rot := net.adjRot[off : off+len(row)]
-	// p: the first position at or past the bearing, found by binary
-	// search unless it is the skipped column's. A clockwise walk meets
-	// it at (nearly) a full turn, ahead of the order it then keeps.
-	p, dir := 0, 1
+	dir := 1
 	if !ccw {
 		dir = -1
-	}
-	if skip >= 0 && angs[skip] == from {
-		p = slices.Index(rot, skip)
-	} else {
-		for hi := len(rot); p < hi; {
-			if m := int(uint(p+hi) >> 1); angs[rot[m]] < from {
-				p = m + 1
-			} else {
-				hi = m
-			}
-		}
 	}
 	best, bestDelta := int32(-1), geom.TwoPi+1
 	for range rot {
@@ -359,7 +396,7 @@ func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, k
 		if raw > bestDelta+1e-9 {
 			break
 		}
-		if k == skip || keep != nil && !keep[off+int(k)] {
+		if keep != nil && !keep[k] {
 			continue
 		}
 		if v := row[k]; net.aliveBits[v>>6]&(1<<(uint(v)&63)) == 0 {
@@ -379,7 +416,8 @@ func (net *Network) RotationStep(u NodeID, from float64, ccw bool, skip int32, k
 // sortRotation sorts a row's columns by (bearing, column) in place,
 // given that rot[:sorted] already is. It is an insertion sort: the
 // position repair hands it rotations that are sorted but for a few
-// appended columns, which it places in O(deg) each.
+// appended columns, which it places in O(deg) each. Fresh rows sort
+// theirs in layRow.
 func sortRotation(rot []int32, angs []float64, sorted int) {
 	for i := max(sorted, 1); i < len(rot); i++ {
 		c, a := rot[i], angs[rot[i]]

@@ -174,3 +174,25 @@ func TestSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// TestNewNetworkAllocs pins the allocations of building FA-800-42's
+// network on one P, so that slice growth does not creep back: the node
+// table, the row buffer and row headers, the CSR arrays, the grid's
+// cells in one array and the liveness bitset. The budget is the count,
+// 19, plus 10%.
+func TestNewNetworkAllocs(t *testing.T) {
+	dep, err := Deploy(DefaultDeployConfig(ModelFA, 800, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, net := dep.Net.Positions(), dep.Net
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := NewNetwork(pos, net.Radius, net.Field); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewNetwork on FA-800-42: %.0f allocations", allocs)
+	if allocs > 21 {
+		t.Fatalf("NewNetwork allocates %.0f objects on FA-800-42; budget 21", allocs)
+	}
+}

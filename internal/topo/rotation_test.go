@@ -10,11 +10,11 @@ import (
 // scanStep is the row-scan oracle of RotationStep: the qualifying
 // column with the smallest delta, deltas under 1e-12 counting as a
 // full turn, the lowest column winning a tie.
-func scanStep(net *Network, u NodeID, from float64, ccw bool, skip int32, keep []bool) int32 {
+func scanStep(net *Network, u NodeID, from float64, ccw bool, keep []bool) int32 {
 	best, bestDelta := int32(-1), geom.TwoPi+1
 	angs := net.AdjacencyAngles(u)
 	for j, v := range net.AdjacencyRow(u) {
-		if int32(j) == skip || keep != nil && !keep[net.AdjOffset(u)+j] || !net.Alive(v) {
+		if keep != nil && !keep[j] || !net.Alive(v) {
 			continue
 		}
 		delta := geom.CWDelta(from, angs[j])
@@ -34,9 +34,12 @@ func scanStep(net *Network, u NodeID, from float64, ccw bool, skip int32, keep [
 // TestRotationStepMatchesRowScan pins RotationStep, both hands, to the
 // row scan on a lattice full of exact bearing ties (collinear and
 // coincident neighbors), rounding-level ones (nodes nudged by 1e-14)
-// and both ends of the seam, with dead nodes, random slot masks (every
-// mask on short rows), and every column skipped in turn, from every neighbor's bearing, between
-// them and at the seam.
+// and both ends of the seam, with dead nodes, random row masks (every
+// mask on short rows) and each with every column masked out in turn,
+// as BOUNDHOLE masks its back-edge: from every neighbor's bearing,
+// between them and at the seam, starting from every position that
+// splits the rotation at the bearing, the one RotationSearch finds
+// among them.
 func TestRotationStepMatchesRowScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	var pts []geom.Point
@@ -61,10 +64,6 @@ func TestRotationStepMatchesRowScan(t *testing.T) {
 			net.SetAlive(NodeID(u), false)
 		}
 	}
-	keep := make([]bool, net.AdjSlots())
-	for s := range keep {
-		keep[s] = rng.IntN(3) > 0
-	}
 	for i := range net.Nodes {
 		u := NodeID(i)
 		angs, rot := net.AdjacencyAngles(u), net.AdjacencyRotation(u)
@@ -76,25 +75,48 @@ func TestRotationStepMatchesRowScan(t *testing.T) {
 			}
 			froms = append(froms, angs[j], geom.NormAngle((angs[j]+next)/2))
 		}
-		masks := [][]bool{nil, keep}
-		if off := net.AdjOffset(u); len(rot) <= 10 {
+		random := make([]bool, len(rot))
+		for j := range random {
+			random[j] = rng.IntN(3) > 0
+		}
+		masks := [][]bool{nil, random}
+		if len(rot) <= 10 {
 			// Short rows (the lattice's corners, the seam's node) try
 			// every mask of the row.
 			for bits := 0; bits < 1<<len(rot); bits++ {
-				m := make([]bool, net.AdjSlots())
+				m := make([]bool, len(rot))
 				for j := range rot {
-					m[off+j] = bits>>j&1 == 1
+					m[j] = bits>>j&1 == 1
 				}
 				masks = append(masks, m)
 			}
 		}
+		for _, m := range masks[:2] {
+			for j := range rot {
+				masked := make([]bool, len(rot))
+				for k := range masked {
+					masked[k] = k != j && (m == nil || m[k])
+				}
+				masks = append(masks, masked)
+			}
+		}
 		for _, ccw := range []bool{true, false} {
-			for _, mask := range masks {
-				for _, from := range froms {
-					for skip := int32(-1); skip < int32(len(rot)); skip++ {
-						if got, want := net.RotationStep(u, from, ccw, skip, mask), scanStep(net, u, from, ccw, skip, mask); got != want {
-							t.Fatalf("node %d from %v (ccw %v, skip %d, masked %v): column %d; row scan %d",
-								u, from, ccw, skip, mask != nil, got, want)
+			for _, from := range froms {
+				search := net.RotationSearch(u, from)
+				for p := 0; p <= len(rot); p++ {
+					if p > 0 && angs[rot[p-1]] > from || p < len(rot) && angs[rot[p]] < from {
+						if p == search {
+							t.Fatalf("node %d: RotationSearch(%v) = %d does not split the rotation", u, from, p)
+						}
+						continue
+					}
+					if p < search {
+						t.Fatalf("node %d: RotationSearch(%v) = %d, but %d splits the rotation", u, from, search, p)
+					}
+					for _, mask := range masks {
+						if got, want := net.RotationStep(u, p, from, ccw, mask), scanStep(net, u, from, ccw, mask); got != want {
+							t.Fatalf("node %d from %v at position %d (ccw %v, masked %v): column %d; row scan %d",
+								u, from, p, ccw, mask != nil, got, want)
 						}
 					}
 				}
