@@ -152,26 +152,26 @@ func mallocs(f func()) float64 {
 }
 
 // TestFindHolesAllocs pins the allocations of the full build on
-// FA-800-42 on one P, so that slice growth does not creep back: per
-// stuck node its TENT intervals and first hops, one allocation each,
-// and per build the successor table, the orbit scratch sized from the
-// slot count, and the hole set. The budget is the count, 1,634, plus
-// 10%.
+// FA-800-42 on one P, so that per-node allocations do not creep back:
+// the stuck analysis's arenas and flat arrays, the successor table, the
+// orbit scratch sized from the slot and node counts, the orbit spans,
+// and the hole set. The budget is the count, 47, plus 10%.
 func TestFindHolesAllocs(t *testing.T) {
 	net := benchNet(t)
 	allocs := testing.AllocsPerRun(5, func() { FindHoles(net) })
 	t.Logf("FindHoles on FA-800-42: %.0f allocations", allocs)
-	if allocs > 1800 {
-		t.Fatalf("FindHoles allocates %.0f objects on FA-800-42; budget 1800", allocs)
+	if allocs > 52 {
+		t.Fatalf("FindHoles allocates %.0f objects on FA-800-42; budget 52", allocs)
 	}
 }
 
 // TestBoundRepairAllocs pins the steady-state allocations of a repair on
-// FA-800-42: a 4-node fail or revive and an 8-node drift. What remains
-// is retained state — the re-run TENT results and the rebuilt hole set
-// (one array each for holes, cycles and the node index) — plus Tent's
-// scratch. A per-walk cache (every re-traced walk copying its cycle)
-// costs over 7k here.
+// FA-800-42: a 4-node fail or revive and an 8-node drift, 14 or 15
+// each. What remains is retained state — the stuck analysis laid out
+// afresh and the rebuilt hole set (one array each for holes, cycles and
+// the node index) — plus the analysis arenas. A per-walk cache (every
+// re-traced walk copying its cycle) costs over 7k here, and one
+// allocation per dirty node some hundreds.
 func TestBoundRepairAllocs(t *testing.T) {
 	net := benchNet(t)
 	b := FindHoles(net)
@@ -198,8 +198,8 @@ func TestBoundRepairAllocs(t *testing.T) {
 			}
 		}
 	}
-	if fail > 3000 || revive > 3000 {
-		t.Fatalf("4-node repair allocates %.0f (fail) / %.0f (revive) objects; budget 3000", fail, revive)
+	if fail > 20 || revive > 20 {
+		t.Fatalf("4-node repair allocates %.0f (fail) / %.0f (revive) objects; budget 20", fail, revive)
 	}
 
 	away := make([]topo.Move, 8)
@@ -223,8 +223,8 @@ func TestBoundRepairAllocs(t *testing.T) {
 			move += n / rounds
 		}
 	}
-	if move > 5000 {
-		t.Fatalf("8-node move repair allocates %.0f objects; budget 5000", move)
+	if move > 20 {
+		t.Fatalf("8-node move repair allocates %.0f objects; budget 20", move)
 	}
 	t.Logf("allocs per repair: fail %.0f, revive %.0f, move %.0f", fail, revive, move)
 }

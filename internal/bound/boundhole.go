@@ -1,8 +1,8 @@
 package bound
 
 import (
-	"math"
 	"slices"
+	"sync"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/par"
@@ -48,42 +48,45 @@ type Boundaries struct {
 	// from-scratch run on the mutated network would report.
 	MessageCount int
 
-	// The network the boundaries were traced on, the boundary length
-	// cap, and per node the TENT result plus the first hop of each
-	// stuck interval's walk.
+	// The network the boundaries were traced on and the boundary
+	// length cap.
 	net    *topo.Network
 	maxLen int
-	recs   []nodeRec
+	// The stuck analysis of every node, flat: node u's TENT intervals
+	// are ivs[stuckOff[u]:stuckOff[u+1]], and first[k] is the column in
+	// u's row of the first hop of ivs[k]'s walk (-1 when the gap has no
+	// way in). Dead and never-stuck nodes have none. A repair lays all
+	// three out afresh (see analyzeRows), never in place.
+	stuckOff []int32
+	ivs      []StuckInterval
+	first    []int32
 	// Successor table, indexed by CSR edge slot. A walk that arrived at
 	// cur over prev→cur leaves over slot b+out.At[b], where b is the slot
 	// of the back-edge cur→prev, the network's reverse slot of prev→cur
-	// (see next): out.At[b] is the successor's column less b's, so it
-	// survives a CSR shift of the row. A row of out depends only on that
-	// row's geometry and its neighbors' liveness.
+	// (orbits.sig holds the result per slot): out.At[b] is the
+	// successor's column less b's, so it survives a CSR shift of the
+	// row. A row of out depends only on that row's geometry and its
+	// neighbors' liveness.
 	out topo.SlotTable[int32]
 	// σ's orbit labels and the dedup claims, rebuilt by every derive.
 	orbits
 	// Scratch reused across calls (repairs are serialized by the
-	// caller): the dirty-node marks and list, and derive's kept walks.
+	// caller): the dirty-node marks and list, the per-dirty-node
+	// interval counts of analyzeRows, and derive's kept walks.
 	mark  []bool
 	dirty []topo.NodeID
+	count []int32
 	kept  []walk
 }
 
-// walk is a closed BOUNDHOLE walk: n darts from t0, leaving over slot s0.
+// walk is a closed BOUNDHOLE walk: n darts from t0, leaving over slot
+// s0. same is the index among the previous derive's holes of the one
+// this walk traces again, when derive found one; -1 otherwise.
 type walk struct {
-	t0 topo.NodeID
-	s0 int32
-	n  int
-}
-
-// nodeRec is the stuck analysis of one node: its TENT result and, per
-// stuck interval, the column of the walk's first hop in the node's row
-// (-1 when the gap has no way in). Dead and never-stuck nodes have no
-// first hops.
-type nodeRec struct {
-	tent  TentResult
-	first []int32
+	t0   topo.NodeID
+	s0   int32
+	n    int
+	same int
 }
 
 // Clone returns a copy of the boundaries over net, a topo.Network.Clone
@@ -91,28 +94,22 @@ type nodeRec struct {
 // mutate while other goroutines keep reading the receiver. The receiver
 // must not be repaired afterwards. Ownership of its parts:
 //
-//   - shared: Holes and the node index, which derive allocates afresh;
-//   - copied: the successor table (topo.SlotTable.Clone) and the
-//     per-node analyses, which a repair writes in place;
+//   - shared: Holes, the node index and the stuck analysis, which a
+//     repair replaces rather than writes;
+//   - copied: the successor table (topo.SlotTable.Clone), which a
+//     repair writes in place;
 //   - moved: the dirty marks and list, the kept walks and the orbit
 //     labels, scratch only a repair reads.
 func (b *Boundaries) Clone(net *topo.Network) *Boundaries {
 	c := *b
 	c.net = net
 	c.out = b.out.Clone()
-	c.recs = slices.Clone(b.recs)
-	// analyze appends into a record's first hops: give each its own span.
-	var total int
-	for _, r := range b.recs {
-		total += len(r.first)
-	}
-	firsts := make([]int32, 0, total)
-	for i, r := range b.recs {
-		start := len(firsts)
-		firsts = append(firsts, r.first...)
-		c.recs[i].first = firsts[start:len(firsts):len(firsts)]
-	}
 	return &c
+}
+
+// firstHops returns the first-hop column of each of u's stuck intervals.
+func (b *Boundaries) firstHops(u topo.NodeID) []int32 {
+	return b.first[b.stuckOff[u]:b.stuckOff[u+1]]
 }
 
 // HolesAt returns the holes whose boundary contains u (empty if none).
@@ -139,18 +136,17 @@ func boundaryLenCap(net *topo.Network) int { return max(net.N()/4, 16) }
 // table, so a later Repair re-analyzes only the changed neighborhood.
 func FindHoles(net *topo.Network) *Boundaries {
 	b := &Boundaries{
-		net:    net,
-		maxLen: boundaryLenCap(net),
-		recs:   make([]nodeRec, net.N()),
-		out:    topo.NewSlotTable[int32](net),
+		net:      net,
+		maxLen:   boundaryLenCap(net),
+		stuckOff: make([]int32, net.N()+1),
+		out:      topo.NewSlotTable[int32](net),
 	}
-	par.For(net.N(), func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			b.fillRow(topo.NodeID(u))
-			b.analyze(topo.NodeID(u))
-		}
-	})
-	b.derive()
+	all := make([]topo.NodeID, net.N())
+	for u := range all {
+		all[u] = topo.NodeID(u)
+	}
+	b.analyzeRows(all)
+	b.derive(nil)
 	return b
 }
 
@@ -180,29 +176,91 @@ func (b *Boundaries) fillRow(u topo.NodeID) {
 	}
 }
 
-// next returns σ(s), the dart a walk that arrived over s leaves over:
-// the successor of the back-edge, the reverse of s.
-func (b *Boundaries) next(s int32) int32 {
-	r := b.net.AdjReverse(s)
-	return r + b.out.At[r]
-}
-
-// analyze re-runs TENT at u and sweeps the first hop of each stuck
-// interval: CW from the middle of the gap, starting where TENT found
-// that bearing falls in the rotation, the first neighbor hit is the
-// gap's boundary node. The column is row-relative, so it survives a CSR
-// shift of a row whose geometry did not change.
-func (b *Boundaries) analyze(u topo.NodeID) {
-	rec := &b.recs[u]
-	rec.tent, rec.first = TentResult{}, rec.first[:0]
+// analyze appends u's TENT intervals to ivs and the first hop of each
+// to first, which must be as long: the sweep CW from the middle of the
+// gap, starting where TENT found that bearing falls in the rotation,
+// whose first neighbor hit is the gap's boundary node. The column is
+// row-relative, so it survives a CSR shift of a row whose geometry did
+// not change.
+func (b *Boundaries) analyze(u topo.NodeID, ivs []StuckInterval, first []int32) ([]StuckInterval, []int32) {
 	if !b.net.Alive(u) {
-		return
+		return ivs, first
 	}
 	// first holds the rotation positions until each is swept.
-	rec.tent, rec.first = tent(b.net, u, rec.first)
-	for k, iv := range rec.tent.Intervals {
-		rec.first[k] = b.net.RotationStep(u, int(rec.first[k]), iv.MidDirection(), false, nil)
+	k0 := len(first)
+	ivs, first = tent(b.net, u, ivs, first)
+	for k := k0; k < len(first); k++ {
+		first[k] = b.net.RotationStep(u, int(first[k]), ivs[k].MidDirection(), false, nil)
 	}
+	return ivs, first
+}
+
+// analyzeRows refills the successor rows and re-runs the stuck analysis
+// of the nodes dirty, sorted ascending, in parallel, each worker
+// appending to an arena of its own; then it lays the stuck analysis out
+// afresh, the clean nodes' spans copied from the old layout in runs and
+// the dirty ones from the arenas, which back to back hold them in order.
+func (b *Boundaries) analyzeRows(dirty []topo.NodeID) {
+	if len(dirty) == 0 {
+		return
+	}
+	type arena struct {
+		lo    int
+		ivs   []StuckInterval
+		first []int32
+	}
+	b.count = grow(b.count, len(dirty))
+	var (
+		mu     sync.Mutex
+		arenas []arena
+	)
+	// Sized for one stuck interval per two neighbors, more than the
+	// benchmark's FA-800-42 has (7,924 to 19,526 slots), so an arena
+	// rarely grows.
+	perNode := b.net.AdjSlots()/(2*b.net.N()) + 1
+	par.For(len(dirty), func(lo, hi int) {
+		c := perNode * (hi - lo)
+		a := arena{lo: lo, ivs: make([]StuckInterval, 0, c), first: make([]int32, 0, c)}
+		for i := lo; i < hi; i++ {
+			b.fillRow(dirty[i])
+			k := len(a.first)
+			a.ivs, a.first = b.analyze(dirty[i], a.ivs, a.first)
+			b.count[i] = int32(len(a.first) - k)
+		}
+		mu.Lock()
+		arenas = append(arenas, a)
+		mu.Unlock()
+	})
+	slices.SortFunc(arenas, func(x, y arena) int { return x.lo - y.lo })
+	fresh := arenas[0]
+	for _, a := range arenas[1:] {
+		fresh.ivs, fresh.first = append(fresh.ivs, a.ivs...), append(fresh.first, a.first...)
+	}
+
+	n, old := b.net.N(), b.stuckOff
+	total := len(b.first) + len(fresh.first)
+	for _, u := range dirty {
+		total -= int(old[u+1] - old[u])
+	}
+	off := make([]int32, n+1)
+	ivs, first := make([]StuckInterval, 0, total), make([]int32, 0, total)
+	u, at := 0, int32(0)
+	for i := 0; i <= len(dirty); i++ {
+		end := n
+		if i < len(dirty) {
+			end = int(dirty[i])
+		}
+		ivs, first = append(ivs, b.ivs[old[u]:old[end]]...), append(first, b.first[old[u]:old[end]]...)
+		for ; u < end; u++ {
+			off[u+1] = off[u] + old[u+1] - old[u]
+		}
+		if i < len(dirty) {
+			next := at + b.count[i]
+			ivs, first = append(ivs, fresh.ivs[at:next]...), append(first, fresh.first[at:next]...)
+			off[u+1], at, u = off[u]+b.count[i], next, u+1
+		}
+	}
+	b.stuckOff, b.ivs, b.first = off, ivs, first
 }
 
 // derive labels the successor table's orbits and rebuilds Holes, the
@@ -212,27 +270,46 @@ func (b *Boundaries) analyze(u topo.NodeID) {
 // three nodes is counted and claims its edges, kept or not — a walk
 // that shares an edge with ANY earlier walk re-found the same hole from
 // another stuck direction, and claiming a dropped duplicate's edges too
-// keeps a third walk of that hole from surfacing as a phantom. Only
-// kept holes materialize their cycle, all into one fresh array.
-func (b *Boundaries) derive() {
+// keeps a third walk of that hole from surfacing as a phantom.
+//
+// dirty marks the nodes whose successor rows and stuck analysis were
+// recomputed since the previous derive (nil for none: a fresh build).
+// A kept walk from a clean t0 over the same first hop as a previous
+// hole, whose cycle holds no dirty node, traces that hole again: every
+// step of it reads a clean row. Such a hole copies its cycle and keeps
+// its bounding box; the other kept holes materialize their cycle from
+// the orbits and bound it afresh, all into one fresh array. (Sharing
+// the unchanged cycles across versions instead kept older arrays alive:
+// 2 MB more live heap under churn-mixed.)
+func (b *Boundaries) derive(dirty []bool) {
 	b.label()
 	b.MessageCount = 0
 	kept, total := b.kept[:0], 0
-	for i := range b.recs {
+	prev, p := b.Holes, 0
+	for i := range b.net.N() {
 		u := topo.NodeID(i)
-		for _, col := range b.recs[i].first {
+		off := int32(b.net.AdjOffset(u))
+		for p < len(prev) && prev[p].Cycle[0] < u {
+			p++
+		}
+		for _, col := range b.firstHops(u) {
 			if col < 0 {
 				continue
 			}
-			s0 := int32(b.net.AdjOffset(u)) + col
+			s0 := off + col
 			n := b.walkLen(u, s0)
 			if n < 3 {
 				continue
 			}
 			b.MessageCount += n
-			if !b.claim(s0, n) {
-				kept, total = append(kept, walk{u, s0, n}), total+n
+			if b.claim(s0, n) {
+				continue
 			}
+			w := walk{t0: u, s0: s0, n: n, same: -1}
+			if dirty != nil && !dirty[u] {
+				w.same = sameHole(prev, p, u, b.net.AdjHead(s0), n, dirty)
+			}
+			kept, total = append(kept, w), total+n
 		}
 	}
 	b.kept = kept
@@ -242,11 +319,16 @@ func (b *Boundaries) derive() {
 	b.Holes = make([]*Hole, len(kept))
 	for k, w := range kept {
 		start := len(nodes)
-		nodes = b.appendCycle(nodes, w.t0, w.s0, w.n)
-		cycle := nodes[start:len(nodes):len(nodes)]
-		holes[k] = Hole{ID: k, Cycle: cycle, BBox: cycleBBox(b.net, cycle)}
+		var bb geom.Rect
+		if w.same >= 0 {
+			nodes, bb = append(nodes, prev[w.same].Cycle...), prev[w.same].BBox
+		} else {
+			nodes = b.appendCycle(nodes, w.t0, w.s0, w.n)
+			bb = cycleBBox(b.net, nodes[start:])
+		}
+		holes[k] = Hole{ID: k, Cycle: nodes[start:len(nodes):len(nodes)], BBox: bb}
 		b.Holes[k] = &holes[k]
-		for _, v := range cycle {
+		for _, v := range holes[k].Cycle {
 			holeOff[v+1]++
 		}
 	}
@@ -255,7 +337,7 @@ func (b *Boundaries) derive() {
 	for v := range b.net.N() {
 		holeOff[v+1] += holeOff[v]
 	}
-	holeIdx := make([]*Hole, total)
+	holeIdx := make([]*Hole, holeOff[b.net.N()])
 	for _, h := range b.Holes {
 		for _, v := range h.Cycle {
 			holeIdx[holeOff[v]] = h
@@ -265,6 +347,27 @@ func (b *Boundaries) derive() {
 	copy(holeOff[1:], holeOff)
 	holeOff[0] = 0
 	b.holeOff, b.holeIdx = holeOff, holeIdx
+}
+
+// sameHole returns the index of the hole among prev that left t0 for v1
+// and has n nodes, none of them dirty; -1 if there is none. The search
+// starts at prev[p], the first hole whose walk starts at t0 or later: a
+// hole's cycle starts at its walk's start node, and the holes are in
+// start node order.
+func sameHole(prev []*Hole, p int, t0, v1 topo.NodeID, n int, dirty []bool) int {
+	for ; p < len(prev) && prev[p].Cycle[0] == t0; p++ {
+		h := prev[p]
+		if h.Cycle[1] != v1 || len(h.Cycle) != n {
+			continue
+		}
+		for _, v := range h.Cycle {
+			if dirty[v] {
+				return -1
+			}
+		}
+		return p
+	}
+	return -1
 }
 
 // Repair incrementally re-derives the boundaries after the liveness of
@@ -290,14 +393,10 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 			add(v)
 		}
 	}
+	slices.Sort(dirty)
 	b.dirty = dirty
-	par.For(len(dirty), func(lo, hi int) {
-		for _, u := range dirty[lo:hi] {
-			b.fillRow(u)
-			b.analyze(u)
-		}
-	})
-	b.derive()
+	b.analyzeRows(dirty)
+	b.derive(b.mark)
 }
 
 // RepairMoved incrementally re-derives the boundaries after node
@@ -308,13 +407,21 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 // shifted verbatim, and only the dirty nodes are recomputed.
 func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
 	b.out.Relayout(b.net, dirty)
-	par.For(len(dirty), func(lo, hi int) {
-		for _, u := range dirty[lo:hi] {
-			b.fillRow(u)
-			b.analyze(u)
-		}
-	})
-	b.derive()
+	b.mark = growClear(b.mark, b.net.N())
+	for _, u := range dirty {
+		b.mark[u] = true
+	}
+	b.analyzeRows(dirty)
+	b.derive(b.mark)
+}
+
+// grow returns buf resliced to n, reallocated when its capacity is
+// short; the entries are stale.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // growClear returns buf grown to at least n and cleared.
@@ -326,13 +433,15 @@ func growClear[T any](buf []T, n int) []T {
 	return buf
 }
 
+// cycleBBox bounds the positions of the cycle's nodes, as
+// geom.Rect.Union would.
 func cycleBBox(net *topo.Network, cycle []topo.NodeID) geom.Rect {
 	p := net.Pos(cycle[0])
 	bb := geom.Rect{Min: p, Max: p}
 	for _, v := range cycle[1:] {
 		p := net.Pos(v)
-		bb.Min.X, bb.Min.Y = math.Min(bb.Min.X, p.X), math.Min(bb.Min.Y, p.Y)
-		bb.Max.X, bb.Max.Y = math.Max(bb.Max.X, p.X), math.Max(bb.Max.Y, p.Y)
+		bb.Min.X, bb.Min.Y = min(bb.Min.X, p.X), min(bb.Min.Y, p.Y)
+		bb.Max.X, bb.Max.Y = max(bb.Max.X, p.X), max(bb.Max.Y, p.Y)
 	}
 	return bb
 }

@@ -27,10 +27,14 @@
 // tail is t0. So one O(live darts) pass that labels σ's cycles (orbits)
 // and, per dart, the distance to the next dart with the same tail,
 // resolves every walk in O(1): its length is a lookup and its cycle a
-// range of the orbit. The dedup claims ranges of a bitset over the
-// orbits, in the protocol's discovery order (nodes ascending, intervals
-// in TENT order, first claim of a directed edge wins, dropped duplicates
-// claiming too), and only kept holes materialize their cycle.
+// range of the orbit. The labelling first materializes σ into one array
+// in a linear pass over the back-edges, then numbers each cycle's darts
+// as its walk meets them, and computes an orbit's distances in one
+// backward pass, fixing only each tail's last occurrence afterwards.
+// The dedup claims ranges of a bitset over the orbits, in the protocol's
+// discovery order (nodes ascending, intervals in TENT order, first claim
+// of a directed edge wins, dropped duplicates claiming too), and only
+// kept holes materialize their cycle.
 //
 // σ is a bijection except at sweep ties: when two neighbors of a node
 // share a bearing (nodes clamped onto a field edge, say), two back-edges
@@ -54,8 +58,16 @@
 //
 // [FindHoles] fills the table and runs TENT plus the first-hop sweeps on
 // every node in one pass parallel across GOMAXPROCS, then derives the
-// holes from the orbits. A repair recomputes the table rows, TENT and
-// first hops only where they changed, then derives again:
+// holes from the orbits. The stuck analysis — every node's TENT
+// intervals and first hops — lives in flat arrays with per-node offsets;
+// the workers append into arenas of their own, and the arrays are laid
+// out afresh from them and the clean nodes' spans. A repair recomputes
+// the table rows, TENT and first hops only where they changed, then
+// derives again, recognizing every hole it traces again over clean nodes
+// only (same start, first hop and length, no dirty node on the cycle):
+// such a hole copies the previous version's cycle and keeps its
+// bounding box, and only the changed holes are walked and bounded
+// afresh.
 //
 //   - Fail/revive of x ([Boundaries.Repair]): SetAlive leaves the CSR
 //     layout alone; the nodes of {x} ∪ N(x) are recomputed.

@@ -1,28 +1,26 @@
 package bound
 
-import (
-	"slices"
+import "github.com/straightpath/wasn/internal/topo"
 
-	"github.com/straightpath/wasn/internal/topo"
-)
-
-// orbits labels the successor permutation σ (Boundaries.next) over the
-// live darts (directed edges with both endpoints alive). A BOUNDHOLE
-// walk from stuck node t0 follows σ from its first-hop dart s0 and
-// closes at the first dart whose head is t0. Since tail(σ(d)) = head(d),
-// that dart sits just before the next dart with tail t0, so on a
-// σ-cycle the walk's length is dist[at[s0]], a lookup, and its cycle is
-// a range of seq.
+// orbits labels the successor permutation σ over the live darts
+// (directed edges with both endpoints alive). A BOUNDHOLE walk from
+// stuck node t0 follows σ from its first-hop dart s0 and closes at the
+// first dart whose head is t0. Since tail(σ(d)) = head(d), that dart
+// sits just before the next dart with tail t0, so on a σ-cycle the
+// walk's length is dist[at[s0]], a lookup, and its cycle is a range of
+// seq.
 //
 // σ is a bijection unless two neighbors of a node share a bearing: the
 // sweep's tie rule then sends two back-edges to one successor, and the
 // darts upstream of the merge lie off every σ-cycle. A walk starting
 // there is the one walk still stepped explicitly (walkLen).
 type orbits struct {
+	// sig is σ materialized over every slot, sig[s] = σ(s); entries of
+	// darts that are not live are never read.
+	sig []int32
 	// at is a dart's index into seq, or one of the labeling states
 	// below zero: dartOff once the dart is labeled off every σ-cycle,
-	// dartOnPath while it is on the current labeling path, and
-	// dartUnvisited before (and for ever, if the dart is not live).
+	// and dartUnvisited before (and for ever, if the dart is not live).
 	at []int32
 	// seq holds the tail of every on-cycle dart, one orbit after
 	// another; orbit o spans seq[span[o]:span[o+1]]. orbit[i] is the
@@ -32,10 +30,11 @@ type orbits struct {
 	orbit []int32
 	dist  []int32
 	span  []int32
-	// path holds the darts of the current labeling path; last is the
-	// per-node last-seen index of the dist passes, -1 between orbits.
-	path []int32
+	// last is the per-node last-seen index of the dist pass, -1 between
+	// orbits, and wrap the seq positions of the orbit's last occurrence
+	// of each tail.
 	last []int32
+	wrap []int32
 	// claimed marks the seq positions a walk has claimed; off-cycle darts
 	// are claimed by a generation stamp per slot.
 	claimed []uint64
@@ -46,15 +45,19 @@ type orbits struct {
 // The labeling states of a dart that is not on a σ-cycle (orbits.at).
 const (
 	dartOff       = -1
-	dartOnPath    = -2
-	dartUnvisited = -3
+	dartUnvisited = -2
 )
 
-// label rebuilds the orbit labels with the functional-graph cycle walk —
-// from every unvisited live dart, follow σ until reaching a labeled dart
-// or closing a new cycle on the current path, O(live darts) — and clears
-// both claim spaces. The scratch holds every slot from the start, so a
-// fresh Boundaries grows nothing while labeling.
+// label rebuilds the orbit labels and clears both claim spaces. It
+// first materializes σ in one linear pass over the back-edges, then
+// runs the functional-graph cycle walk over it: from every unvisited
+// live dart, follow σ, numbering the darts into seq as it goes, until
+// reaching a numbered dart. If that dart is the walk's first, the walk
+// closed a new orbit; if it is a later one, the walk is a cycle with an
+// off-cycle lead-in (a sweep tie), which is cut off; otherwise the walk
+// ran into an earlier orbit and lies off every cycle. O(live darts).
+// The scratch holds every slot from the start, so a fresh Boundaries
+// grows nothing while labeling.
 func (b *Boundaries) label() {
 	net, o := b.net, &b.orbits
 	slots := net.AdjSlots()
@@ -62,82 +65,96 @@ func (b *Boundaries) label() {
 	if len(o.stamp) < slots || o.gen == 0 {
 		o.stamp, o.gen = make([]uint32, slots), 1
 	}
-	o.at = slices.Grow(o.at[:0], slots)[:slots]
-	for s := range o.at {
-		o.at[s] = dartUnvisited
+	sig := grow(o.sig, slots)
+	for r, c := range b.out.At {
+		sig[net.AdjReverse(int32(r))] = int32(r) + c
 	}
+	at := grow(o.at, slots)
+	for s := range at {
+		at[s] = dartUnvisited
+	}
+	o.sig, o.at = sig, at
 	if len(o.last) < net.N() {
 		o.last = make([]int32, net.N())
 		for u := range o.last {
 			o.last[u] = -1
 		}
 	}
-	o.seq, o.orbit, o.dist = slices.Grow(o.seq[:0], slots), slices.Grow(o.orbit[:0], slots), slices.Grow(o.dist[:0], slots)
-	o.path, o.span = slices.Grow(o.path[:0], slots), append(o.span[:0], 0)
-	for i := range b.recs {
-		u := topo.NodeID(i)
-		if !net.Alive(u) {
+	o.seq, o.orbit, o.dist = grow(o.seq, slots), grow(o.orbit, slots), grow(o.dist, slots)
+	if cap(o.wrap) < net.N() {
+		o.wrap = make([]int32, 0, net.N())
+	}
+	seq := o.seq
+	o.span = append(o.span[:0], 0)
+	base := int32(0)
+	for u := range net.N() {
+		if !net.Alive(topo.NodeID(u)) {
 			continue
 		}
-		for j, v := range net.AdjacencyRow(u) {
-			s := int32(net.AdjOffset(u) + j)
-			if !net.Alive(v) || o.at[s] != dartUnvisited {
+		off := int32(net.AdjOffset(topo.NodeID(u)))
+		for j, v := range net.AdjacencyRow(topo.NodeID(u)) {
+			s0 := off + int32(j)
+			if at[s0] != dartUnvisited || !net.Alive(v) {
 				continue
 			}
-			path := o.path[:0]
-			for o.at[s] == dartUnvisited {
-				o.at[s] = dartOnPath
-				path = append(path, s)
-				s = b.next(s)
+			i, s, tail := base, s0, topo.NodeID(u)
+			for at[s] == dartUnvisited {
+				at[s], seq[i] = i, tail
+				tail, s, i = net.AdjHead(s), sig[s], i+1
 			}
-			k := len(path)
-			if o.at[s] == dartOnPath {
-				for k--; path[k] != s; k-- {
+			switch lead := at[s] - base; {
+			case lead == 0:
+			case lead > 0 && lead < i-base:
+				// Cut the lead-in: its darts go off-cycle, the cycle's
+				// move down to base.
+				for d, k := s0, int32(0); k < lead; d, k = sig[d], k+1 {
+					at[d] = dartOff
 				}
-				o.addOrbit(net, path[k:])
+				copy(seq[base:], seq[base+lead:i])
+				for d, k := s, int32(0); k < i-base-lead; d, k = sig[d], k+1 {
+					at[d] -= lead
+				}
+				i -= lead
+			default:
+				for d, k := s0, base; k < i; d, k = sig[d], k+1 {
+					at[d] = dartOff
+				}
+				continue
 			}
-			for _, d := range path[:k] {
-				o.at[d] = dartOff
-			}
-			o.path = path
+			o.addOrbit(base, i)
+			base = i
 		}
 	}
+	o.seq, o.orbit, o.dist = seq[:base], o.orbit[:base], o.dist[:base]
 	o.claimed = growClear(o.claimed, (len(o.seq)+63)/64)
 }
 
-// addOrbit appends one σ-cycle to seq — the tail of each dart, the head
-// of the dart before it — and computes its dist entries with two
-// backward passes over a per-node last-seen index: the first finds each
-// dart's next same-tail dart ahead of it, the second wraps a tail's last
-// occurrence round to its first and resets the index.
-func (o *orbits) addOrbit(net *topo.Network, darts []int32) {
-	base, id := int32(len(o.seq)), int32(len(o.span)-1)
-	prev := darts[len(darts)-1]
-	for k, d := range darts {
-		o.at[d] = base + int32(k)
-		o.seq = append(o.seq, net.AdjHead(prev))
-		o.orbit = append(o.orbit, id)
-		prev = d
-	}
-	o.dist = append(o.dist, make([]int32, len(darts))...)
-	n := int32(len(o.seq))
-	o.span = append(o.span, n)
-	for i := n - 1; i >= base; i-- {
-		t := o.seq[i]
-		if o.last[t] >= 0 {
-			o.dist[i] = o.last[t] - i
+// addOrbit records seq[base:end] as one σ-cycle and computes its dist
+// entries in one backward pass over a per-node last-seen index: each
+// dart's next same-tail dart ahead of it, except at a tail's last
+// occurrence, which wraps round to its first and is noted in wrap.
+// Fixing those entries (one per distinct tail) resets the index.
+func (o *orbits) addOrbit(base, end int32) {
+	id := int32(len(o.span) - 1)
+	o.span = append(o.span, end)
+	seq, dist := o.seq[:end], o.dist[:end]
+	wrap := o.wrap[:0]
+	for i := end - 1; i >= base; i-- {
+		o.orbit[i] = id
+		t := seq[i]
+		if l := o.last[t]; l >= 0 {
+			dist[i] = l - i
+		} else {
+			wrap = append(wrap, i)
 		}
 		o.last[t] = i
 	}
-	for i := n - 1; i >= base; i-- {
-		t := o.seq[i]
-		if o.dist[i] == 0 {
-			o.dist[i] = o.last[t] + n - base - i
-		}
-		if o.last[t] == i {
-			o.last[t] = -1
-		}
+	for _, i := range wrap {
+		t := seq[i]
+		dist[i] = o.last[t] + end - base - i
+		o.last[t] = -1
 	}
+	o.wrap = wrap
 }
 
 // walkLen returns the number of darts of the BOUNDHOLE walk from t0 that
@@ -159,7 +176,7 @@ func (b *Boundaries) walkLen(t0 topo.NodeID, s0 int32) int {
 		if tail == t0 {
 			return n
 		}
-		s = b.next(s)
+		s = b.sig[s]
 		if b.at[s] >= 0 {
 			if s == entry {
 				return 0
@@ -187,7 +204,7 @@ func (b *Boundaries) claim(s0 int32, n int) (dup bool) {
 		dup = testAndSet(o.claimed, int(i), hi)
 		return testAndSet(o.claimed, lo, lo+end-hi) || dup
 	}
-	for s, k := s0, 0; k < n; s, k = b.next(s), k+1 {
+	for s, k := s0, 0; k < n; s, k = o.sig[s], k+1 {
 		if i := o.at[s]; i >= 0 {
 			dup = testAndSet(o.claimed, int(i), int(i)+1) || dup
 			continue
@@ -207,7 +224,7 @@ func (b *Boundaries) appendCycle(c []topo.NodeID, t0 topo.NodeID, s0 int32, n in
 		c = append(c, o.seq[i:min(i+n, hi)]...)
 		return append(c, o.seq[lo:lo+max(i+n-hi, 0)]...)
 	}
-	for tail, s, k := t0, s0, 0; k < n; s, k = b.next(s), k+1 {
+	for tail, s, k := t0, s0, 0; k < n; s, k = o.sig[s], k+1 {
 		c = append(c, tail)
 		tail = b.net.AdjHead(s)
 	}

@@ -162,6 +162,11 @@ func refTrace(net *topo.Network, maxLen int, t0 topo.NodeID, iv StuckInterval) [
 	return nil
 }
 
+// intervals returns the TENT intervals b holds for u.
+func (b *Boundaries) intervals(u topo.NodeID) []StuckInterval {
+	return b.ivs[b.stuckOff[u]:b.stuckOff[u+1]]
+}
+
 // refNode is the reference analysis of one node: its TENT result and
 // the reference walk's cycle per stuck interval (nil when dropped).
 type refNode struct {
@@ -190,7 +195,7 @@ func refRecs(net *topo.Network) []refNode {
 // derivedCycle is b's outcome for stuck interval k of node u: the cycle
 // its orbit labels give the walk, nil when the walk is dropped.
 func derivedCycle(b *Boundaries, u topo.NodeID, k int) []topo.NodeID {
-	col := b.recs[u].first[k]
+	col := b.firstHops(u)[k]
 	if col < 0 {
 		return nil
 	}
@@ -212,7 +217,7 @@ func offCycle(b *Boundaries) (darts, walks int) {
 				darts++
 			}
 		}
-		for _, col := range b.recs[u].first {
+		for _, col := range b.firstHops(topo.NodeID(u)) {
 			if col >= 0 && b.at[int32(b.net.AdjOffset(topo.NodeID(u)))+col] < 0 {
 				walks++
 			}
@@ -232,10 +237,10 @@ func requireReference(t *testing.T, label string, b *Boundaries) {
 	net := b.net
 	want := refRecs(net)
 	for i := range want {
-		got, w := b.recs[i], want[i]
-		if !slices.Equal(got.tent.Intervals, w.tent.Intervals) || len(got.first) != len(w.cycles) {
+		ivs, first, w := b.intervals(topo.NodeID(i)), b.firstHops(topo.NodeID(i)), want[i]
+		if !slices.Equal(ivs, w.tent.Intervals) || len(first) != len(w.cycles) {
 			t.Fatalf("%s: node %d TENT %v (%d walks); reference %v (%d walks)",
-				label, i, got.tent.Intervals, len(got.first), w.tent.Intervals, len(w.cycles))
+				label, i, ivs, len(first), w.tent.Intervals, len(w.cycles))
 		}
 		for k, r := range w.cycles {
 			if g := derivedCycle(b, topo.NodeID(i), k); !slices.Equal(g, r) || (g == nil) != (r == nil) {
@@ -310,11 +315,11 @@ func requireSortOracle(t *testing.T, label string, b *Boundaries) {
 			continue
 		}
 		tent := refTent(net, u)
-		if got := b.recs[i].tent.Intervals; !slices.Equal(got, tent.Intervals) {
+		if got := b.intervals(u); !slices.Equal(got, tent.Intervals) {
 			t.Fatalf("%s: node %d TENT %v; oracle %v", label, u, got, tent.Intervals)
 		}
 		for k, iv := range tent.Intervals {
-			got, want := b.recs[i].first[k], refSweepSlot(net, u, iv.MidDirection(), topo.NoNode)
+			got, want := b.firstHops(u)[k], refSweepSlot(net, u, iv.MidDirection(), topo.NoNode)
 			if got >= 0 {
 				got += off
 			}

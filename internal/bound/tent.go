@@ -2,7 +2,6 @@ package bound
 
 import (
 	"math"
-	"slices"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/topo"
@@ -36,18 +35,17 @@ type TentResult struct {
 // 120° rule). Nodes with zero or one neighbor are stuck in all (or the
 // complement) directions.
 func Tent(net *topo.Network, u topo.NodeID) TentResult {
-	res, _ := tent(net, u, nil)
-	return res
+	ivs, _ := tent(net, u, nil, nil)
+	return TentResult{Node: u, Intervals: ivs}
 }
 
-// tent is Tent that also appends to at, per stuck interval, the
-// rotation position where the interval's middle direction falls (what
+// tent is Tent appending u's stuck intervals to ivs and, per interval,
+// to at the rotation position where its middle direction falls (what
 // topo.Network.RotationSearch returns), found by walking back from the
 // position of the interval's far neighbor, which the rotation pass
-// already met. It allocates the intervals once and grows at at most
-// once.
-func tent(net *topo.Network, u topo.NodeID, at []int32) (TentResult, []int32) {
-	res := TentResult{Node: u}
+// already met. Appending into the caller's arenas, it allocates only
+// when they grow.
+func tent(net *topo.Network, u topo.NodeID, ivs []StuckInterval, at []int32) ([]StuckInterval, []int32) {
 	up := net.Pos(u)
 	angs, rot := net.AdjacencyAngles(u), net.AdjacencyRotation(u)
 
@@ -110,18 +108,15 @@ func tent(net *topo.Network, u topo.NodeID, at []int32) (TentResult, []int32) {
 		}
 		return int32(h)
 	}
-	var ivBuf [32]StuckInterval
-	var atBuf [32]int32
-	ivs, pos := ivBuf[:0], atBuf[:0]
 	switch len(dirs) {
 	case 0:
-		ivs = append(ivs, StuckInterval{Lo: 0, Hi: geom.TwoPi - 1e-9})
-		pos = append(pos, where(ivs[0].MidDirection(), len(rot)))
+		iv := StuckInterval{Lo: 0, Hi: geom.TwoPi - 1e-9}
+		ivs, at = append(ivs, iv), append(at, where(iv.MidDirection(), len(rot)))
 	case 1:
 		// Only the exact direction of the sole neighbor line is safe.
 		a := dirs[0].angle
-		ivs = append(ivs, StuckInterval{Lo: geom.NormAngle(a + 1e-6), Hi: geom.NormAngle(a - 1e-6)})
-		pos = append(pos, where(ivs[0].MidDirection(), len(rot)))
+		iv := StuckInterval{Lo: geom.NormAngle(a + 1e-6), Hi: geom.NormAngle(a - 1e-6)}
+		ivs, at = append(ivs, iv), append(at, where(iv.MidDirection(), len(rot)))
 	default:
 		for i := range dirs {
 			d1 := dirs[i]
@@ -131,15 +126,11 @@ func tent(net *topo.Network, u topo.NodeID, at []int32) (TentResult, []int32) {
 			}
 			if stuckBetween(up, pt(d1), pt(d2), net.Radius) {
 				iv := StuckInterval{Lo: d1.angle, Hi: d2.angle}
-				ivs = append(ivs, iv)
-				pos = append(pos, where(iv.MidDirection(), int(d2.pos)))
+				ivs, at = append(ivs, iv), append(at, where(iv.MidDirection(), int(d2.pos)))
 			}
 		}
 	}
-	if len(ivs) > 0 {
-		res.Intervals = slices.Clone(ivs)
-	}
-	return res, append(at, pos...)
+	return ivs, at
 }
 
 // sameAngle absorbs float noise when comparing neighbor directions.

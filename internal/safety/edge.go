@@ -1,6 +1,8 @@
 package safety
 
 import (
+	"slices"
+
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/topo"
 )
@@ -25,13 +27,24 @@ var _ EdgeRule = ConvexHullEdge{}
 // EdgeNodes implements EdgeRule.
 func (ConvexHullEdge) EdgeNodes(net *topo.Network) []bool {
 	out := make([]bool, net.N())
+	for _, u := range hullNodes(net) {
+		out[u] = true
+	}
+	return out
+}
+
+// hullNodes returns the alive nodes on the strict convex hull of the
+// alive nodes, counter-clockwise (geom.ConvexHullIndices).
+func hullNodes(net *topo.Network) []topo.NodeID {
 	alive := net.AliveIDs()
 	pts := make([]geom.Point, len(alive))
 	for i, id := range alive {
 		pts[i] = net.Pos(id)
 	}
-	for _, i := range geom.ConvexHullIndices(pts) {
-		out[alive[i]] = true
+	hull := geom.ConvexHullIndices(pts)
+	out := make([]topo.NodeID, len(hull))
+	for k, i := range hull {
+		out[k] = alive[i]
 	}
 	return out
 }
@@ -51,21 +64,21 @@ var _ EdgeRule = BorderMarginEdge{}
 // EdgeNodes implements EdgeRule.
 func (r BorderMarginEdge) EdgeNodes(net *topo.Network) []bool {
 	out := make([]bool, net.N())
-	// Build the shrunken rect without FromCorners: a margin wider than
-	// half the field must invert to empty, not re-normalize.
+	for i, n := range net.Nodes {
+		out[i] = n.Alive && r.pins(net, n.Pos)
+	}
+	return out
+}
+
+// pins reports whether a node at p is within the margin of the field
+// border. The shrunken rect is built without FromCorners: a margin
+// wider than half the field must invert to empty, not re-normalize.
+func (r BorderMarginEdge) pins(net *topo.Network, p geom.Point) bool {
 	inner := geom.Rect{
 		Min: geom.Pt(net.Field.Min.X+r.Margin, net.Field.Min.Y+r.Margin),
 		Max: geom.Pt(net.Field.Max.X-r.Margin, net.Field.Max.Y-r.Margin),
 	}
-	for i, n := range net.Nodes {
-		if !n.Alive {
-			continue
-		}
-		if inner.Empty() || !inner.ContainsStrict(n.Pos) {
-			out[i] = true
-		}
-	}
-	return out
+	return inner.Empty() || !inner.ContainsStrict(p)
 }
 
 // Name implements EdgeRule.
@@ -101,9 +114,114 @@ func (u UnionEdge) Name() string {
 	return name + ")"
 }
 
+// nodePin returns alive node u's pin under the rules that pin a node by
+// the node alone and whether it is a vertex of the alive nodes' convex
+// hull — the hull, the border margin and unions of them; ok is false
+// for any other rule. With it a repair that leaves the hull's vertices
+// as they were re-pins only the changed nodes (Model.repin).
+func nodePin(r EdgeRule, net *topo.Network, u topo.NodeID, onHull bool) (pin, ok bool) {
+	switch r := r.(type) {
+	case ConvexHullEdge:
+		return onHull, true
+	case BorderMarginEdge:
+		return r.pins(net, net.Pos(u)), true
+	case UnionEdge:
+		for _, m := range r {
+			p, ok := nodePin(m, net, u, onHull)
+			if !ok {
+				return false, false
+			}
+			pin = pin || p
+		}
+		return pin, true
+	}
+	return false, false
+}
+
 // DefaultEdgeRule is the experiments' default: hull nodes plus a border
 // strip one radio range deep (20 m on the paper's field). The union keeps
 // the labeling focused on interior holes even when the hull is sparse.
 func DefaultEdgeRule() EdgeRule {
 	return UnionEdge{ConvexHullEdge{}, BorderMarginEdge{Margin: 20}}
+}
+
+// repin returns the edge pins of m's network after the nodes changed
+// changed liveness or position, every other node as it was — or, for
+// changed nil, evaluated afresh. A rule that does not pin by node is
+// evaluated in full. One that does (nodePin) keeps the hull when the
+// changed nodes leave it as it was (keepsHull): then only they are
+// re-pinned. Otherwise the hull and every pin are recomputed, and m
+// keeps the hull for the next call — unless another alive node shares
+// a hull vertex's position: which of the two the hull takes depends on
+// the whole point set's sort, so such a hull is recomputed every time.
+func (m *Model) repin(changed []topo.NodeID) []bool {
+	net := m.Net
+	pin := func(u topo.NodeID, onHull bool) bool {
+		p, _ := nodePin(m.Edge, net, u, onHull)
+		return p && net.Alive(u)
+	}
+	if net.N() == 0 {
+		return m.Edge.EdgeNodes(net)
+	}
+	if _, ok := nodePin(m.Edge, net, 0, false); !ok { // ok does not depend on the node
+		return m.Edge.EdgeNodes(net)
+	}
+	if changed != nil && m.keepsHull(changed) {
+		edge := slices.Clone(m.edge)
+		for _, u := range changed {
+			edge[u] = pin(u, slices.Contains(m.hull, u))
+		}
+		return edge
+	}
+	m.hull = hullNodes(net)
+	m.hullAt = make([]geom.Point, len(m.hull))
+	edge := make([]bool, net.N())
+	for k, u := range m.hull {
+		m.hullAt[k], edge[u] = net.Pos(u), true
+	}
+	for i, onHull := range edge {
+		u := topo.NodeID(i)
+		if !onHull && net.Alive(u) && slices.Contains(m.hullAt, net.Pos(u)) {
+			m.hull, m.hullAt = nil, nil
+		}
+		edge[i] = pin(u, onHull)
+	}
+	return edge
+}
+
+// hullEps is the margin by which a changed node must lie inside every
+// edge of the hull (as a cross product, like geom.Orient's) for
+// keepsHull: a thousand times geom.Orient's collinearity band, so that
+// a node within rounding of an edge's line recomputes the hull.
+const hullEps = 1e-6
+
+// keepsHull reports whether the changed nodes leave m's hull as it was:
+// every hull vertex among them is still alive where it was, and every
+// other one is dead or inside the hull by more than hullEps. Removing,
+// moving or adding points strictly inside a point set's convex hull
+// leaves its vertices as they are.
+func (m *Model) keepsHull(changed []topo.NodeID) bool {
+	if len(m.hull) < 3 {
+		return false
+	}
+	for _, u := range changed {
+		alive, p := m.Net.Alive(u), m.Net.Pos(u)
+		if k := slices.Index(m.hull, u); k >= 0 {
+			if !alive || p != m.hullAt[k] {
+				return false
+			}
+			continue
+		}
+		if !alive {
+			continue
+		}
+		a := m.hullAt[len(m.hullAt)-1]
+		for _, b := range m.hullAt {
+			if b.Sub(a).Cross(p.Sub(a)) <= hullEps {
+				return false
+			}
+			a = b
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package safety
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/straightpath/wasn/internal/geom"
@@ -128,5 +130,77 @@ func TestIncrementalCascade(t *testing.T) {
 	}
 	if got := m.Tuple(3); got != "(0,0,0,0)" {
 		t.Errorf("dead node tuple = %s", got)
+	}
+}
+
+// TestRepinMatchesEdgeNodes is the differential test of the kept hull
+// (Model.repin): through random fail, revive and move batches — moves
+// drawn to land inside, on and outside the hull, on a coarse lattice so
+// that collinear and coincident nodes come up, and clamped onto the
+// field border — the repaired pins of every node-pinning rule equal the
+// rule evaluated in full, and the repaired model equals a fresh build.
+// Both the kept-hull path and the recompute are taken.
+func TestRepinMatchesEdgeNodes(t *testing.T) {
+	rules := []EdgeRule{DefaultEdgeRule(), ConvexHullEdge{}, BorderMarginEdge{Margin: 20}}
+	for _, rule := range rules {
+		for _, model := range []topo.DeployModel{topo.ModelIA, topo.ModelFA} {
+			t.Run(rule.Name()+"/"+model.String(), func(t *testing.T) {
+				net := deployed(t, model, 200, 4)
+				m := Build(net, WithEdgeRule(rule))
+				rng := rand.New(rand.NewPCG(uint64(len(rule.Name())), uint64(model)))
+				var kept, recomputed int
+				for step := 0; step < 120; step++ {
+					var changed []topo.NodeID
+					move := rng.IntN(3) == 0
+					for k := 0; k < 1+rng.IntN(4); k++ {
+						u := topo.NodeID(rng.IntN(net.N()))
+						if slices.Contains(changed, u) {
+							continue
+						}
+						changed = append(changed, u)
+						if !move {
+							net.SetAlive(u, !net.Alive(u))
+						}
+					}
+					var dirty []topo.NodeID
+					if move {
+						moves := make([]topo.Move, len(changed))
+						for k, u := range changed {
+							f := net.Field
+							x := f.Min.X + float64(rng.IntN(11))/10*f.Width()
+							y := f.Min.Y + float64(rng.IntN(11))/10*f.Height()
+							if rng.IntN(2) == 0 { // a short drift, clamped
+								p := net.Pos(u)
+								x = min(max(p.X+8*rng.NormFloat64(), f.Min.X), f.Max.X)
+								y = min(max(p.Y+8*rng.NormFloat64(), f.Min.Y), f.Max.Y)
+							}
+							moves[k] = topo.Move{Node: u, X: x, Y: y}
+						}
+						var err error
+						if dirty, err = net.SetPositions(moves); err != nil {
+							t.Fatal(err)
+						}
+						changed = dirty
+					}
+					if m.keepsHull(changed) {
+						kept++
+					} else {
+						recomputed++
+					}
+					if move {
+						m.RepairMoved(dirty)
+					} else {
+						m.Repair(changed...)
+					}
+					if want := rule.EdgeNodes(net); !slices.Equal(m.edge, want) {
+						t.Fatalf("step %d: pins differ from the rule evaluated in full", step)
+					}
+					requireModelEqual(t, step, net, m, Build(net, WithEdgeRule(rule)))
+				}
+				if kept == 0 || recomputed == 0 {
+					t.Fatalf("kept the hull %d times, recomputed it %d times; want both", kept, recomputed)
+				}
+			})
+		}
 	}
 }

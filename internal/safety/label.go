@@ -9,17 +9,40 @@ import (
 	"github.com/straightpath/wasn/internal/topo"
 )
 
-// hasSafeZoneNeighbor evaluates the Definition 1 condition at u for zone
-// z against the given status snapshot: is there any type-z safe neighbor
-// inside Q_z(u)?
-func (m *Model) hasSafeZoneNeighbor(u topo.NodeID, z geom.ZoneType, safeOf func(topo.NodeID, geom.ZoneType) bool) bool {
-	pu := m.Net.Pos(u)
-	for _, v := range m.Net.Neighbors(u) {
-		if geom.InForwardingZone(pu, z, m.Net.Pos(v)) && safeOf(v, z) {
-			return true
+// lower applies the Definition 1 condition at u: it clears every type-z
+// status of u that has no type-z safe neighbor inside Q_z(u), reading
+// the neighbors' statuses from info (m.info itself, or a snapshot of it
+// taken when u's own statuses were the same), and reports whether it
+// cleared any. u must be alive. One pass over the alive neighbors in
+// the static row serves all four zones: a neighbor at u's own position
+// lies in no forwarding zone and any other in exactly one
+// (geom.InForwardingZone).
+func (m *Model) lower(u topo.NodeID, info []Info) bool {
+	in := &m.info[u]
+	var want, has uint8
+	for z, safe := range in.Safe {
+		if safe {
+			want |= 1 << z
 		}
 	}
-	return false
+	pu := m.Net.Pos(u)
+	for _, v := range m.Net.AdjacencyRow(u) {
+		if has == want {
+			break
+		}
+		if !m.Net.Alive(v) {
+			continue
+		}
+		pv := m.Net.Pos(v)
+		z := geom.ZoneTypeOf(pu, pv) - 1
+		if bit := uint8(1) << z; want&bit != 0 && pv != pu && info[v].Safe[z] {
+			has |= bit
+		}
+	}
+	for z := range in.Safe {
+		in.Safe[z] = has&(1<<z) != 0
+	}
+	return has != want
 }
 
 // labelSync runs Definition 1 / Algorithm 2 as the paper states it: a
@@ -39,7 +62,6 @@ func (m *Model) labelSync() {
 	for {
 		// Snapshot of the previous round.
 		copy(prev, m.info)
-		safeOf := func(v topo.NodeID, z geom.ZoneType) bool { return prev[v].Safe[z-1] }
 
 		var changed, messages atomic.Int64
 		par.For(len(m.info), func(lo, hi int) {
@@ -49,17 +71,7 @@ func (m *Model) labelSync() {
 				if !m.Net.Alive(u) || m.info[i].Pinned {
 					continue
 				}
-				nodeChanged := false
-				for _, z := range geom.AllZones {
-					if !prev[i].Safe[z-1] {
-						continue // already unsafe; monotone
-					}
-					if !m.hasSafeZoneNeighbor(u, z, safeOf) {
-						m.info[i].Safe[z-1] = false
-						nodeChanged = true
-					}
-				}
-				if nodeChanged {
+				if m.lower(u, prev) {
 					localChanged++
 					localMsgs += m.Net.Degree(u)
 				}
@@ -91,8 +103,6 @@ func (m *Model) labelWorklist(rng *rand.Rand) {
 	for i := range m.info {
 		push(topo.NodeID(i))
 	}
-	safeOf := func(v topo.NodeID, z geom.ZoneType) bool { return m.info[v].Safe[z-1] }
-
 	for len(queue) > 0 {
 		var u topo.NodeID
 		if rng != nil {
@@ -105,18 +115,7 @@ func (m *Model) labelWorklist(rng *rand.Rand) {
 			queue = queue[1:]
 		}
 		inQueue[u] = false
-
-		changed := false
-		for _, z := range geom.AllZones {
-			if !m.info[u].Safe[z-1] {
-				continue
-			}
-			if !m.hasSafeZoneNeighbor(u, z, safeOf) {
-				m.info[u].Safe[z-1] = false
-				changed = true
-			}
-		}
-		if changed {
+		if m.lower(u, m.info) {
 			m.Cost.Messages += m.Net.Degree(u)
 			for _, v := range m.Net.Neighbors(u) {
 				push(v)
@@ -137,8 +136,8 @@ func BuildAsync(net *topo.Network, seed uint64, opts ...Option) *Model {
 		Net:  net,
 		Edge: cfg.edgeRule,
 		info: make([]Info, net.N()),
-		edge: cfg.edgeRule.EdgeNodes(net),
 	}
+	m.edge = m.repin(nil)
 	m.reset()
 	rng := rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))
 	m.labelWorklist(rng)
@@ -169,7 +168,7 @@ func (m *Model) OnNodeFailure(failed ...topo.NodeID) { m.Repair(failed...) }
 // tuple the paper prescribes for edge nodes — a safe→safe pin is free,
 // an unsafe→pinned flip is not expressible by the monotone worklist).
 func (m *Model) Repair(changed ...topo.NodeID) {
-	newEdge := m.Edge.EdgeNodes(m.Net)
+	newEdge := m.repin(changed)
 	full := false
 	for _, x := range changed {
 		if m.Net.Alive(x) { // revival: labels may need to flip unsafe→safe
@@ -254,7 +253,7 @@ func (m *Model) Repair(changed ...topo.NodeID) {
 // outside R still satisfy their (unchanged) conditions against a state
 // that only went up, and every lowering propagates through the worklist.
 func (m *Model) RepairMoved(dirty []topo.NodeID) {
-	newEdge := m.Edge.EdgeNodes(m.Net)
+	newEdge := m.repin(dirty)
 	n := m.Net.N()
 	inR := make([]bool, n)
 	region := make([]topo.NodeID, 0, len(dirty)*4)
@@ -313,7 +312,6 @@ func (m *Model) repairFrom(seeds []topo.NodeID) {
 	for _, u := range seeds {
 		inQueue[u] = true
 	}
-	safeOf := func(v topo.NodeID, z geom.ZoneType) bool { return m.info[v].Safe[z-1] }
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -321,17 +319,7 @@ func (m *Model) repairFrom(seeds []topo.NodeID) {
 		if !m.Net.Alive(u) || m.info[u].Pinned {
 			continue
 		}
-		changed := false
-		for _, z := range geom.AllZones {
-			if !m.info[u].Safe[z-1] {
-				continue
-			}
-			if !m.hasSafeZoneNeighbor(u, z, safeOf) {
-				m.info[u].Safe[z-1] = false
-				changed = true
-			}
-		}
-		if changed {
+		if m.lower(u, m.info) {
 			m.Cost.Messages += m.Net.Degree(u)
 			for _, v := range m.Net.Neighbors(u) {
 				if !inQueue[v] {

@@ -66,8 +66,13 @@ type Model struct {
 	// finalizeShapes after every (re)labeling so the routing scans test
 	// safety with one byte load — see SafeMasks.
 	masks []uint8
-	// edge[u] caches the pinned set.
-	edge []bool
+	// edge[u] caches the pinned set. For a rule that pins by node
+	// (nodePin), hull and hullAt are the hull edge was evaluated with:
+	// its vertices, counter-clockwise, and their positions. A repair
+	// replaces the three, never writes them.
+	edge   []bool
+	hull   []topo.NodeID
+	hullAt []geom.Point
 	// shapes[u][z-1] caches Shape/FarCorner per (node, zone).
 	shapes [][geom.NumZones]shapeCache
 	// conf[u] caches ConfinementBox per node.
@@ -78,16 +83,17 @@ type Model struct {
 // Clone returns a copy of the model over net, a topo.Network.Clone of
 // m.Net, that Repair and RepairMoved may mutate while other goroutines
 // keep reading the receiver. The receiver must not be repaired
-// afterwards. The edge-node set is shared, because a repair replaces it
-// wholesale; the labels, the safety masks, the shape caches and the
-// confinement boxes are copied, because a repair rewrites them in place.
+// afterwards. The edge-node set and its hull are shared, because a
+// repair replaces them wholesale; the labels are copied, because a
+// repair rewrites them in place; and the safety masks, shape caches and
+// confinement boxes are left out, because every repair ends by
+// recomputing all of them (finalizeShapes) into fresh arrays. Until its
+// repair the copy answers no query.
 func (m *Model) Clone(net *topo.Network) *Model {
 	c := *m
 	c.Net = net
 	c.info = slices.Clone(m.info)
-	c.masks = slices.Clone(m.masks)
-	c.shapes = slices.Clone(m.shapes)
-	c.conf, c.confOK = slices.Clone(m.conf), slices.Clone(m.confOK)
+	c.masks, c.shapes, c.conf, c.confOK = nil, nil, nil, nil
 	return &c
 }
 
@@ -115,8 +121,8 @@ func Build(net *topo.Network, opts ...Option) *Model {
 		Net:  net,
 		Edge: cfg.edgeRule,
 		info: make([]Info, net.N()),
-		edge: cfg.edgeRule.EdgeNodes(net),
 	}
+	m.edge = m.repin(nil)
 	m.reset()
 	m.labelSync()
 	m.propagateShapes()

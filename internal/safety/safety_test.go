@@ -78,6 +78,20 @@ func TestLabelingLine(t *testing.T) {
 	}
 }
 
+// hasSafeZoneNeighbor evaluates the Definition 1 condition at u for zone
+// z one zone at a time, as the labeling did before Model.lower folded
+// the four zones into one pass: is there any type-z safe neighbor
+// inside Q_z(u)?
+func hasSafeZoneNeighbor(m *Model, u topo.NodeID, z geom.ZoneType) bool {
+	pu := m.Net.Pos(u)
+	for _, v := range m.Net.Neighbors(u) {
+		if geom.InForwardingZone(pu, z, m.Net.Pos(v)) && m.Safe(v, z) {
+			return true
+		}
+	}
+	return false
+}
+
 // The fixpoint property (Definition 1): every unpinned safe node has a
 // safe same-type neighbor in its zone; every unsafe node has none.
 func TestLabelingFixpoint(t *testing.T) {
@@ -87,9 +101,7 @@ func TestLabelingFixpoint(t *testing.T) {
 		for i := range net.Nodes {
 			u := topo.NodeID(i)
 			for _, z := range geom.AllZones {
-				has := m.hasSafeZoneNeighbor(u, z, func(v topo.NodeID, zz geom.ZoneType) bool {
-					return m.Safe(v, zz)
-				})
+				has := hasSafeZoneNeighbor(m, u, z)
 				if m.Pinned(u) {
 					if !m.Safe(u, z) {
 						t.Fatalf("%v: pinned node %d unsafe", model, u)

@@ -13,20 +13,23 @@ func zoneStartAngle(z geom.ZoneType) float64 {
 	return float64(z-1) * math.Pi / 2
 }
 
-// scanZoneNeighbors returns the first and last neighbors of u inside
-// Q_z(u) in the counter-clockwise ray scan of the zone (the paper's v1
-// and v2). ok is false when the zone is empty.
+// scanZoneNeighbors returns the first and last alive neighbors of u
+// inside Q_z(u) in the counter-clockwise ray scan of the zone (the
+// paper's v1 and v2). ok is false when the zone is empty. It reads the
+// row's packed positions and its bearings, which the network stores as
+// geom.Angle from u.
 func scanZoneNeighbors(net *topo.Network, u topo.NodeID, z geom.ZoneType) (first, last topo.NodeID, ok bool) {
 	pu := net.Pos(u)
 	start := zoneStartAngle(z)
 	first, last = topo.NoNode, topo.NoNode
 	var minDelta, maxDelta float64
-	for _, v := range net.Neighbors(u) {
-		pv := net.Pos(v)
-		if !geom.InForwardingZone(pu, z, pv) {
+	xs, ys := net.AdjacencyXY(u)
+	angs := net.AdjacencyAngles(u)
+	for j, v := range net.AdjacencyRow(u) {
+		if !geom.InForwardingZone(pu, z, geom.Pt(xs[j], ys[j])) || !net.Alive(v) {
 			continue
 		}
-		delta := geom.CCWDelta(start, geom.Angle(pu, pv))
+		delta := geom.CCWDelta(start, angs[j])
 		if first == topo.NoNode || delta < minDelta {
 			first, minDelta = v, delta
 		}

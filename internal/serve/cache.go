@@ -51,7 +51,9 @@ type routeCache struct {
 
 type cacheShard struct {
 	mu sync.Mutex
-	// slots holds sets consecutive sets of ways slots; never resized.
+	// slots holds sets consecutive sets of ways slots, allocated by the
+	// shard's first put (guarded by mu) and never resized; until then
+	// every get on the shard is a miss.
 	slots []cacheSlot
 	ways  int
 	sets  uint64
@@ -74,7 +76,8 @@ const (
 // newRouteCache builds a cache with the given total capacity spread over
 // the shards. Capacity below the shard count is rounded up to one entry
 // per shard, and a shard's capacity up to whole sets; a shard smaller
-// than one set is a single fully associative set (exact LRU).
+// than one set is a single fully associative set (exact LRU). No slot
+// is allocated until a put reaches its shard.
 func newRouteCache(size, shards int) *routeCache {
 	if size <= 0 {
 		size = defaultCacheSize
@@ -87,22 +90,34 @@ func newRouteCache(size, shards int) *routeCache {
 	sets := (perShard + ways - 1) / ways
 	c := &routeCache{shards: make([]*cacheShard, shards)}
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{slots: make([]cacheSlot, sets*ways), ways: ways, sets: uint64(sets)}
+		c.shards[i] = &cacheShard{ways: ways, sets: uint64(sets)}
 	}
 	return c
 }
 
-// locate returns k's shard and the set that may hold it: a wyhash-style
-// mix of the key without its epoch whose low half picks the shard, high
-// half the set.
-func (c *routeCache) locate(k cacheKey) (*cacheShard, []cacheSlot) {
+// locate returns k's shard and the offset in its slots of the set that
+// may hold it: a wyhash-style mix of the key without its epoch whose
+// low half picks the shard, high half the set. Inlined into get, it
+// made a hit take 50 ns instead of 28 ns (BenchmarkRouteCacheHit, 2
+// vCPUs), so it stays a call.
+//
+//go:noinline
+func (c *routeCache) locate(k cacheKey) (*cacheShard, int) {
 	hi, lo := bits.Mul64(uint64(uint32(k.src))|uint64(uint32(k.dst))<<32^0xa0761d6478bd642f,
 		(uint64(k.dep)<<32|uint64(k.alg))^0xe7037ed1a0b428db)
 	hi, lo = bits.Mul64(hi^lo, 0x589965cc75374cc3)
 	h := hi ^ lo
 	sh := c.shards[uint64(uint32(h))*uint64(len(c.shards))>>32]
-	i := int((h>>32)*sh.sets>>32) * sh.ways
-	return sh, sh.slots[i : i+sh.ways : i+sh.ways]
+	return sh, int((h>>32)*sh.sets>>32) * sh.ways
+}
+
+// set returns the set at offset i, empty while the shard has no slots.
+// The caller holds sh.mu.
+func (sh *cacheShard) set(i int) []cacheSlot {
+	if sh.slots == nil {
+		return nil
+	}
+	return sh.slots[i : i+sh.ways : i+sh.ways]
 }
 
 // get reports whether k is cached and, if it is, overwrites *res with
@@ -110,8 +125,9 @@ func (c *routeCache) locate(k cacheKey) (*cacheShard, []cacheSlot) {
 // returned: core.Result is passed in memory, and the hit path is short
 // enough that copying it once per call layer would show.
 func (c *routeCache) get(k cacheKey, res *core.Result) bool {
-	sh, set := c.locate(k)
+	sh, at := c.locate(k)
 	sh.mu.Lock()
+	set := sh.set(at)
 	for i := range set {
 		if sl := &set[i]; sl.tick != 0 && sl.key == k {
 			sh.tick++
@@ -141,8 +157,12 @@ func (c *routeCache) put(k cacheKey, res core.Result) {
 	for p, n := range res.PhaseHops {
 		sl.phase[p] = int32(n)
 	}
-	sh, set := c.locate(k)
+	sh, at := c.locate(k)
 	sh.mu.Lock()
+	if sh.slots == nil {
+		sh.slots = make([]cacheSlot, sh.sets*uint64(sh.ways))
+	}
+	set := sh.set(at)
 	// One scan: stop at k's slot, else end on the stale slot of k's
 	// route, else on the oldest (empty: tick 0).
 	i, found, stale := 0, false, false

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -130,8 +131,10 @@ func (c *routeCache) lookup(k cacheKey) (core.Result, bool) {
 // peek reports whether k occupies a slot, without touching recency or
 // counters.
 func (c *routeCache) peek(k cacheKey) bool {
-	_, set := c.locate(k)
-	for _, sl := range set {
+	sh, at := c.locate(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, sl := range sh.set(at) {
 		if sl.tick != 0 && sl.key == k {
 			return true
 		}
@@ -142,7 +145,7 @@ func (c *routeCache) peek(k cacheKey) bool {
 func (c *routeCache) capacity() int {
 	n := 0
 	for _, sh := range c.shards {
-		n += len(sh.slots)
+		n += int(sh.sets) * sh.ways
 	}
 	return n
 }
@@ -267,18 +270,22 @@ func TestCacheConcurrentStorm(t *testing.T) {
 }
 
 // TestCacheSlotSize keeps a slot within its 72-byte budget: the default
-// cache preallocates 65,536 of them.
+// cache holds 65,536 of them once every shard is in use.
 func TestCacheSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(cacheSlot{}); n > 72 {
 		t.Fatalf("cacheSlot is %d bytes; want ≤ 72", n)
 	}
 }
 
-// TestRouteCacheAllocs pins the cache's operations at zero allocations:
-// a hit, a miss, a put that evicts, and a put that reclaims a stale
-// slot.
+// TestRouteCacheAllocs pins the operations of a warm cache at zero
+// allocations: a hit, a miss, a put that evicts, and a put that
+// reclaims a stale slot. A shard allocates its slots on its first put,
+// so the test first puts keys until every shard holds slots.
 func TestRouteCacheAllocs(t *testing.T) {
 	c := newRouteCache(64, 2)
+	for i := 0; slices.ContainsFunc(c.shards, func(sh *cacheShard) bool { return sh.slots == nil }); i++ {
+		c.put(cacheKey{src: topo.NodeID(i), dep: 4}, core.Result{})
+	}
 	hit := cacheKey{src: 1, dst: 2}
 	c.put(hit, core.Result{Delivered: true})
 	miss := cacheKey{src: 3, dst: 4, dep: 1}
@@ -295,6 +302,38 @@ func TestRouteCacheAllocs(t *testing.T) {
 	}
 	if c.stats().evicted == 0 || c.stats().purged == 0 {
 		t.Fatalf("the put loops never evicted or never reclaimed: %+v", c.stats())
+	}
+}
+
+// TestRouteCacheLazyShards checks that a new cache holds no slots, that
+// a get on a shard without slots is a miss, and that a put allocates
+// the slots of its own shard only.
+func TestRouteCacheLazyShards(t *testing.T) {
+	c := newRouteCache(0, 0)
+	k := cacheKey{src: 1, dst: 2}
+	if _, hit := c.lookup(k); hit {
+		t.Fatal("a new cache hit")
+	}
+	warm := func() (n int) {
+		for _, sh := range c.shards {
+			if sh.slots != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := warm(); n != 0 {
+		t.Fatalf("a new cache has %d shards with slots; want 0", n)
+	}
+	c.put(k, core.Result{Delivered: true})
+	if res, hit := c.lookup(k); !hit || !res.Delivered {
+		t.Fatalf("lookup after put = %+v, %v", res, hit)
+	}
+	if n := warm(); n != 1 {
+		t.Fatalf("one put left %d shards with slots; want 1", n)
+	}
+	if st := c.stats(); st.hits != 1 || st.misses != 1 || c.len() != 1 {
+		t.Fatalf("stats %+v, len %d; want 1 hit, 1 miss, 1 entry", st, c.len())
 	}
 }
 

@@ -618,7 +618,7 @@ func (s *Service) Mutate(deployment string, m Mutation, requestID string) error 
 		return err
 	}
 	d.wmu.Lock()
-	changed, err := s.mutateLocked(d, m, requestID)
+	changed, _, err := s.mutateLocked(d, m, requestID)
 	d.wmu.Unlock()
 	if changed {
 		s.notifyState()
@@ -626,35 +626,50 @@ func (s *Service) Mutate(deployment string, m Mutation, requestID string) error 
 	return err
 }
 
+// mutationStages splits the time of one applied mutation into its
+// steps in Mutate: the state fold, the clone of network and substrates,
+// the change applied to the clone's network, the substrate repair and
+// the publish (router set and store).
+type mutationStages struct {
+	fold, clone, apply, repair, publish time.Duration
+}
+
 // mutateLocked is the body of Mutate, run under the deployment's writer
-// lock. It reports whether the topology changed.
-func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (bool, error) {
+// lock. It reports whether the topology changed and, if it did, where
+// the time went.
+func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (bool, mutationStages, error) {
+	var st mutationStages
 	old := d.cur.Load()
 	n := old.net.N()
 	for _, u := range m.Nodes {
 		if u < 0 || int(u) >= n {
-			return false, fmt.Errorf("serve: node out of range [0,%d): %d", n, u)
+			return false, st, fmt.Errorf("serve: node out of range [0,%d): %d", n, u)
 		}
 	}
 	for _, mv := range m.Moves {
 		if mv.Node < 0 || int(mv.Node) >= n {
-			return false, fmt.Errorf("serve: node out of range [0,%d): %d", n, mv.Node)
+			return false, st, fmt.Errorf("serve: node out of range [0,%d): %d", n, mv.Node)
 		}
 	}
+	t0 := time.Now()
 	state := old.state
 	eff := state.apply(m)
 	if eff.empty() {
-		return false, nil
+		return false, st, nil
 	}
 	start := time.Now()
 	v := old.clone()
 	v.state = state
+	t2 := time.Now()
 	dirty, err := applyTo(v.net, eff)
 	if err != nil {
-		return false, err
+		return false, st, err
 	}
+	t3 := time.Now()
 	spans := v.repair(m.Kind, dirty)
+	t4 := time.Now()
 	d.publish(v)
+	st = mutationStages{fold: start.Sub(t0), clone: t2.Sub(start), apply: t3.Sub(t2), repair: t4.Sub(t3), publish: time.Since(t4)}
 	d.repairs.Add(1)
 	elapsed := time.Since(start).Microseconds()
 	s.so.observeSubstrates(spans)
@@ -673,7 +688,7 @@ func (s *Service) mutateLocked(d *deployment, m Mutation, requestID string) (boo
 		PlanarUS:   spans.Planar.Microseconds(),
 	})
 	s.mutated[m.Kind].Add(int64(len(eff.Nodes) + len(eff.Moves)))
-	return true, nil
+	return true, st, nil
 }
 
 // applyTo writes an effective mutation onto a network without

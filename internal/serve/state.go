@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -150,54 +151,66 @@ func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
 // it to a live deployment, and reports whether it changed anything.
 // The epoch is bumped exactly when it did — the replica's rule — so a
 // fleet router folding the mutations it proxied keeps the owner's
-// epoch. Failed and Moved are replaced with fresh sorted slices, never
-// updated in place, so copies handed out earlier stay unchanged. Node
-// ranges are not checked: the caller folds only mutations a replica
-// has accepted.
+// epoch. A fail or revive merges its distinct effective nodes into the
+// sorted dead set; a move batch, sorted stably by node so that a node's
+// last move in it wins, merges into the sorted moved positions. Both
+// are linear in the state plus the batch. Failed and Moved are replaced
+// with fresh sorted slices, never updated in place, so copies handed
+// out earlier stay unchanged; the state must hold them sorted, as Apply
+// leaves them. Node ranges are not checked: the caller folds only
+// mutations a replica has accepted.
 func (st *DeploymentState) Apply(m Mutation) bool { return !st.apply(m).empty() }
 
 // apply is Apply returning the effective mutation: the part of m that
 // changed the state, empty for a no-op. Service.Mutate applies exactly
 // that part to the network of the next version.
 func (st *DeploymentState) apply(m Mutation) Mutation {
-	dead := make(map[topo.NodeID]bool, len(st.Failed)+len(m.Nodes))
-	for _, u := range st.Failed {
-		dead[u] = true
-	}
-	eff := m.effective(func(u topo.NodeID) bool { return dead[u] })
+	eff := m.effective(func(u topo.NodeID) bool {
+		_, dead := slices.BinarySearch(st.Failed, u)
+		return dead
+	})
 	if eff.empty() {
 		return eff
 	}
 	switch m.Kind {
-	case MutationFail, MutationRevive:
-		for _, u := range eff.Nodes {
-			dead[u] = m.Kind == MutationFail
-		}
-		failed := make([]topo.NodeID, 0, len(dead))
-		for u, isDead := range dead {
-			if isDead {
-				failed = append(failed, u)
-			}
-		}
-		sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
-		st.Failed = failed
+	case MutationFail:
+		st.Failed = slices.Concat(st.Failed, eff.Nodes)
+		slices.Sort(st.Failed)
+	case MutationRevive:
+		revived := slices.Clone(eff.Nodes)
+		slices.Sort(revived)
+		st.Failed = slices.DeleteFunc(slices.Clone(st.Failed), func(u topo.NodeID) bool {
+			_, ok := slices.BinarySearch(revived, u)
+			return ok
+		})
 	case MutationMove:
-		pos := make(map[topo.NodeID]topo.Move, len(st.Moved)+len(m.Moves))
-		for _, mv := range st.Moved {
-			pos[mv.Node] = mv
-		}
-		for _, mv := range m.Moves {
-			pos[mv.Node] = mv
-		}
-		moved := make([]topo.Move, 0, len(pos))
-		for _, mv := range pos {
-			moved = append(moved, mv)
-		}
-		sort.Slice(moved, func(i, j int) bool { return moved[i].Node < moved[j].Node })
-		st.Moved = moved
+		st.Moved = foldMoves(st.Moved, m.Moves)
 	}
 	st.Epoch++
 	return eff
+}
+
+// foldMoves returns moved, sorted by node, with the batch merged in: a
+// fresh slice holding per node its last move of the batch, or its old
+// entry when the batch has none.
+func foldMoves(moved, batch []topo.Move) []topo.Move {
+	batch = slices.Clone(batch)
+	slices.SortStableFunc(batch, func(a, b topo.Move) int { return cmp.Compare(a.Node, b.Node) })
+	out := make([]topo.Move, 0, len(moved)+len(batch))
+	i := 0
+	for k, mv := range batch {
+		if k+1 < len(batch) && batch[k+1].Node == mv.Node {
+			continue
+		}
+		for ; i < len(moved) && moved[i].Node < mv.Node; i++ {
+			out = append(out, moved[i])
+		}
+		if i < len(moved) && moved[i].Node == mv.Node {
+			i++
+		}
+		out = append(out, mv)
+	}
+	return append(out, moved[i:]...)
 }
 
 // notifyState invokes the Config.OnStateChange hook, if any. Callers

@@ -48,8 +48,8 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 			return nil, fmt.Errorf("topo: move of unknown node %d (have %d)", m.Node, n)
 		}
 	}
-	if net.mvMark == nil || len(net.mvMark) < n {
-		net.mvMark = make([]uint32, n)
+	if len(net.mvMark) < n {
+		net.mvMark, net.mvMoved = make([]uint32, n), make([]uint32, n)
 		net.mvGen = 0
 	}
 	net.mvGen++
@@ -70,6 +70,7 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 	for _, m := range moves {
 		u := m.Node
 		mark(u)
+		net.mvMoved[u] = gen
 		movers = append(movers, u)
 		for _, v := range net.row(u) {
 			mark(v)
@@ -104,7 +105,8 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 }
 
 // rebuildRows rewrites the CSR backing arrays with fresh rows for the
-// dirty nodes (mvMark[i]==gen) and span copies for everyone else, then
+// dirty nodes (mvMark[i]==gen; the movers have mvMoved[i]==gen too) and
+// span copies for everyone else, then
 // swaps the double buffers; the reverse slots are derived last, from
 // the new rows (deriveRev). A mover's row is the one SetPositions'
 // grid query found (mvNear), sorted and laid out afresh (layRow). A
@@ -118,13 +120,13 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	n := len(net.Nodes)
 	r2 := net.Radius * net.Radius
 	movers := net.mvMovers
-	moved := func(v NodeID) bool { _, ok := slices.BinarySearch(movers, v); return ok }
+	moved := func(v NodeID) bool { return net.mvMoved[v] == gen }
 	// moverRow returns the new row of mover v, unsorted, and whether v moved.
 	moverRow := func(v NodeID) ([]NodeID, bool) {
-		i, ok := slices.BinarySearch(movers, v)
-		if !ok {
+		if !moved(v) {
 			return nil, false
 		}
+		i, _ := slices.BinarySearch(movers, v)
 		lo := int32(0)
 		if i > 0 {
 			lo = net.mvEnds[i-1]
@@ -133,8 +135,12 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	}
 	inRange := func(u, v NodeID) bool { return v != u && geom.Dist2(net.Nodes[u].Pos, net.Nodes[v].Pos) <= r2 }
 
+	// A clone's first rewrite allocates its buffers, which then become
+	// its rows: they need no headroom.
+	exact := net.sharedRows
+
 	// Count pass: new row sizes for dirty nodes only.
-	net.mvCounts = growScratch(net.mvCounts, len(dirty))
+	net.mvCounts = growScratch(net.mvCounts, len(dirty), false)
 	counts := net.mvCounts[:len(dirty)]
 	par.For(len(dirty), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -159,7 +165,7 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	})
 
 	// Prefix-sum old and new row sizes into the scratch offsets.
-	net.offScratch = growScratch(net.offScratch, n+1)
+	net.offScratch = growScratch(net.offScratch, n+1, exact)
 	off2 := net.offScratch[:n+1]
 	var total int32
 	di := 0
@@ -174,12 +180,12 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	}
 	off2[n] = total
 
-	net.listScratch = growScratch(net.listScratch, int(total))
-	net.angScratch = growScratch(net.angScratch, int(total))
-	net.xScratch = growScratch(net.xScratch, int(total))
-	net.yScratch = growScratch(net.yScratch, int(total))
-	net.rotScratch = growScratch(net.rotScratch, int(total))
-	net.revScratch = growScratch(net.revScratch, int(total))
+	net.listScratch = growScratch(net.listScratch, int(total), exact)
+	net.angScratch = growScratch(net.angScratch, int(total), exact)
+	net.xScratch = growScratch(net.xScratch, int(total), exact)
+	net.yScratch = growScratch(net.yScratch, int(total), exact)
+	net.rotScratch = growScratch(net.rotScratch, int(total), exact)
+	net.revScratch = growScratch(net.revScratch, int(total), exact)
 	list2 := net.listScratch[:total]
 	ang2 := net.angScratch[:total]
 	x2 := net.xScratch[:total]
@@ -255,7 +261,7 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	})
 
 	// The row counts are spent; their buffer holds deriveRev's cursors.
-	net.mvCounts = growScratch(net.mvCounts, n)
+	net.mvCounts = growScratch(net.mvCounts, n, false)
 	deriveRev(rev2, off2, list2, net.mvCounts[:n])
 
 	net.adjOff, net.offScratch = off2, net.adjOff
@@ -271,12 +277,16 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	}
 }
 
-// growScratch returns s resliced to its full capacity, reallocating with
-// 25% headroom when the capacity is below need — the double-buffered CSR
-// rewrite reuses these buffers so steady-state batches allocate nothing.
-func growScratch[T any](s []T, need int) []T {
-	if cap(s) < need {
-		return make([]T, need+need/4+8)
+// growScratch returns s resliced to its full capacity, reallocating when
+// the capacity is below need, with 25% headroom unless exact — the
+// double-buffered CSR rewrite reuses these buffers so steady-state
+// batches allocate nothing.
+func growScratch[T any](s []T, need int, exact bool) []T {
+	switch {
+	case cap(s) >= need:
+		return s[:cap(s)]
+	case exact:
+		return make([]T, need)
 	}
-	return s[:cap(s)]
+	return make([]T, need+need/4+8)
 }

@@ -100,11 +100,12 @@ type Network struct {
 	// re-query in-range sets without rehashing the whole node table.
 	grid *grid
 
-	// Move scratch (see SetPositions): generation-stamped dirty marks and
-	// double-buffered CSR backing arrays, so steady-state drift batches
-	// rewrite adjacency without reallocating.
+	// Move scratch (see SetPositions): generation-stamped dirty and
+	// mover marks and double-buffered CSR backing arrays, so steady-state
+	// drift batches rewrite adjacency without reallocating.
 	mvGen       uint32
 	mvMark      []uint32
+	mvMoved     []uint32
 	mvDirty     []NodeID
 	mvMovers    []NodeID
 	mvNear      []NodeID // the movers' new rows, unsorted, ending at mvEnds
