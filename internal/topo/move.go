@@ -49,7 +49,7 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 		}
 	}
 	if len(net.mvMark) < n {
-		net.mvMark, net.mvMoved = make([]uint32, n), make([]uint32, n)
+		net.mvMark, net.mvMoved, net.mvIdx = make([]uint32, n), make([]uint32, n), make([]int32, n)
 		net.mvGen = 0
 	}
 	net.mvGen++
@@ -112,13 +112,14 @@ func (net *Network) SetPositions(moves []Move) ([]NodeID, error) {
 // grid query found (mvNear), sorted and laid out afresh (layRow). A
 // dirty node that did not move keeps every neighbor that did not move
 // either, with its bearing and position: only its entries for the
-// movers (sorted, distinct) change, so its row is the old one with
-// those entries merged in again, in range or not, and its rotation is
-// the old one renumbered, with the movers' entries dropped and their
-// new ones inserted by bearing.
+// movers change, so its row is the old one without the movers' entries
+// and with the movers now in range merged in (sorted, distinct: the
+// reverse of the movers' new rows, whose grid queries applied the
+// range test from both ends at once), and its rotation is the old one
+// renumbered, with the movers' entries dropped and their new ones
+// inserted by bearing.
 func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 	n := len(net.Nodes)
-	r2 := net.Radius * net.Radius
 	movers := net.mvMovers
 	moved := func(v NodeID) bool { return net.mvMoved[v] == gen }
 	// moverRow returns the new row of mover v, unsorted, and whether v moved.
@@ -133,7 +134,36 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 		}
 		return net.mvNear[lo:net.mvEnds[i]], true
 	}
-	inRange := func(u, v NodeID) bool { return v != u && geom.Dist2(net.Nodes[u].Pos, net.Nodes[v].Pos) <= r2 }
+
+	// arrive[aoff[i]:aoff[i+1]] lists the movers now in range of
+	// dirty[i], ascending; mvIdx maps a dirty node to its index i.
+	for i, u := range dirty {
+		net.mvIdx[u] = int32(i)
+	}
+	net.mvArriveOff = growScratch(net.mvArriveOff, len(dirty)+1, false)
+	aoff := net.mvArriveOff[:len(dirty)+1]
+	clear(aoff)
+	for _, w := range net.mvNear {
+		aoff[net.mvIdx[w]+1]++
+	}
+	for i := range dirty {
+		aoff[i+1] += aoff[i]
+	}
+	net.mvArrive = growScratch(net.mvArrive, len(net.mvNear), false)
+	arrive := net.mvArrive[:len(net.mvNear)]
+	for k, v := range movers {
+		lo := int32(0)
+		if k > 0 {
+			lo = net.mvEnds[k-1]
+		}
+		for _, w := range net.mvNear[lo:net.mvEnds[k]] {
+			arrive[aoff[net.mvIdx[w]]] = v
+			aoff[net.mvIdx[w]]++
+		}
+	}
+	copy(aoff[1:], aoff[:len(dirty)])
+	aoff[0] = 0
+	arrived := func(u NodeID) []NodeID { i := net.mvIdx[u]; return arrive[aoff[i]:aoff[i+1]] }
 
 	// A clone's first rewrite allocates its buffers, which then become
 	// its rows: they need no headroom.
@@ -154,11 +184,7 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 						c++
 					}
 				}
-				for _, v := range movers {
-					if inRange(u, v) {
-						c++
-					}
-				}
+				c += int32(len(arrived(u)))
 			}
 			counts[i] = c
 		}
@@ -213,29 +239,33 @@ func (net *Network) rebuildRows(dirty []NodeID, gen uint32) {
 			if !moved(u.ID) {
 				old, src := net.row(u.ID), int(net.adjOff[i])
 				// col maps an old column to its new one, -1 for a
-				// mover's old entry; the movers' new columns fill the
-				// rotation from the back.
+				// mover's old entry; the new columns of the movers in
+				// range fill the rotation from the back.
 				col := buf[:0]
 				if len(old) > len(buf) {
 					col = make([]int32, 0, len(old))
 				}
 				col = col[:len(old)]
-				k, j, mi, back := int(dst), 0, 0, len(rot)
-				for j < len(old) || mi < len(movers) {
-					if mi < len(movers) && (j == len(old) || movers[mi] <= old[j]) {
-						v := movers[mi]
-						mi++
+				arr := arrived(u.ID)
+				k, j, back := int(dst), 0, len(rot)
+				for j < len(old) || len(arr) > 0 {
+					if len(arr) > 0 && (j == len(old) || arr[0] <= old[j]) {
+						v := arr[0]
+						arr = arr[1:]
 						if j < len(old) && old[j] == v {
 							col[j] = -1 // the mover's old entry
 							j++
 						}
-						if inRange(u.ID, v) {
-							pv := net.Nodes[v].Pos
-							list2[k], ang2[k], x2[k], y2[k] = v, geom.Angle(u.Pos, pv), pv.X, pv.Y
-							back--
-							rot[back] = int32(k) - dst
-							k++
-						}
+						pv := net.Nodes[v].Pos
+						list2[k], ang2[k], x2[k], y2[k] = v, geom.Angle(u.Pos, pv), pv.X, pv.Y
+						back--
+						rot[back] = int32(k) - dst
+						k++
+						continue
+					}
+					if moved(old[j]) {
+						col[j] = -1 // a mover out of range now
+						j++
 						continue
 					}
 					list2[k], ang2[k], x2[k], y2[k] = old[j], net.adjAng[src+j], net.adjX[src+j], net.adjY[src+j]

@@ -106,6 +106,9 @@ type Network struct {
 	mvGen       uint32
 	mvMark      []uint32
 	mvMoved     []uint32
+	mvIdx       []int32 // a dirty node's index in mvDirty
+	mvArrive    []NodeID
+	mvArriveOff []int32
 	mvDirty     []NodeID
 	mvMovers    []NodeID
 	mvNear      []NodeID // the movers' new rows, unsorted, ending at mvEnds
