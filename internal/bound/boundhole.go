@@ -79,14 +79,11 @@ type Boundaries struct {
 	kept  []walk
 }
 
-// walk is a closed BOUNDHOLE walk: n darts from t0, leaving over slot
-// s0. same is the index among the previous derive's holes of the one
-// this walk traces again, when derive found one; -1 otherwise.
+// walk is a closed BOUNDHOLE walk: n darts from t0, leaving over slot s0.
 type walk struct {
-	t0   topo.NodeID
-	s0   int32
-	n    int
-	same int
+	t0 topo.NodeID
+	s0 int32
+	n  int
 }
 
 // Clone returns a copy of the boundaries over net, a topo.Network.Clone
@@ -146,7 +143,7 @@ func FindHoles(net *topo.Network) *Boundaries {
 		all[u] = topo.NodeID(u)
 	}
 	b.analyzeRows(all)
-	b.derive(nil)
+	b.derive()
 	return b
 }
 
@@ -270,28 +267,15 @@ func (b *Boundaries) analyzeRows(dirty []topo.NodeID) {
 // three nodes is counted and claims its edges, kept or not — a walk
 // that shares an edge with ANY earlier walk re-found the same hole from
 // another stuck direction, and claiming a dropped duplicate's edges too
-// keeps a third walk of that hole from surfacing as a phantom.
-//
-// dirty marks the nodes whose successor rows and stuck analysis were
-// recomputed since the previous derive (nil for none: a fresh build).
-// A kept walk from a clean t0 over the same first hop as a previous
-// hole, whose cycle holds no dirty node, traces that hole again: every
-// step of it reads a clean row. Such a hole copies its cycle and keeps
-// its bounding box; the other kept holes materialize their cycle from
-// the orbits and bound it afresh, all into one fresh array. (Sharing
-// the unchanged cycles across versions instead kept older arrays alive:
-// 2 MB more live heap under churn-mixed.)
-func (b *Boundaries) derive(dirty []bool) {
+// keeps a third walk of that hole from surfacing as a phantom. Only
+// kept holes materialize their cycle, all into one fresh array.
+func (b *Boundaries) derive() {
 	b.label()
 	b.MessageCount = 0
 	kept, total := b.kept[:0], 0
-	prev, p := b.Holes, 0
 	for i := range b.net.N() {
 		u := topo.NodeID(i)
 		off := int32(b.net.AdjOffset(u))
-		for p < len(prev) && prev[p].Cycle[0] < u {
-			p++
-		}
 		for _, col := range b.firstHops(u) {
 			if col < 0 {
 				continue
@@ -302,14 +286,9 @@ func (b *Boundaries) derive(dirty []bool) {
 				continue
 			}
 			b.MessageCount += n
-			if b.claim(s0, n) {
-				continue
+			if !b.claim(s0, n) {
+				kept, total = append(kept, walk{u, s0, n}), total+n
 			}
-			w := walk{t0: u, s0: s0, n: n, same: -1}
-			if dirty != nil && !dirty[u] {
-				w.same = sameHole(prev, p, u, b.net.AdjHead(s0), n, dirty)
-			}
-			kept, total = append(kept, w), total+n
 		}
 	}
 	b.kept = kept
@@ -319,16 +298,11 @@ func (b *Boundaries) derive(dirty []bool) {
 	b.Holes = make([]*Hole, len(kept))
 	for k, w := range kept {
 		start := len(nodes)
-		var bb geom.Rect
-		if w.same >= 0 {
-			nodes, bb = append(nodes, prev[w.same].Cycle...), prev[w.same].BBox
-		} else {
-			nodes = b.appendCycle(nodes, w.t0, w.s0, w.n)
-			bb = cycleBBox(b.net, nodes[start:])
-		}
-		holes[k] = Hole{ID: k, Cycle: nodes[start:len(nodes):len(nodes)], BBox: bb}
+		nodes = b.appendCycle(nodes, w.t0, w.s0, w.n)
+		cycle := nodes[start:len(nodes):len(nodes)]
+		holes[k] = Hole{ID: k, Cycle: cycle, BBox: cycleBBox(b.net, cycle)}
 		b.Holes[k] = &holes[k]
-		for _, v := range holes[k].Cycle {
+		for _, v := range cycle {
 			holeOff[v+1]++
 		}
 	}
@@ -347,27 +321,6 @@ func (b *Boundaries) derive(dirty []bool) {
 	copy(holeOff[1:], holeOff)
 	holeOff[0] = 0
 	b.holeOff, b.holeIdx = holeOff, holeIdx
-}
-
-// sameHole returns the index of the hole among prev that left t0 for v1
-// and has n nodes, none of them dirty; -1 if there is none. The search
-// starts at prev[p], the first hole whose walk starts at t0 or later: a
-// hole's cycle starts at its walk's start node, and the holes are in
-// start node order.
-func sameHole(prev []*Hole, p int, t0, v1 topo.NodeID, n int, dirty []bool) int {
-	for ; p < len(prev) && prev[p].Cycle[0] == t0; p++ {
-		h := prev[p]
-		if h.Cycle[1] != v1 || len(h.Cycle) != n {
-			continue
-		}
-		for _, v := range h.Cycle {
-			if dirty[v] {
-				return -1
-			}
-		}
-		return p
-	}
-	return -1
 }
 
 // Repair incrementally re-derives the boundaries after the liveness of
@@ -396,7 +349,7 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 	slices.Sort(dirty)
 	b.dirty = dirty
 	b.analyzeRows(dirty)
-	b.derive(b.mark)
+	b.derive()
 }
 
 // RepairMoved incrementally re-derives the boundaries after node
@@ -407,12 +360,8 @@ func (b *Boundaries) Repair(changed []topo.NodeID) {
 // shifted verbatim, and only the dirty nodes are recomputed.
 func (b *Boundaries) RepairMoved(dirty []topo.NodeID) {
 	b.out.Relayout(b.net, dirty)
-	b.mark = growClear(b.mark, b.net.N())
-	for _, u := range dirty {
-		b.mark[u] = true
-	}
 	b.analyzeRows(dirty)
-	b.derive(b.mark)
+	b.derive()
 }
 
 // grow returns buf resliced to n, reallocated when its capacity is

@@ -63,11 +63,7 @@
 // the workers append into arenas of their own, and the arrays are laid
 // out afresh from them and the clean nodes' spans. A repair recomputes
 // the table rows, TENT and first hops only where they changed, then
-// derives again, recognizing every hole it traces again over clean nodes
-// only (same start, first hop and length, no dirty node on the cycle):
-// such a hole copies the previous version's cycle and keeps its
-// bounding box, and only the changed holes are walked and bounded
-// afresh.
+// derives again.
 //
 //   - Fail/revive of x ([Boundaries.Repair]): SetAlive leaves the CSR
 //     layout alone; the nodes of {x} ∪ N(x) are recomputed.

@@ -18,14 +18,10 @@ type Rect struct {
 // FromCorners returns the normalized rectangle spanned by two opposite
 // corners given in any order. This matches the paper's [xu:xd, yu:yd]
 // request-zone notation, where either corner may dominate.
-//
-// It and Union use the built-in min and max, which agree with math.Min
-// and math.Max on finite values, signed zeros and NaN (they differ only
-// for a NaN against an infinity) and compile inline.
 func FromCorners(a, b Point) Rect {
 	return Rect{
-		Min: Point{X: min(a.X, b.X), Y: min(a.Y, b.Y)},
-		Max: Point{X: max(a.X, b.X), Y: max(a.Y, b.Y)},
+		Min: Point{X: math.Min(a.X, b.X), Y: math.Min(a.Y, b.Y)},
+		Max: Point{X: math.Max(a.X, b.X), Y: math.Max(a.Y, b.Y)},
 	}
 }
 
@@ -75,7 +71,10 @@ func (r Rect) Inflate(m float64) Rect {
 	)
 }
 
-// Union returns the smallest rectangle containing both r and s.
+// Union returns the smallest rectangle containing both r and s. It uses
+// the built-in min and max, which agree with math.Min and math.Max on
+// finite values, signed zeros and NaN (they differ only for a NaN
+// against an infinity) and compile inline.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
 		Min: Point{X: min(r.Min.X, s.Min.X), Y: min(r.Min.Y, s.Min.Y)},

@@ -52,6 +52,10 @@ func hullNodes(net *topo.Network) []topo.NodeID {
 // Name implements EdgeRule.
 func (ConvexHullEdge) Name() string { return "hull" }
 
+func (ConvexHullEdge) byNode() (ok, hull bool) { return true, true }
+
+func (ConvexHullEdge) pinNode(_ *topo.Network, _ topo.NodeID, onHull bool) bool { return onHull }
+
 // BorderMarginEdge pins every node within Margin of the field border —
 // the robust reading of "the edge of networks" for fields whose border
 // region is well populated.
@@ -84,6 +88,12 @@ func (r BorderMarginEdge) pins(net *topo.Network, p geom.Point) bool {
 // Name implements EdgeRule.
 func (r BorderMarginEdge) Name() string { return "margin" }
 
+func (BorderMarginEdge) byNode() (ok, hull bool) { return true, false }
+
+func (r BorderMarginEdge) pinNode(net *topo.Network, u topo.NodeID, _ bool) bool {
+	return r.pins(net, net.Pos(u))
+}
+
 // UnionEdge pins a node when any member rule does.
 type UnionEdge []EdgeRule
 
@@ -114,28 +124,44 @@ func (u UnionEdge) Name() string {
 	return name + ")"
 }
 
-// nodePin returns alive node u's pin under the rules that pin a node by
-// the node alone and whether it is a vertex of the alive nodes' convex
-// hull — the hull, the border margin and unions of them; ok is false
-// for any other rule. With it a repair that leaves the hull's vertices
-// as they were re-pins only the changed nodes (Model.repin).
-func nodePin(r EdgeRule, net *topo.Network, u topo.NodeID, onHull bool) (pin, ok bool) {
-	switch r := r.(type) {
-	case ConvexHullEdge:
-		return onHull, true
-	case BorderMarginEdge:
-		return r.pins(net, net.Pos(u)), true
-	case UnionEdge:
-		for _, m := range r {
-			p, ok := nodePin(m, net, u, onHull)
-			if !ok {
-				return false, false
-			}
-			pin = pin || p
+// byNode reports whether every member pins by node, and whether any
+// reads the hull.
+func (u UnionEdge) byNode() (ok, hull bool) {
+	for _, r := range u {
+		nr, isNode := r.(nodeRule)
+		if !isNode {
+			return false, false
 		}
-		return pin, true
+		o, h := nr.byNode()
+		if !o {
+			return false, false
+		}
+		hull = hull || h
 	}
-	return false, false
+	return true, hull
+}
+
+func (u UnionEdge) pinNode(net *topo.Network, v topo.NodeID, onHull bool) bool {
+	for _, r := range u {
+		if r.(nodeRule).pinNode(net, v, onHull) {
+			return true
+		}
+	}
+	return false
+}
+
+// nodeRule is implemented by the edge rules that pin an alive node by
+// the node alone and whether it is a vertex of the alive nodes' convex
+// hull — the hull, the border margin and unions of them. With it a
+// repair that leaves the hull's vertices as they were re-pins only the
+// changed nodes (Model.repin).
+type nodeRule interface {
+	// byNode reports whether the rule pins by node (for a union,
+	// whether every member does) and whether pinNode reads onHull.
+	byNode() (ok, hull bool)
+	// pinNode returns alive node u's pin, given whether u is a hull
+	// vertex.
+	pinNode(net *topo.Network, u topo.NodeID, onHull bool) bool
 }
 
 // DefaultEdgeRule is the experiments' default: hull nodes plus a border
@@ -147,34 +173,37 @@ func DefaultEdgeRule() EdgeRule {
 
 // repin returns the edge pins of m's network after the nodes changed
 // changed liveness or position, every other node as it was — or, for
-// changed nil, evaluated afresh. A rule that does not pin by node is
-// evaluated in full. One that does (nodePin) keeps the hull when the
-// changed nodes leave it as it was (keepsHull): then only they are
-// re-pinned. Otherwise the hull and every pin are recomputed, and m
-// keeps the hull for the next call — unless another alive node shares
-// a hull vertex's position: which of the two the hull takes depends on
-// the whole point set's sort, so such a hull is recomputed every time.
+// changed nil, evaluated afresh. A rule that does not pin by node
+// (nodeRule) is evaluated in full. One that does re-pins only the
+// changed nodes when it never reads the hull, or when they leave the
+// hull as it was (keepsHull). Otherwise the hull and every pin are
+// recomputed, and m keeps the hull for the next call — unless another
+// alive node shares a hull vertex's position: which of the two the hull
+// takes depends on the whole point set's sort, so such a hull is
+// recomputed every time.
 func (m *Model) repin(changed []topo.NodeID) []bool {
 	net := m.Net
-	pin := func(u topo.NodeID, onHull bool) bool {
-		p, _ := nodePin(m.Edge, net, u, onHull)
-		return p && net.Alive(u)
+	r, ok := m.Edge.(nodeRule)
+	var readsHull bool
+	if ok {
+		ok, readsHull = r.byNode()
 	}
-	if net.N() == 0 {
+	if !ok {
 		return m.Edge.EdgeNodes(net)
 	}
-	if _, ok := nodePin(m.Edge, net, 0, false); !ok { // ok does not depend on the node
-		return m.Edge.EdgeNodes(net)
-	}
-	if changed != nil && m.keepsHull(changed) {
+	pin := func(u topo.NodeID, onHull bool) bool { return net.Alive(u) && r.pinNode(net, u, onHull) }
+	if changed != nil && (!readsHull || m.keepsHull(changed)) {
 		edge := slices.Clone(m.edge)
 		for _, u := range changed {
 			edge[u] = pin(u, slices.Contains(m.hull, u))
 		}
 		return edge
 	}
-	m.hull = hullNodes(net)
-	m.hullAt = make([]geom.Point, len(m.hull))
+	m.hull, m.hullAt = nil, nil
+	if readsHull {
+		m.hull = hullNodes(net)
+		m.hullAt = make([]geom.Point, len(m.hull))
+	}
 	edge := make([]bool, net.N())
 	for k, u := range m.hull {
 		m.hullAt[k], edge[u] = net.Pos(u), true

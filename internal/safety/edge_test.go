@@ -139,7 +139,8 @@ func TestIncrementalCascade(t *testing.T) {
 // that collinear and coincident nodes come up, and clamped onto the
 // field border — the repaired pins of every node-pinning rule equal the
 // rule evaluated in full, and the repaired model equals a fresh build.
-// Both the kept-hull path and the recompute are taken.
+// Both the kept-hull path and the recompute are taken; the margin rule,
+// which never reads the hull, only re-pins the changed nodes.
 func TestRepinMatchesEdgeNodes(t *testing.T) {
 	rules := []EdgeRule{DefaultEdgeRule(), ConvexHullEdge{}, BorderMarginEdge{Margin: 20}}
 	for _, rule := range rules {
@@ -182,7 +183,7 @@ func TestRepinMatchesEdgeNodes(t *testing.T) {
 						}
 						changed = dirty
 					}
-					if m.keepsHull(changed) {
+					if _, readsHull := rule.(nodeRule).byNode(); !readsHull || m.keepsHull(changed) {
 						kept++
 					} else {
 						recomputed++
@@ -197,10 +198,28 @@ func TestRepinMatchesEdgeNodes(t *testing.T) {
 					}
 					requireModelEqual(t, step, net, m, Build(net, WithEdgeRule(rule)))
 				}
-				if kept == 0 || recomputed == 0 {
-					t.Fatalf("kept the hull %d times, recomputed it %d times; want both", kept, recomputed)
+				if _, readsHull := rule.(nodeRule).byNode(); kept == 0 || readsHull && recomputed == 0 {
+					t.Fatalf("re-pinned the changed nodes %d times, recomputed every pin %d times; want both", kept, recomputed)
 				}
 			})
+		}
+	}
+}
+
+// TestRepinOtherRulesInFull checks that a rule that does not pin by
+// node, alone or in a union, is evaluated in full on every repair, with
+// no hull kept: pinSet pins its nodes dead or alive, which a per-node
+// re-pin would not.
+func TestRepinOtherRulesInFull(t *testing.T) {
+	for _, rule := range []EdgeRule{pinSet{3: true, 40: true}, UnionEdge{ConvexHullEdge{}, pinSet{3: true}}} {
+		net := deployed(t, topo.ModelFA, 200, 4)
+		m := Build(net, WithEdgeRule(rule))
+		for step, u := range []topo.NodeID{3, 17, 40, 17, 3} {
+			net.SetAlive(u, !net.Alive(u))
+			m.Repair(u)
+			if want := rule.EdgeNodes(net); !slices.Equal(m.edge, want) || m.hull != nil {
+				t.Fatalf("%s step %d: pins differ from the rule evaluated in full, or a hull was kept", rule.Name(), step)
+			}
 		}
 	}
 }

@@ -66,8 +66,9 @@ type Model struct {
 	// finalizeShapes after every (re)labeling so the routing scans test
 	// safety with one byte load — see SafeMasks.
 	masks []uint8
-	// edge[u] caches the pinned set. For a rule that pins by node
-	// (nodePin), hull and hullAt are the hull edge was evaluated with:
+	// edge[u] caches the pinned set. For a rule that pins by node and
+	// reads the hull (nodeRule), hull and hullAt are the hull edge was
+	// evaluated with:
 	// its vertices, counter-clockwise, and their positions. A repair
 	// replaces the three, never writes them.
 	edge   []bool

@@ -156,13 +156,43 @@ func (s *Service) restoreInto(d *deployment, st DeploymentState) error {
 // last move in it wins, merges into the sorted moved positions. Both
 // are linear in the state plus the batch. Failed and Moved are replaced
 // with fresh sorted slices, never updated in place, so copies handed
-// out earlier stay unchanged; the state must hold them sorted, as Apply
-// leaves them. Node ranges are not checked: the caller folds only
-// mutations a replica has accepted.
-func (st *DeploymentState) Apply(m Mutation) bool { return !st.apply(m).empty() }
+// out earlier stay unchanged. A state built or decoded elsewhere whose
+// Failed or Moved is not strictly sorted by node is normalized first,
+// as the map fold it replaced would have read it: duplicates collapse,
+// a node's last entry in Moved wins. Node ranges are not checked: the
+// caller folds only mutations a replica has accepted.
+func (st *DeploymentState) Apply(m Mutation) bool {
+	st.normalize()
+	return !st.apply(m).empty()
+}
+
+// normalize replaces Failed and Moved, when either is not strictly
+// sorted by node, with sorted copies free of duplicates; the states
+// that apply folded and that Service.Mutate keeps already are.
+func (st *DeploymentState) normalize() {
+	if !strictlySorted(st.Failed, func(u topo.NodeID) topo.NodeID { return u }) {
+		failed := slices.Clone(st.Failed)
+		slices.Sort(failed)
+		st.Failed = slices.Compact(failed)
+	}
+	if !strictlySorted(st.Moved, func(m topo.Move) topo.NodeID { return m.Node }) {
+		st.Moved = foldMoves(nil, st.Moved)
+	}
+}
+
+// strictlySorted reports whether s is strictly ascending by node.
+func strictlySorted[T any](s []T, node func(T) topo.NodeID) bool {
+	for i := 1; i < len(s); i++ {
+		if node(s[i]) <= node(s[i-1]) {
+			return false
+		}
+	}
+	return true
+}
 
 // apply is Apply returning the effective mutation: the part of m that
-// changed the state, empty for a no-op. Service.Mutate applies exactly
+// changed the state, empty for a no-op, on a state whose Failed and
+// Moved are strictly sorted by node. Service.Mutate applies exactly
 // that part to the network of the next version.
 func (st *DeploymentState) apply(m Mutation) Mutation {
 	eff := m.effective(func(u topo.NodeID) bool {

@@ -102,3 +102,28 @@ func FuzzStateApply(f *testing.F) {
 		}
 	})
 }
+
+// TestApplyNormalizesState folds mutations into a state whose Failed
+// and Moved are out of order and hold duplicates, as a state built or
+// decoded elsewhere may: dead {2, 5, 7}, and node 6 last moved to 12.
+func TestApplyNormalizesState(t *testing.T) {
+	mv := func(u topo.NodeID, x float64) topo.Move { return topo.Move{Node: u, X: x, Y: x} }
+	for _, c := range []struct {
+		m      Mutation
+		failed []topo.NodeID
+		moved  []topo.Move
+	}{
+		{Mutation{Kind: MutationFail, Nodes: []topo.NodeID{4, 1}}, []topo.NodeID{1, 2, 4, 5, 7}, []topo.Move{mv(3, 11), mv(6, 12)}},
+		{Mutation{Kind: MutationFail, Nodes: []topo.NodeID{9, 3}}, []topo.NodeID{2, 3, 5, 7, 9}, []topo.Move{mv(3, 11), mv(6, 12)}},
+		{Mutation{Kind: MutationRevive, Nodes: []topo.NodeID{7, 2}}, []topo.NodeID{5}, []topo.Move{mv(3, 11), mv(6, 12)}},
+		{Mutation{Kind: MutationMove, Moves: []topo.Move{mv(3, 1), mv(8, 2)}}, []topo.NodeID{2, 5, 7}, []topo.Move{mv(3, 1), mv(6, 12), mv(8, 2)}},
+	} {
+		st := DeploymentState{
+			Failed: []topo.NodeID{7, 2, 7, 5},
+			Moved:  []topo.Move{mv(6, 10), mv(3, 11), mv(6, 12)},
+		}
+		if !st.Apply(c.m) || !slices.Equal(st.Failed, c.failed) || !slices.Equal(st.Moved, c.moved) || st.Epoch != 1 {
+			t.Errorf("%v %v: state %+v; want failed %v, moved %v, epoch 1", c.m.Kind, c.m, st, c.failed, c.moved)
+		}
+	}
+}
