@@ -418,24 +418,6 @@ func BenchmarkServeRoute(b *testing.B) {
 			}
 		}
 	})
-	// The flight-recorder acceptance bench: same cached path with the
-	// timeline sampler scraping in the background and the event journal
-	// live (it always is). Must stay within a few percent of /cached —
-	// the recorder is scrape-side, off the route hot path.
-	b.Run("cached-recorder", func(b *testing.B) {
-		svc, name, pairs := benchService(b, ServiceConfig{SampleEveryMS: 250})
-		b.Cleanup(func() { svc.Close() })
-		p := pairs[0]
-		if _, _, err := svc.Route(name, string(SLGF2), p[0], p[1]); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := svc.Route(name, string(SLGF2), p[0], p[1]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkServeBatch(b *testing.B) {

@@ -21,16 +21,12 @@
 //	curl localhost:8080/metrics
 //	wasnd -check-metrics http://localhost:8080/metrics   # CI gate: required series present?
 //
-// The flight recorder adds the time dimension: -sample-every (default
-// 1s) samples the registry into a fixed-memory timeline served at
-// /timeline, every build/fail/revive/move lands in the /events journal
-// with request IDs and per-substrate repair spans, /debug/dash charts
-// both live, and -render turns a load report (-load/-replay -out) or a
-// capacity curve (-sweep -out) into an SVG trajectory figure:
+// Every build/fail/revive/move lands in the /events journal with
+// request IDs and per-substrate repair spans, and -render turns a load
+// report (-load/-replay -out) or a capacity curve (-sweep -out) into an
+// SVG trajectory figure:
 //
-//	wasnd -addr :8080 -sample-every 250
 //	curl 'localhost:8080/events?kind=fail'
-//	open http://localhost:8080/debug/dash
 //	wasnd -render report.json -out report.svg
 //
 // Load mode is a thin shim over the internal/workload scenario engine:
@@ -110,7 +106,6 @@ func run(args []string, out io.Writer) error {
 		cacheSize = fs.Int("cache", 0, "route cache entries, 0 = default, negative disables")
 		shards    = fs.Int("shards", 0, "route cache shards (0 = default)")
 		workers   = fs.Int("workers", 0, "batch worker pool size (0 = NumCPU)")
-		sampleEv  = fs.Int("sample-every", 1000, "flight-recorder timeline sampling period in ms (0 disables the sampler; /timeline and /debug/dash then stay empty)")
 
 		logLevel  = fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		logFormat = fs.String("log-format", "text", "log output: text or json")
@@ -163,7 +158,6 @@ func run(args []string, out io.Writer) error {
 	cfg := serve.Config{
 		CacheSize: *cacheSize, CacheShards: *shards, Workers: *workers,
 		TraceSampleEvery: *traceN, StretchSampleEvery: *stretchN,
-		SampleEveryMS: *sampleEv,
 	}
 	logger, err := newLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
@@ -404,7 +398,6 @@ func serveReplica(out io.Writer, logger *slog.Logger, cfg serve.Config, ln net.L
 		}
 	}
 	svc := serve.New(cfg)
-	defer svc.Close() // stop the flight-recorder sampler goroutine
 	if o.snapshotDir != "" {
 		if err := os.MkdirAll(o.snapshotDir, 0o755); err != nil {
 			return fmt.Errorf("snapshot dir: %w", err)

@@ -86,9 +86,8 @@ func parseReportStrict(data []byte) (*workload.Report, error) {
 }
 
 // renderReport adds the report's trajectory panels: client throughput
-// with churn markers, per-phase p99, and — when the run embedded the
-// flight recorder — the server-sampled series on the same x-axis
-// (seconds since run start). Returns the panel count.
+// with churn markers and per-phase p99 on the same x-axis (seconds
+// since run start). Returns the panel count.
 func renderReport(fig *svgplot.Figure, rep *workload.Report) int {
 	mark := func(c *svgplot.Chart) {
 		for _, ev := range rep.Churn {
@@ -138,34 +137,6 @@ func renderReport(fig *svgplot.Figure, rep *workload.Report) int {
 		panels++
 	}
 
-	if win := rep.SampledTimeline; win != nil && len(win.TUnixMS) > 0 && rep.StartUnixMs > 0 {
-		sx := make([]float64, len(win.TUnixMS))
-		for i, t := range win.TUnixMS {
-			sx[i] = float64(t-rep.StartUnixMs) / 1000
-		}
-		pts := func(name string) []float64 {
-			if s := win.Find(name); s != nil {
-				return s.Points
-			}
-			return nil
-		}
-		srv := svgplot.NewChart("Server sampled throughput (req/s)", 760, 180)
-		srv.XLabel = "seconds"
-		srv.Step("routes/s", svgplot.PaletteColor(0), sx, pts("routes_per_s"))
-		srv.Step("computed/s", svgplot.PaletteColor(1), sx, pts("computed_per_s"))
-		mark(srv)
-		fig.Add(srv)
-
-		rp := svgplot.NewChart("Server repair p99 by substrate (us)", 760, 180)
-		rp.XLabel = "seconds"
-		rp.Step("total", svgplot.PaletteColor(0), sx, pts("repair_p99_us"))
-		rp.Step("safety", svgplot.PaletteColor(1), sx, pts("repair_safety_p99_us"))
-		rp.Step("bound", svgplot.PaletteColor(2), sx, pts("repair_bound_p99_us"))
-		rp.Step("planar", svgplot.PaletteColor(3), sx, pts("repair_planar_p99_us"))
-		mark(rp)
-		fig.Add(rp)
-		panels += 2
-	}
 	return panels
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,10 +32,10 @@ func TestRenderRejectsFrozenArtifacts(t *testing.T) {
 	}
 }
 
-// TestRenderLoadReportRoundTrip runs a tiny churny load with the
-// sampler on (the wasnd default) and renders the resulting report —
-// the report must embed the flight-recorder timeline and the figure
-// must include the server-sampled panels.
+// TestRenderLoadReportRoundTrip runs a tiny churny load and renders
+// the resulting report — the report must embed the server's journal,
+// the summary must count it, and the figure must include the
+// throughput and per-phase panels.
 func TestRenderLoadReportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	scFile := filepath.Join(dir, "sc.json")
@@ -53,16 +54,12 @@ func TestRenderLoadReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run([]string{"-load", "-scenario", scFile, "-sample-every", "100", "-out", repFile}, &out)
+	err := run([]string{"-load", "-scenario", scFile, "-out", repFile}, &out)
 	if err != nil {
 		t.Fatalf("load: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "flight recorder:") {
-		t.Fatalf("summary lacks the flight-recorder line:\n%s", out.String())
-	}
 	var rep struct {
-		SampledTimeline *json.RawMessage `json:"sampled_timeline"`
-		Journal         []any            `json:"journal"`
+		Journal []any `json:"journal"`
 	}
 	data, err := os.ReadFile(repFile)
 	if err != nil {
@@ -71,9 +68,11 @@ func TestRenderLoadReportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SampledTimeline == nil || len(rep.Journal) == 0 {
-		t.Fatalf("report lacks sampled_timeline/journal (timeline nil: %v, %d events)",
-			rep.SampledTimeline == nil, len(rep.Journal))
+	if len(rep.Journal) == 0 {
+		t.Fatal("report lacks its journal")
+	}
+	if want := fmt.Sprintf("journal: %d events", len(rep.Journal)); !strings.Contains(out.String(), want) {
+		t.Fatalf("summary lacks %q:\n%s", want, out.String())
 	}
 
 	out.Reset()
@@ -84,7 +83,7 @@ func TestRenderLoadReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Client throughput", "Server sampled throughput", "Server repair p99"} {
+	for _, want := range []string{"Client throughput", "Per-phase p99"} {
 		if !strings.Contains(string(svg), want) {
 			t.Fatalf("rendered figure lacks panel %q", want)
 		}

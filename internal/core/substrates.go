@@ -15,7 +15,7 @@ import (
 // repairs run concurrently, so the spans overlap — the fan-out's total
 // wall time is roughly the maximum, not the sum. A zero span means the
 // substrate was nil (skipped). The serving layer feeds these into its
-// per-substrate repair histograms and flight-recorder journal.
+// per-substrate repair histograms and event journal.
 type SubstrateTimings struct {
 	Safety time.Duration
 	Bound  time.Duration

@@ -25,7 +25,6 @@ func startBinaryServer(t *testing.T, svc *serve.Service) *BinaryServer {
 func testService(t *testing.T) (*serve.Service, string) {
 	t.Helper()
 	svc := serve.New(serve.Config{})
-	t.Cleanup(func() { svc.Close() })
 	name, err := svc.Deploy("", serve.Spec{Model: topo.ModelFA, N: 180, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

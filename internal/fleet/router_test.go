@@ -37,7 +37,6 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 		f.router.Close()
 		for i := range f.svcs {
 			f.servers[i].Close()
-			f.svcs[i].Close()
 		}
 	})
 	for i := 0; i < n; i++ {

@@ -214,7 +214,6 @@ func churnHistory(t *testing.T, s *serve.Service, name string) [][2]topo.NodeID 
 // algorithms bit-identically to the origin — and carry its epoch.
 func TestSnapshotRestoreDifferential(t *testing.T) {
 	origin := serve.New(serve.Config{})
-	defer origin.Close()
 	name, err := origin.Deploy("", serve.Spec{Model: topo.ModelFA, N: 220, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +227,6 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	}
 
 	restored := serve.New(serve.Config{})
-	defer restored.Close()
 	if err := restored.RestoreState(decoded.States); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +262,6 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 // history must converge its topology to the snapshot's.
 func TestRestoreIntoLiveReplica(t *testing.T) {
 	origin := serve.New(serve.Config{})
-	defer origin.Close()
 	name, err := origin.Deploy("", serve.Spec{Model: topo.ModelFA, N: 220, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +271,6 @@ func TestRestoreIntoLiveReplica(t *testing.T) {
 	// The target replica has its own divergent history, including a dead
 	// node the snapshot says is alive.
 	target := serve.New(serve.Config{})
-	defer target.Close()
 	if _, err := target.Deploy(name, serve.Spec{Model: topo.ModelFA, N: 220, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +300,6 @@ func TestRestoreIntoLiveReplica(t *testing.T) {
 
 func TestRestoreRejectsOutOfRange(t *testing.T) {
 	s := serve.New(serve.Config{})
-	defer s.Close()
 	bad := []serve.DeploymentState{{
 		Name:   "FA-100-1",
 		Spec:   serve.Spec{Model: topo.ModelFA, N: 100, Seed: 1},

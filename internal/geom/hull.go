@@ -6,7 +6,8 @@ import "sort"
 // pts, in counter-clockwise order starting from the lexicographically
 // smallest point. Collinear points on the hull boundary are excluded
 // (strict hull). Degenerate inputs (fewer than 3 distinct points, or all
-// collinear) return all distinct extreme indices.
+// collinear) return all distinct extreme indices. Of coincident points,
+// only the lowest index can be on the hull.
 //
 // The paper builds the "edge of networks" for the interest area with "the
 // hull algorithm"; this is that algorithm (Andrew's monotone chain,
@@ -25,9 +26,13 @@ func ConvexHullIndices(pts []Point) []int {
 		if pa.X != pb.X {
 			return pa.X < pb.X
 		}
-		return pa.Y < pb.Y
+		if pa.Y != pb.Y {
+			return pa.Y < pb.Y
+		}
+		return idx[a] < idx[b]
 	})
-	// Deduplicate coincident points so they cannot break the turn test.
+	// Deduplicate coincident points so they cannot break the turn test,
+	// keeping the lowest index of each.
 	uniq := idx[:0]
 	for _, i := range idx {
 		if len(uniq) == 0 || pts[uniq[len(uniq)-1]] != pts[i] {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -70,6 +71,32 @@ func TestConvexHullContainsAll(t *testing.T) {
 			if !PointInConvexPolygon(p, hull) {
 				t.Fatalf("trial %d: point %d %v outside its own hull", trial, i, p)
 			}
+		}
+	}
+}
+
+// Coincident points resolve by index: when a hull vertex's position is
+// shared by two indices, the hull keeps the lower one whatever the rest
+// of the point set is, so callers can reason about which node it takes.
+func TestConvexHullCoincidentKeepsLowestIndex(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + rng.IntN(80)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
+		}
+		hull := ConvexHullIndices(pts)
+		v := hull[rng.IntN(len(hull))]
+		w := rng.IntN(n - 1)
+		if w >= v {
+			w++
+		}
+		pts[w] = pts[v]
+		lo, hi := min(v, w), max(v, w)
+		hull = ConvexHullIndices(pts)
+		if !slices.Contains(hull, lo) || slices.Contains(hull, hi) {
+			t.Fatalf("trial %d: %v shared by %d and %d; hull %v keeps the wrong one", trial, pts[v], lo, hi, hull)
 		}
 	}
 }

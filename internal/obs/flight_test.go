@@ -178,179 +178,3 @@ func TestJournalConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// scriptedScrapes feeds the sampler a deterministic scrape sequence.
-type scriptedScrapes struct {
-	i     int
-	steps []map[string]float64
-}
-
-func (s *scriptedScrapes) next() (map[string]float64, error) {
-	if s.i >= len(s.steps) {
-		return s.steps[len(s.steps)-1], nil
-	}
-	m := s.steps[s.i]
-	s.i++
-	return m, nil
-}
-
-func samplerSpecs() []SeriesSpec {
-	return []SeriesSpec{
-		{Name: "req_per_s", Kind: SeriesRate, Num: Term{Family: "req_total"}},
-		{Name: "inflight", Kind: SeriesGauge, Num: Term{Family: "inflight"}},
-		{Name: "ok_share", Kind: SeriesRatio,
-			Num: Term{Family: "out_total", Match: `outcome="ok"`},
-			Den: Term{Family: "out_total", Match: `outcome="bad"`}},
-		{Name: "lat_p99", Kind: SeriesQuantile, Num: Term{Family: "lat"}, Q: 0.99},
-	}
-}
-
-// TestSamplerDerivations drives the sampler over a scripted scrape
-// sequence with known timestamps and pins each kind's math: rates from
-// counter deltas, ratios, gauges, and quantiles from bucket deltas.
-func TestSamplerDerivations(t *testing.T) {
-	steps := []map[string]float64{
-		{
-			"req_total": 100, "inflight": 3,
-			`out_total{outcome="ok"}`: 10, `out_total{outcome="bad"}`: 0,
-			`lat_bucket{le="1"}`: 5, `lat_bucket{le="8"}`: 5, `lat_bucket{le="+Inf"}`: 5,
-			"lat_sum": 2, "lat_count": 5,
-		},
-		{
-			"req_total": 150, "inflight": 7,
-			`out_total{outcome="ok"}`: 16, `out_total{outcome="bad"}`: 2,
-			// 95 new observations <=1, 5 new in (8,64]: p99 = 64.
-			`lat_bucket{le="1"}`: 100, `lat_bucket{le="8"}`: 100,
-			`lat_bucket{le="64"}`: 105, `lat_bucket{le="+Inf"}`: 105,
-			"lat_sum": 400, "lat_count": 105,
-		},
-		{
-			// Counter reset: req_total restarts below its last sample.
-			"req_total": 5, "inflight": 2,
-			`out_total{outcome="ok"}`: 0, `out_total{outcome="bad"}`: 0,
-			`lat_bucket{le="+Inf"}`: 0, "lat_sum": 0, "lat_count": 0,
-		},
-	}
-	src := &scriptedScrapes{steps: steps}
-	s := NewSampler(SamplerConfig{Scrape: src.next, Specs: samplerSpecs(), Window: 16})
-
-	// Drive record directly with fixed timestamps (Sample() stamps
-	// time.Now, useless for asserting rates).
-	for i := 0; i < len(steps); i++ {
-		cur, _ := src.next()
-		s.record(int64(1000+i*2000), cur) // 2s apart
-	}
-	w := s.Snapshot()
-	if len(w.TUnixMS) != 3 {
-		t.Fatalf("window has %d samples, want 3", len(w.TUnixMS))
-	}
-	get := func(name string) []float64 {
-		ser := w.Find(name)
-		if ser == nil {
-			t.Fatalf("series %q missing from window (have %v)", name, w.Series)
-		}
-		return ser.Points
-	}
-	if pts := get("req_per_s"); pts[0] != 0 || pts[1] != 25 || pts[2] != 0 {
-		t.Errorf("req_per_s = %v, want [0 25 0] (first sample has no delta; reset clamps)", pts)
-	}
-	if pts := get("inflight"); pts[0] != 3 || pts[1] != 7 || pts[2] != 2 {
-		t.Errorf("inflight = %v, want [3 7 2]", pts)
-	}
-	if pts := get("ok_share"); pts[1] != 0.75 {
-		t.Errorf("ok_share[1] = %v, want 0.75 (6 ok / 8 total)", pts[1])
-	}
-	if pts := get("lat_p99"); pts[1] != 64 {
-		t.Errorf("lat_p99[1] = %v, want 64", pts[1])
-	}
-	if kind := w.Find("lat_p99").Kind; kind != "quantile" {
-		t.Errorf("lat_p99 kind = %q", kind)
-	}
-	// The window must be JSON-encodable (no NaN/Inf leaked).
-	if _, err := json.Marshal(w); err != nil {
-		t.Fatalf("window not encodable: %v", err)
-	}
-}
-
-// TestSamplerWindowWrap overfills the ring and checks the snapshot is
-// the newest Window samples, aligned and in order.
-func TestSamplerWindowWrap(t *testing.T) {
-	specs := []SeriesSpec{{Name: "g", Kind: SeriesGauge, Num: Term{Family: "g"}}}
-	s := NewSampler(SamplerConfig{Scrape: nil, Specs: specs, Window: 4})
-	for i := 0; i < 10; i++ {
-		s.record(int64(i*1000), map[string]float64{"g": float64(i)})
-	}
-	w := s.Snapshot()
-	if len(w.TUnixMS) != 4 {
-		t.Fatalf("wrapped window has %d samples, want 4", len(w.TUnixMS))
-	}
-	for k := 0; k < 4; k++ {
-		wantT := int64((6 + k) * 1000)
-		if w.TUnixMS[k] != wantT || w.Series[0].Points[k] != float64(6+k) {
-			t.Fatalf("sample %d = (t=%d, v=%v), want (t=%d, v=%d)",
-				k, w.TUnixMS[k], w.Series[0].Points[k], wantT, 6+k)
-		}
-	}
-}
-
-// TestSamplerAllocs pins the fixed-memory contract: once warm, a
-// sample derivation allocates nothing — the rings, scratch, and
-// retained prev map are all reused.
-func TestSamplerAllocs(t *testing.T) {
-	specs := samplerSpecs()
-	s := NewSampler(SamplerConfig{Specs: specs, Window: 32})
-	mkScrape := func(i int) map[string]float64 {
-		f := float64(i)
-		return map[string]float64{
-			"req_total": 100 * f, "inflight": f,
-			`out_total{outcome="ok"}`: 10 * f, `out_total{outcome="bad"}`: f,
-			`lat_bucket{le="1"}`: 5 * f, `lat_bucket{le="8"}`: 7 * f,
-			`lat_bucket{le="+Inf"}`: 8 * f, "lat_sum": 20 * f, "lat_count": 8 * f,
-		}
-	}
-	// Pre-build the scrape maps: the scrape itself allocates (and is
-	// off the pinned path); record must not.
-	scrapes := make([]map[string]float64, 64)
-	for i := range scrapes {
-		scrapes[i] = mkScrape(i + 1)
-	}
-	i := 0
-	s.record(0, mkScrape(0)) // warm the scratch
-	avg := testing.AllocsPerRun(50, func() {
-		s.record(int64((i+1)*1000), scrapes[i%len(scrapes)])
-		i++
-	})
-	if avg != 0 {
-		t.Fatalf("record allocates %v per sample, want 0", avg)
-	}
-}
-
-// TestSamplerSnapshotConcurrent exercises lock-free snapshots against
-// a storm of concurrent samples under -race.
-func TestSamplerSnapshotConcurrent(t *testing.T) {
-	specs := []SeriesSpec{{Name: "g", Kind: SeriesGauge, Num: Term{Family: "g"}}}
-	s := NewSampler(SamplerConfig{Specs: specs, Window: 8})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5000; i++ {
-			s.record(int64(i), map[string]float64{"g": float64(i)})
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				w := s.Snapshot()
-				if len(w.TUnixMS) != len(w.Series[0].Points) {
-					t.Errorf("misaligned snapshot: %d ts, %d points",
-						len(w.TUnixMS), len(w.Series[0].Points))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}

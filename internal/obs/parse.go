@@ -209,9 +209,8 @@ func Delta(before, after map[string]float64) map[string]float64 {
 // DeltaWithResets is Delta plus the sorted list of series whose value
 // went backwards between the scrapes — the signature of a counter
 // reset. Reset series are clamped out of the delta map (their true
-// movement is unknowable from two samples); callers that care, like
-// the sampler's rate curves, can flag the window instead of charting
-// a negative rate.
+// movement is unknowable from two samples); callers that care can flag
+// the window instead of reporting a negative movement.
 func DeltaWithResets(before, after map[string]float64) (map[string]float64, []string) {
 	out := make(map[string]float64)
 	var resets []string

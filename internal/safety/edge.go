@@ -177,10 +177,7 @@ func DefaultEdgeRule() EdgeRule {
 // (nodeRule) is evaluated in full. One that does re-pins only the
 // changed nodes when it never reads the hull, or when they leave the
 // hull as it was (keepsHull). Otherwise the hull and every pin are
-// recomputed, and m keeps the hull for the next call — unless another
-// alive node shares a hull vertex's position: which of the two the hull
-// takes depends on the whole point set's sort, so such a hull is
-// recomputed every time.
+// recomputed, and m keeps the hull for the next call.
 func (m *Model) repin(changed []topo.NodeID) []bool {
 	net := m.Net
 	r, ok := m.Edge.(nodeRule)
@@ -209,11 +206,7 @@ func (m *Model) repin(changed []topo.NodeID) []bool {
 		m.hullAt[k], edge[u] = net.Pos(u), true
 	}
 	for i, onHull := range edge {
-		u := topo.NodeID(i)
-		if !onHull && net.Alive(u) && slices.Contains(m.hullAt, net.Pos(u)) {
-			m.hull, m.hullAt = nil, nil
-		}
-		edge[i] = pin(u, onHull)
+		edge[i] = pin(topo.NodeID(i), onHull)
 	}
 	return edge
 }

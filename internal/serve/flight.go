@@ -8,63 +8,6 @@ import (
 	"github.com/straightpath/wasn/internal/obs"
 )
 
-// defaultSamplerSpecs is the timeline the flight recorder maintains
-// when Config.SampleEveryMS enables sampling: throughput, delivery and
-// cache shares, tail latencies, repair durations broken down by
-// substrate, and churn rates — the curves /debug/dash charts.
-func defaultSamplerSpecs() []obs.SeriesSpec {
-	return []obs.SeriesSpec{
-		{Name: "routes_per_s", Kind: obs.SeriesRate,
-			Num: obs.Term{Family: "wasn_routes_total"}},
-		{Name: "computed_per_s", Kind: obs.SeriesRate,
-			Num: obs.Term{Family: "wasn_routes_computed_total"}},
-		{Name: "delivered_share", Kind: obs.SeriesRatio,
-			Num: obs.Term{Family: "wasn_routes_computed_total", Match: `outcome="delivered"`},
-			Den: obs.Term{Family: "wasn_routes_computed_total", Match: `outcome="dropped"`}},
-		{Name: "cache_hit_share", Kind: obs.SeriesRatio,
-			Num: obs.Term{Family: "wasn_route_cache_hits_total"},
-			Den: obs.Term{Family: "wasn_route_cache_misses_total"}},
-		{Name: "cache_entries", Kind: obs.SeriesGauge,
-			Num: obs.Term{Family: "wasn_route_cache_entries"}},
-		{Name: "http_p99_us", Kind: obs.SeriesQuantile,
-			Num: obs.Term{Family: "wasn_http_request_duration_us"}, Q: 0.99},
-		{Name: "repairs_per_s", Kind: obs.SeriesRate,
-			Num: obs.Term{Family: "wasn_repair_duration_us"}},
-		{Name: "repair_p99_us", Kind: obs.SeriesQuantile,
-			Num: obs.Term{Family: "wasn_repair_duration_us"}, Q: 0.99},
-		{Name: "repair_safety_p99_us", Kind: obs.SeriesQuantile,
-			Num: obs.Term{Family: "wasn_repair_substrate_duration_us", Match: `substrate="safety"`}, Q: 0.99},
-		{Name: "repair_bound_p99_us", Kind: obs.SeriesQuantile,
-			Num: obs.Term{Family: "wasn_repair_substrate_duration_us", Match: `substrate="bound"`}, Q: 0.99},
-		{Name: "repair_planar_p99_us", Kind: obs.SeriesQuantile,
-			Num: obs.Term{Family: "wasn_repair_substrate_duration_us", Match: `substrate="planar"`}, Q: 0.99},
-		{Name: "failed_nodes_per_s", Kind: obs.SeriesRate,
-			Num: obs.Term{Family: "wasn_failed_nodes_total"}},
-		{Name: "revived_nodes_per_s", Kind: obs.SeriesRate,
-			Num: obs.Term{Family: "wasn_revived_nodes_total"}},
-		{Name: "moved_nodes_per_s", Kind: obs.SeriesRate,
-			Num: obs.Term{Family: "wasn_moved_nodes_total"}},
-	}
-}
-
-// Timeline snapshots the flight recorder's sampled series window.
-// Empty (no timestamps) when the sampler is disabled.
-func (s *Service) Timeline() obs.TimelineWindow {
-	if s.sampler == nil {
-		return obs.TimelineWindow{}
-	}
-	return s.sampler.Snapshot()
-}
-
-// SampleNow forces one timeline sample immediately — end-of-run
-// flushes and tests use it so the final window covers the last events
-// without waiting for a tick. No-op when the sampler is disabled.
-func (s *Service) SampleNow() {
-	if s.sampler != nil {
-		s.sampler.Sample()
-	}
-}
-
 // Events returns up to max journal events with Seq > after, oldest
 // first (max <= 0: the whole retained ring). Entries lost to ring
 // wraparound are skipped.
@@ -72,13 +15,9 @@ func (s *Service) Events(after uint64, max int) []obs.Event {
 	return s.journal.Since(after, max)
 }
 
-// Journal exposes the flight-recorder journal so in-process embedders
-// and tests can record or tail without an HTTP round trip.
+// Journal exposes the event journal so in-process embedders and tests
+// can record or tail without an HTTP round trip.
 func (s *Service) Journal() *obs.Journal { return s.journal }
-
-func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, TimelineBody{Timeline: s.Timeline()})
-}
 
 // handleEvents serves the journal tail. Filters: ?kind=fail (event
 // kind name), ?deployment=NAME, ?after=SEQ (strictly newer entries),

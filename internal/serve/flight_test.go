@@ -143,102 +143,12 @@ func TestHTTPEventsEndpoint(t *testing.T) {
 	}
 }
 
-func TestHTTPTimelineEndpoint(t *testing.T) {
-	// A huge period keeps the background ticker quiet; the test drives
-	// samples explicitly so the window contents are deterministic.
-	s, name := newTestService(t, Config{SampleEveryMS: 3_600_000})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	pair := alivePairs(t, s, name, 1)[0]
-
-	var tr TimelineBody
-	if code := getJSON(t, srv, "/timeline", &tr); code != http.StatusOK {
-		t.Fatalf("/timeline status = %d", code)
-	}
-	base := len(tr.Timeline.TUnixMS)
-
-	if _, _, err := s.Route(name, "SLGF2", pair[0], pair[1]); err != nil {
-		t.Fatal(err)
-	}
-	s.SampleNow()
-	s.SampleNow()
-
-	if code := getJSON(t, srv, "/timeline", &tr); code != http.StatusOK {
-		t.Fatalf("/timeline status = %d", code)
-	}
-	win := tr.Timeline
-	if len(win.TUnixMS) != base+2 {
-		t.Fatalf("timeline has %d samples; want %d", len(win.TUnixMS), base+2)
-	}
-	if win.EveryMS != 3_600_000 {
-		t.Fatalf("timeline every_ms = %d", win.EveryMS)
-	}
-	for _, want := range []string{"routes_per_s", "delivered_share", "repair_safety_p99_us"} {
-		ts := win.Find(want)
-		if ts == nil {
-			t.Fatalf("timeline lacks series %q (have %d series)", want, len(win.Series))
-		}
-		if len(ts.Points) != len(win.TUnixMS) {
-			t.Fatalf("series %q has %d points for %d timestamps", want, len(ts.Points), len(win.TUnixMS))
-		}
-	}
-
-	// Without a sampler the window is empty, not an error.
-	s2, _ := newTestService(t, Config{})
-	if w := s2.Timeline(); len(w.TUnixMS) != 0 || len(w.Series) != 0 {
-		t.Fatalf("sampler-less timeline = %+v", w)
-	}
-}
-
-func TestHTTPDashEndpoint(t *testing.T) {
-	s, name := newTestService(t, Config{SampleEveryMS: 3_600_000})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	pair := alivePairs(t, s, name, 1)[0]
-	if _, _, err := s.Route(name, "SLGF2", pair[0], pair[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Fail(name, []topo.NodeID{pair[0]}); err != nil {
-		t.Fatal(err)
-	}
-	s.SampleNow()
-	s.SampleNow()
-
-	resp, err := http.Get(srv.URL + "/debug/dash?refresh=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/dash status = %d", resp.StatusCode)
-	}
-	page, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := string(page)
-	for _, want := range []string{"<svg", "Throughput", "Repair p99 by substrate", "fail", "</html>"} {
-		if !strings.Contains(html, want) {
-			t.Fatalf("/debug/dash page lacks %q", want)
-		}
-	}
-	if strings.Contains(html, "http-equiv=\"refresh\"") {
-		t.Fatal("refresh=0 still emitted a meta refresh tag")
-	}
-	if code := getJSON(t, srv, "/debug/dash?refresh=x", nil); code != http.StatusBadRequest {
-		t.Fatalf("/debug/dash?refresh=x status = %d; want 400", code)
-	}
-}
-
-// TestFlightRecorderStorm scrapes /timeline, /events, and /debug/dash
-// while routes and fail/revive/move churn run concurrently — the
-// lock-free reader paths must stay race-clean (run with -race) and the
-// pages well-formed throughout.
+// TestFlightRecorderStorm scrapes /events and /metrics while routes
+// and fail/revive/move churn run concurrently — the lock-free reader
+// paths must stay race-clean (run with -race) and the pages well-formed
+// throughout.
 func TestFlightRecorderStorm(t *testing.T) {
-	s, name := newTestService(t, Config{SampleEveryMS: 5})
-	defer s.Close()
+	s, name := newTestService(t, Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	pairs := alivePairs(t, s, name, 8)
@@ -295,7 +205,7 @@ func TestFlightRecorderStorm(t *testing.T) {
 	}()
 
 	// Scrapers.
-	for _, path := range []string{"/timeline", "/events", "/debug/dash?refresh=0", "/metrics"} {
+	for _, path := range []string{"/events", "/metrics"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
@@ -333,18 +243,6 @@ func TestFlightRecorderStorm(t *testing.T) {
 	}
 	if routes.Load() == 0 || scrapes.Load() == 0 {
 		t.Fatalf("storm did no work: routes=%d scrapes=%d", routes.Load(), scrapes.Load())
-	}
-	// The window must be internally consistent after the storm.
-	win := s.Timeline()
-	for _, ts := range win.Series {
-		if len(ts.Points) != len(win.TUnixMS) {
-			t.Fatalf("series %q has %d points for %d timestamps", ts.Name, len(ts.Points), len(win.TUnixMS))
-		}
-	}
-	for i := 1; i < len(win.TUnixMS); i++ {
-		if win.TUnixMS[i] < win.TUnixMS[i-1] {
-			t.Fatalf("timeline timestamps not monotonic at %d: %v", i, win.TUnixMS[i-1:i+1])
-		}
 	}
 	evs := s.Events(0, 0)
 	for i := 1; i < len(evs); i++ {

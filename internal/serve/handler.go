@@ -22,11 +22,9 @@ import (
 //	GET  /stats
 //	GET  /metrics
 //	GET  /traces
-//	GET  /timeline
 //	GET  /events?kind=&deployment=&after=&max=
 //	GET  /state
 //	POST /restore {"states": [DeploymentState, ...]}
-//	GET  /debug/dash?refresh=
 //
 // Errors are {"error": "..."} with a 4xx/5xx status. Every endpoint is
 // instrumented: request count, error count, and latency land in the
@@ -48,11 +46,9 @@ func (s *Service) Handler() http.Handler {
 	get("/stats", s.handleStats)
 	get("/metrics", s.handleMetrics)
 	get("/traces", s.handleTraces)
-	get("/timeline", s.handleTimeline)
 	get("/events", s.handleEvents)
 	get("/state", s.handleState)
 	post("/restore", s.handleRestore)
-	get("/debug/dash", s.handleDash)
 	// /readyz is deliberately uninstrumented: fleet health checks hit it
 	// several times a second and would drown the request series.
 	mux.HandleFunc("/readyz", Only(http.MethodGet, s.handleReadyz))

@@ -60,13 +60,6 @@ type Config struct {
 	// the minimum-hop ideal) for every N-th computed route. Each sample
 	// pays one reference BFS route. 0 disables the measurement.
 	StretchSampleEvery int
-	// SampleEveryMS starts the flight-recorder sampler: every N
-	// milliseconds a background goroutine scrapes the registry and
-	// appends one point to each timeline series (GET /timeline). 0
-	// disables the sampler — the default, so zero-value Services (unit
-	// tests, benchmarks) run no background goroutines; wasnd turns it
-	// on via -sample-every. Stop it with Close.
-	SampleEveryMS int
 	// ReplicaID names this process in a sharded fleet (wasnd
 	// -replica-id); surfaced on /readyz and in Stats so shard-aware
 	// tooling can attribute numbers to replicas. Empty outside a fleet.
@@ -78,13 +71,10 @@ type Config struct {
 	OnStateChange func()
 }
 
-// Flight-recorder capacities, fixed at construction: the event journal
-// ring (always on; written only on topology changes and builds) and the
-// timeline sample window.
-const (
-	journalSize  = 1024
-	sampleWindow = 512
-)
+// journalSize is the event journal's ring capacity, fixed at
+// construction. The journal is always on and written only on topology
+// changes and builds.
+const journalSize = 1024
 
 // ErrBuild marks substrate build failures: a server-side fault, not a
 // malformed request (the HTTP layer maps it to a 5xx status).
@@ -98,10 +88,8 @@ type Service struct {
 	flight flightGroup
 	so     *serviceObs
 
-	// The flight recorder: a bounded journal of structural events
-	// (always on) plus the optional periodic timeline sampler.
+	// journal is the bounded ring of structural events (GET /events).
 	journal *obs.Journal
-	sampler *obs.Sampler // nil unless Config.SampleEveryMS > 0
 
 	// deps is the registry, a copy-on-write map republished under mu
 	// (which only Deploy takes), so a lookup is one atomic load.
@@ -170,28 +158,7 @@ func New(cfg Config) *Service {
 		s.cfg.Workers = runtime.NumCPU()
 	}
 	s.journal = obs.NewJournal(journalSize)
-	if cfg.SampleEveryMS > 0 {
-		s.sampler = obs.NewSampler(obs.SamplerConfig{
-			Scrape: func() (map[string]float64, error) {
-				return obs.ParseText(strings.NewReader(s.so.reg.Text()))
-			},
-			Specs:  defaultSamplerSpecs(),
-			Every:  time.Duration(cfg.SampleEveryMS) * time.Millisecond,
-			Window: sampleWindow,
-		})
-		s.sampler.Start()
-	}
 	return s
-}
-
-// Close stops the flight-recorder sampling goroutine (a no-op when the
-// sampler is disabled). The service keeps serving; Close only exists
-// so embedders don't leak the ticker goroutine.
-func (s *Service) Close() error {
-	if s.sampler != nil {
-		s.sampler.Stop()
-	}
-	return nil
 }
 
 // Registry exposes the service's metric registry so embedders (wasnd)

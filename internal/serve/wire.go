@@ -58,11 +58,6 @@ type StateBody struct {
 	States []DeploymentState `json:"states"`
 }
 
-// TimelineBody is the GET /timeline answer.
-type TimelineBody struct {
-	Timeline obs.TimelineWindow `json:"timeline"`
-}
-
 // EventsBody is the GET /events answer: the journal tail plus Total,
 // the journal's all-time sequence high-water mark (pass it back as
 // ?after= for incremental polls).

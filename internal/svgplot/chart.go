@@ -10,12 +10,10 @@ import (
 // Chart is a generic 2-D time-series/step chart: named line or step
 // series over a shared x-axis, optional vertical event markers, nice
 // axis ticks, and a legend — still only the standard library, like
-// Canvas. It backs the /debug/dash dashboard and the wasnd -render
-// trajectory figures.
+// Canvas. It backs the wasnd -render trajectory figures.
 type Chart struct {
 	Title  string
 	XLabel string
-	YLabel string
 	// LogY plots the y-axis on a log10 scale (non-positive values are
 	// clamped to the smallest positive value present).
 	LogY bool
@@ -53,12 +51,12 @@ func NewChart(title string, width, height int) *Chart {
 	return &Chart{Title: title, width: width, height: height}
 }
 
-// Palette is the default series color cycle, shared by the dashboard
-// and the render CLI so figures look alike everywhere.
-var Palette = []string{"#1668aa", "#d1494e", "#2d8a57", "#b07818", "#7a4fa3", "#47a0b5", "#999999"}
+// palette is the default series color cycle, so the panels of a
+// figure look alike.
+var palette = []string{"#1668aa", "#d1494e", "#2d8a57", "#b07818", "#7a4fa3", "#47a0b5", "#999999"}
 
 // PaletteColor cycles the default palette.
-func PaletteColor(i int) string { return Palette[i%len(Palette)] }
+func PaletteColor(i int) string { return palette[i%len(palette)] }
 
 // Line adds a straight-line series. xs and ys must be the same length;
 // the shorter tail is ignored if they differ.
@@ -245,10 +243,6 @@ func (c *Chart) render(b *strings.Builder, ox, oy int) {
 		fmt.Fprintf(b, `<text x="%d" y="%d" font-size="11" fill="#444" text-anchor="middle">%s</text>`+"\n",
 			marL+pw/2, c.height-4, escape(c.XLabel))
 	}
-	if c.YLabel != "" {
-		fmt.Fprintf(b, `<text x="12" y="%d" font-size="11" fill="#444" transform="rotate(-90 12 %d)" text-anchor="middle">%s</text>`+"\n",
-			marT+ph/2, marT+ph/2, escape(c.YLabel))
-	}
 
 	// Markers under the series, labels along the top edge.
 	for _, m := range c.markers {
@@ -301,26 +295,8 @@ func (c *Chart) render(b *strings.Builder, ox, oy int) {
 	}
 }
 
-// WriteTo emits the chart as a standalone SVG document.
-func (c *Chart) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		c.width, c.height, c.width, c.height)
-	c.render(&b, 0, 0)
-	b.WriteString("</svg>\n")
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
-}
-
-// String renders the standalone SVG document.
-func (c *Chart) String() string {
-	var b strings.Builder
-	_, _ = c.WriteTo(&b)
-	return b.String()
-}
-
 // Figure stacks charts vertically into one SVG document — the shape of
-// a multi-panel trajectory figure and the dashboard page body.
+// a multi-panel trajectory figure.
 type Figure struct {
 	Title  string
 	charts []*Chart
@@ -362,11 +338,4 @@ func (f *Figure) WriteTo(w io.Writer) (int64, error) {
 	b.WriteString("</svg>\n")
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
-}
-
-// String renders the stacked document.
-func (f *Figure) String() string {
-	var b strings.Builder
-	_, _ = f.WriteTo(&b)
-	return b.String()
 }

@@ -5,17 +5,30 @@ import (
 	"testing"
 )
 
+// render draws the charts as one Figure document.
+func render(t *testing.T, charts ...*Chart) string {
+	t.Helper()
+	var f Figure
+	for _, c := range charts {
+		f.Add(c)
+	}
+	var b strings.Builder
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestChartRendersSeriesAndLegend(t *testing.T) {
 	c := NewChart("Throughput", 640, 220)
 	c.XLabel = "seconds"
-	c.YLabel = "req/s"
 	c.Line("routes", "#112233", []float64{0, 1, 2}, []float64{10, 20, 15})
 	c.Step("computed", "#445566", []float64{0, 1, 2}, []float64{5, 8, 6})
 	c.Marker(1.5, "#c0392b", "fail")
-	svg := c.String()
+	svg := render(t, c)
 
 	for _, want := range []string{
-		"<svg", "</svg>", "Throughput", "seconds", "req/s",
+		"<svg", "</svg>", "Throughput", "seconds",
 		"routes", "computed", "fail",
 		`stroke="#112233"`, `stroke="#445566"`,
 		"stroke-dasharray", // the marker line
@@ -34,7 +47,7 @@ func TestChartRendersSeriesAndLegend(t *testing.T) {
 }
 
 func TestChartEmptyAndSinglePoint(t *testing.T) {
-	empty := NewChart("empty", 0, 0).String()
+	empty := render(t, NewChart("empty", 0, 0))
 	if !strings.Contains(empty, "no data") {
 		t.Error("empty chart lacks the no-data note")
 	}
@@ -44,7 +57,7 @@ func TestChartEmptyAndSinglePoint(t *testing.T) {
 
 	one := NewChart("one", 320, 160)
 	one.Step("s", "", []float64{3}, []float64{42})
-	svg := one.String()
+	svg := render(t, one)
 	if !strings.Contains(svg, "<circle") {
 		t.Error("single-point series not marked with a circle")
 	}
@@ -53,7 +66,7 @@ func TestChartEmptyAndSinglePoint(t *testing.T) {
 func TestChartMismatchedLengthsTrimmed(t *testing.T) {
 	c := NewChart("trim", 320, 160)
 	c.Line("s", "", []float64{0, 1, 2, 3}, []float64{1, 2})
-	svg := c.String()
+	svg := render(t, c)
 	// Only two points survive: one M and one L command.
 	if strings.Count(svg, " L ") != 1 {
 		t.Fatalf("trimmed series path wrong:\n%s", svg)
@@ -64,7 +77,7 @@ func TestChartLogYTicks(t *testing.T) {
 	c := NewChart("log", 400, 200)
 	c.LogY = true
 	c.Line("lat", "", []float64{0, 1, 2}, []float64{10, 1000, 100000})
-	svg := c.String()
+	svg := render(t, c)
 	// Decade ticks rendered compactly.
 	for _, want := range []string{">10<", ">1000<", ">100k<"} {
 		if !strings.Contains(svg, want) {
@@ -76,7 +89,7 @@ func TestChartLogYTicks(t *testing.T) {
 func TestChartEscapesText(t *testing.T) {
 	c := NewChart("a <b> & c", 320, 160)
 	c.Line("s<1>", "", []float64{0, 1}, []float64{1, 2})
-	svg := c.String()
+	svg := render(t, c)
 	if strings.Contains(svg, "<b>") || strings.Contains(svg, "s<1>") {
 		t.Fatal("chart text not escaped")
 	}
@@ -94,7 +107,11 @@ func TestFigureStacksPanels(t *testing.T) {
 	b.Step("y", "", []float64{0, 1}, []float64{3, 4})
 	f.Add(a)
 	f.Add(b)
-	svg := f.String()
+	var sb strings.Builder
+	if _, err := f.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	svg := sb.String()
 
 	if !strings.Contains(svg, `width="640"`) {
 		t.Error("figure width is not the widest panel")

@@ -74,14 +74,11 @@ type CapacityCurve struct {
 	// histogram buckets excluded), nil when the driver has no
 	// exposition to scrape.
 	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
-	// StartUnixMs anchors the sweep in wall time so the flight-recorder
-	// timeline and journal below can be read against it.
+	// StartUnixMs anchors the sweep in wall time so the journal below
+	// can be read against it.
 	StartUnixMs int64 `json:"start_unix_ms,omitempty"`
-	// SampledTimeline is the server's flight-recorder sample window
-	// covering the whole ladder (nil without a sampler).
-	SampledTimeline *obs.TimelineWindow `json:"sampled_timeline,omitempty"`
-	// Journal is the server's flight-recorder events raised during the
-	// sweep, oldest first.
+	// Journal holds the events the server journaled during the sweep,
+	// oldest first.
 	Journal []obs.Event `json:"journal,omitempty"`
 }
 

@@ -277,11 +277,8 @@ func Run(drv workload.Driver, cfg *Config, opt Options) (*CapacityCurve, error) 
 			curve.MetricsDelta = obs.Delta(before, after)
 		}
 	}
-	// The flight-recorder view of the whole ladder; both degrade to
-	// absent on drivers without the surfaces.
-	if win, err := drv.Timeline(); err == nil && len(win.TUnixMS) > 0 {
-		curve.SampledTimeline = &win
-	}
+	// The journal of the whole ladder; absent on drivers without the
+	// surface.
 	if evs, err := drv.Events(0); err == nil {
 		for _, ev := range evs {
 			if ev.UnixMS >= curve.StartUnixMs {

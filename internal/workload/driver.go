@@ -42,13 +42,8 @@ type Driver interface {
 	// keyed by series identity (obs.ParseText) — the engine scrapes
 	// before and after the measured window and reports the delta.
 	ScrapeMetrics() (map[string]float64, error)
-	// Timeline fetches the server's flight-recorder sample window
-	// (empty when the server runs without a sampler) — the engine
-	// embeds it in the report so churn events can be read against the
-	// delivery/latency curves.
-	Timeline() (obs.TimelineWindow, error)
-	// Events fetches up to max flight-recorder journal events, oldest
-	// first (max <= 0: the whole retained ring).
+	// Events fetches up to max event-journal entries, oldest first
+	// (max <= 0: the whole retained ring).
 	Events(max int) ([]obs.Event, error)
 	// Close releases driver resources.
 	Close() error
@@ -109,21 +104,13 @@ func (d *InProcess) ScrapeMetrics() (map[string]float64, error) {
 	return obs.ParseText(strings.NewReader(d.svc.Registry().Text()))
 }
 
-// Timeline implements Driver. It forces one final sample first, so an
-// end-of-run fetch covers events after the last periodic tick.
-func (d *InProcess) Timeline() (obs.TimelineWindow, error) {
-	d.svc.SampleNow()
-	return d.svc.Timeline(), nil
-}
-
 // Events implements Driver.
 func (d *InProcess) Events(max int) ([]obs.Event, error) {
 	return d.svc.Events(0, max), nil
 }
 
-// Close implements Driver, stopping the service's flight-recorder
-// sampler if one is running.
-func (d *InProcess) Close() error { return d.svc.Close() }
+// Close implements Driver; the service holds nothing to release.
+func (d *InProcess) Close() error { return nil }
 
 // NewDriver builds the driver a scenario run asks for: "inprocess"
 // (cfg configures the private service), "http" (every call goes to

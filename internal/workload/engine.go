@@ -269,21 +269,16 @@ func (r *run) measure() (*Report, error) {
 		}
 	}
 	if rep != nil {
-		r.attachFlight(rep)
+		r.attachJournal(rep)
 	}
 	return rep, err
 }
 
-// attachFlight embeds the driver's flight-recorder view of the run:
-// the sampled timeline window and the journal events raised inside the
-// measured window. Both degrade to absent — a driver without the
-// surfaces (an older wasnd) or a server running without a sampler
-// simply yields no section.
-func (r *run) attachFlight(rep *Report) {
+// attachJournal embeds the journal events the server raised inside the
+// measured window. A driver without the /events surface (an older
+// wasnd) simply yields no journal.
+func (r *run) attachJournal(rep *Report) {
 	rep.StartUnixMs = r.start.UnixMilli()
-	if win, err := r.drv.Timeline(); err == nil && len(win.TUnixMS) > 0 {
-		rep.SampledTimeline = &win
-	}
 	if evs, err := r.drv.Events(0); err == nil {
 		for _, ev := range evs {
 			if ev.UnixMS >= rep.StartUnixMs {

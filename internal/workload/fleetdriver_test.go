@@ -37,7 +37,6 @@ func newFleetHarness(t *testing.T, n int, healthEvery time.Duration) *fleetHarne
 		for i := range h.svcs {
 			h.binarys[i].Close()
 			h.https[i].Close()
-			h.svcs[i].Close()
 		}
 	})
 	for i := 0; i < n; i++ {
@@ -248,7 +247,6 @@ func TestFleetDriverJSONFallback(t *testing.T) {
 		rt.Close()
 		router.Close()
 		hs.Close()
-		svc.Close()
 	})
 	if _, err := router.Join(fleet.Replica{ID: "r0", Addr: hs.URL}); err != nil {
 		t.Fatal(err)

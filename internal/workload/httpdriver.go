@@ -320,19 +320,6 @@ func (d *HTTP) ScrapeMetrics() (map[string]float64, error) {
 	return out, nil
 }
 
-// Timeline implements Driver (GET /timeline). Servers predating the
-// endpoint yield an error; callers embedding the window treat that as
-// "no timeline". A fleet has one flight recorder per replica and no
-// merged window, so with a shard map the window is empty.
-func (d *HTTP) Timeline() (obs.TimelineWindow, error) {
-	var body serve.TimelineBody
-	if d.sharded {
-		return body.Timeline, nil
-	}
-	err := serve.GetJSON(d.hc, d.base+"/timeline", &body)
-	return body.Timeline, err
-}
-
 // Events implements Driver (GET /events) — against a fleet router, its
 // control-plane journal: the joins, leaves, re-shards and restore
 // pushes of the run.

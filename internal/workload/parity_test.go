@@ -63,10 +63,7 @@ func parityScript(t *testing.T, d Driver, name string) []Outcome {
 func TestDriverModeParity(t *testing.T) {
 	svc := serve.New(serve.Config{})
 	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		svc.Close()
-	})
+	t.Cleanup(ts.Close)
 	h := newFleetHarness(t, 3, -1)
 	fleetDrv, err := NewFleet(h.rt.URL)
 	if err != nil {

@@ -109,13 +109,10 @@ type Report struct {
 	// exposition to scrape.
 	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
 	// StartUnixMs anchors the measured window in wall time so the
-	// flight-recorder timeline and journal below — stamped in server
-	// wall time — can be read against AppliedMS offsets.
+	// journal below — stamped in server wall time — can be read against
+	// AppliedMS offsets.
 	StartUnixMs int64 `json:"start_unix_ms,omitempty"`
-	// SampledTimeline is the server's flight-recorder sample window
-	// (nil when the driver runs without a sampler).
-	SampledTimeline *obs.TimelineWindow `json:"sampled_timeline,omitempty"`
-	// Journal is the server's flight-recorder events raised during the
+	// Journal holds the events the server journaled during the
 	// measured window, oldest first.
 	Journal []obs.Event `json:"journal,omitempty"`
 }
@@ -162,13 +159,8 @@ func (r *Report) Summary() string {
 		}
 		b.WriteString("\n")
 	}
-	if r.SampledTimeline != nil || len(r.Journal) > 0 {
-		samples := 0
-		if r.SampledTimeline != nil {
-			samples = len(r.SampledTimeline.TUnixMS)
-		}
-		fmt.Fprintf(&b, "  flight recorder: %d timeline samples, %d journal events\n",
-			samples, len(r.Journal))
+	if len(r.Journal) > 0 {
+		fmt.Fprintf(&b, "  journal: %d events\n", len(r.Journal))
 	}
 	return b.String()
 }
