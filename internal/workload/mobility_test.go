@@ -2,9 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"reflect"
 	"testing"
 )
+
+var updateTrace = flag.Bool("update-trace", false, "rewrite testdata/mobile-churn.trace.golden from the current engine")
 
 // mobileChurnScenario exercises the full hostile-geometry stack at test
 // scale: an obstacle-field deployment, a Poisson fail/revive process,
@@ -40,6 +44,10 @@ func trimSummary(raw []byte) []byte {
 // request/churn/move streams, and replaying the trace twice must yield
 // identical delivery counts (the replay's barriers serialize every
 // request against the exact topology its trace position dictates).
+// The recording, summary line aside, must also equal
+// testdata/mobile-churn.trace.golden byte for byte, which pins the
+// schedule across builds; regenerate it with -update-trace only for an
+// intended change of what the engine schedules.
 func TestMobileChurnRecordDeterminism(t *testing.T) {
 	sc := mobileChurnScenario()
 	_, rawA, repA := recordedRun(t, sc)
@@ -47,6 +55,16 @@ func TestMobileChurnRecordDeterminism(t *testing.T) {
 
 	if !bytes.Equal(trimSummary(rawA), trimSummary(rawB)) {
 		t.Fatal("two recordings of one seeded mobile-churn scenario diverged")
+	}
+	const golden = "testdata/mobile-churn.trace.golden"
+	if *updateTrace {
+		if err := os.WriteFile(golden, trimSummary(rawA), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(golden); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(trimSummary(rawA), want) {
+		t.Fatalf("recorded schedule differs from %s; rerun with -update-trace only for an intended change", golden)
 	}
 	var moves, fails, revives int
 	for _, ev := range trB.Events {
