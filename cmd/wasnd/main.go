@@ -700,15 +700,10 @@ func runSweep(out, prog io.Writer, cfgFile, driver, target, outFile, baselineFil
 		return err
 	}
 	defer drv.Close()
-	fmt.Fprintf(out, "wasnd sweep: %s, %d rungs %.0f..%.0f req/s (%s), driver %s\n",
-		cfg.Name, cfg.Steps, cfg.MinRateHz, cfg.MaxRateHz, cfg.Mode, drv.Name())
-	curve, err := sweep.Run(drv, cfg, sweep.Options{
-		Progress: func(r sweep.Rung) {
-			fmt.Fprintf(out, "  rung %7.0f req/s: achieved %7.0f, delivered %.2f%%, p99 %.1fus\n",
-				r.OfferedRPS, r.AchievedRPS, 100*r.DeliveryRate, r.Latency.P99us)
-		},
-		ProgressWriter: prog,
-	})
+	lo, hi, unit := cfg.Span()
+	fmt.Fprintf(out, "wasnd sweep: %s, %d rungs %g..%g %s (%s), driver %s\n",
+		cfg.Name, cfg.Steps, lo, hi, unit, cfg.Mode, drv.Name())
+	curve, err := sweep.Run(drv, cfg, sweep.Options{ProgressWriter: prog})
 	if err != nil {
 		return err
 	}

@@ -144,6 +144,39 @@ func TestSweepCLI(t *testing.T) {
 	if !strings.Contains(out.String(), "REGRESSION: p99") {
 		t.Fatalf("no p99 regression reported:\n%s", out.String())
 	}
+
+	// A drift sweep holds the rate and ladders the drift fraction: the
+	// header names the drift bounds, and no line reads as a rate rung.
+	driftFile := filepath.Join(dir, "drift.json")
+	drift := `{
+  "name": "cli-drift",
+  "scenario": {
+    "name": "cli-drift",
+    "deployment": {"model": "fa", "n": 300, "seed": 7},
+    "algorithm": "SLGF2",
+    "arrival": {"process": "poisson", "rate_hz": 500, "duration_ms": 150},
+    "traffic": {"pattern": "uniform", "pairs": 64},
+    "mobility": {"drift_fraction": 0.01, "drift_sigma": 2, "interval_ms": 50},
+    "warmup_requests": 50
+  },
+  "axis": "drift",
+  "min_value": 0.01,
+  "max_value": 0.04,
+  "steps": 2
+}`
+	if err := os.WriteFile(driftFile, []byte(drift), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-sweep", driftFile}, &out); err != nil {
+		t.Fatalf("drift sweep: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "2 rungs 0.01..0.04 drift") {
+		t.Fatalf("drift sweep header does not name the drift bounds:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "rung ") {
+		t.Fatalf("drift sweep printed rate rung lines:\n%s", out.String())
+	}
 }
 
 // TestCheckMetricsCLI drives a tiny HTTP-mode load against an in-test

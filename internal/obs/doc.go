@@ -1,9 +1,9 @@
 // Package obs is the observability layer: a lock-free metrics registry
 // with Prometheus-style text exposition, shared by the serving stack
 // (internal/serve registers per-endpoint, per-algorithm, and
-// per-deployment series), the workload engine (which embeds scraped
-// metric deltas in its reports), and the CLI (wasnd serves the registry
-// at /metrics and verifies scrapes with -check-metrics).
+// per-deployment series) and the CLI (wasnd serves the registry at
+// /metrics and verifies scrapes with -check-metrics). Its event journal
+// is what workload reports and sweep curves embed.
 //
 // # Design
 //
@@ -27,6 +27,6 @@
 // samples, families sorted by name, label tuples sorted within a
 // family. Histograms render cumulative _bucket{le="..."} samples over
 // their non-empty buckets plus the +Inf bucket, _sum, and _count.
-// ParseText is the strict inverse used by tests, the workload engine's
-// scrape deltas, and the wasnd -check-metrics CI gate.
+// ParseText is the strict inverse used by tests and the wasnd
+// -check-metrics CI gate.
 package obs

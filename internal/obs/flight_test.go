@@ -7,28 +7,6 @@ import (
 	"testing"
 )
 
-// TestDeltaClampsCounterResets pins the reset guard: a series whose
-// after-sample is below its before-sample (restarted server) must not
-// produce a negative delta — it is clamped out and named as a reset.
-func TestDeltaClampsCounterResets(t *testing.T) {
-	before := map[string]float64{"a_total": 100, "b_total": 7, "g": 5}
-	after := map[string]float64{"a_total": 3, "b_total": 9, "g": 5}
-	d, resets := DeltaWithResets(before, after)
-	if len(resets) != 1 || resets[0] != "a_total" {
-		t.Fatalf("resets = %v, want [a_total]", resets)
-	}
-	if _, ok := d["a_total"]; ok {
-		t.Fatalf("reset series leaked into delta: %v", d)
-	}
-	if d["b_total"] != 2 {
-		t.Fatalf("delta[b_total] = %v, want 2", d["b_total"])
-	}
-	// Delta itself applies the same clamp.
-	if d2 := Delta(before, after); len(d2) != 1 || d2["b_total"] != 2 {
-		t.Fatalf("Delta = %v, want only b_total=2", d2)
-	}
-}
-
 // TestJournalTailOrder records fewer events than capacity and checks
 // dense, oldest-first sequences.
 func TestJournalTailOrder(t *testing.T) {

@@ -167,22 +167,6 @@ func TestParseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDelta diffs two scrapes.
-func TestDelta(t *testing.T) {
-	before := map[string]float64{"a_total": 10, "gone_total": 5, "h_bucket{le=\"1\"}": 3, "h_sum": 100}
-	after := map[string]float64{"a_total": 15, "new_total": 2, "h_bucket{le=\"1\"}": 9, "h_sum": 180, "same": 1}
-	d := Delta(before, after)
-	want := map[string]float64{"a_total": 5, "new_total": 2, "h_sum": 80, "same": 1}
-	if len(d) != len(want) {
-		t.Fatalf("delta = %v, want %v", d, want)
-	}
-	for k, v := range want {
-		if d[k] != v {
-			t.Errorf("delta[%s] = %v, want %v", k, d[k], v)
-		}
-	}
-}
-
 // TestMissingSeries checks the family matcher behind -check-metrics.
 func TestMissingSeries(t *testing.T) {
 	samples := map[string]float64{

@@ -193,44 +193,6 @@ func familyOf(series string) string {
 	return name
 }
 
-// Delta returns after[k]−before[k] for every series present in after,
-// dropping zero deltas (series absent from before count from zero).
-// Histogram _bucket series are dropped too — bucket boundaries shift
-// between scrapes as new buckets fill, so the delta of interest is
-// _sum/_count plus the plain counters. A negative delta means the
-// counter reset between scrapes (a restarted server re-counting from
-// zero): the bogus negative movement is clamped away rather than
-// reported; DeltaWithResets names the affected series.
-func Delta(before, after map[string]float64) map[string]float64 {
-	out, _ := DeltaWithResets(before, after)
-	return out
-}
-
-// DeltaWithResets is Delta plus the sorted list of series whose value
-// went backwards between the scrapes — the signature of a counter
-// reset. Reset series are clamped out of the delta map (their true
-// movement is unknowable from two samples); callers that care can flag
-// the window instead of reporting a negative movement.
-func DeltaWithResets(before, after map[string]float64) (map[string]float64, []string) {
-	out := make(map[string]float64)
-	var resets []string
-	for k, v := range after {
-		if strings.Contains(k, "_bucket") {
-			continue
-		}
-		d := v - before[k]
-		if d < 0 {
-			resets = append(resets, k)
-			continue
-		}
-		if d != 0 {
-			out[k] = d
-		}
-	}
-	sort.Strings(resets)
-	return out, resets
-}
-
 // MissingSeries reports which of the wanted family names have no
 // sample in the parsed exposition — the -check-metrics verification.
 // A family matches when any series of it (plain, labeled, or a

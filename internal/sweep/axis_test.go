@@ -117,6 +117,59 @@ func TestCoverageAxisDeploysPerRung(t *testing.T) {
 	}
 }
 
+// moveCounter passes every call to the wrapped driver and records, in
+// order, the deployment each run registers and the moved nodes each
+// deployment absorbs.
+type moveCounter struct {
+	workload.Driver
+	deployed []string
+	moved    map[string]int64
+}
+
+func (d *moveCounter) Deploy(name string, spec workload.DeploymentSpec) (string, error) {
+	eff, err := d.Driver.Deploy(name, spec)
+	d.deployed = append(d.deployed, eff)
+	return eff, err
+}
+
+func (d *moveCounter) Mutate(deployment string, m serve.Mutation) error {
+	err := d.Driver.Mutate(deployment, m)
+	if err == nil {
+		d.moved[deployment] += int64(len(m.Moves))
+	}
+	return err
+}
+
+// TestDriftAxisRungsStartPristine pins that a drift rung starts from
+// the pristine topology: reviving the churn a rung leaves behind cannot
+// undo its moves, so each rung needs a deployment of its own that
+// absorbs only that rung's move batches.
+func TestDriftAxisRungsStartPristine(t *testing.T) {
+	cfg := &Config{
+		Name:     "drift-axis",
+		Scenario: mobileBase(),
+		Axis:     AxisDrift,
+		MinValue: 0.01, MaxValue: 0.04, Steps: 3,
+	}
+	drv := &moveCounter{Driver: workload.NewInProcess(serve.New(serve.Config{})), moved: map[string]int64{}}
+	curve, err := Run(drv, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve.Rungs) != 3 || len(drv.deployed) != 3 {
+		t.Fatalf("got %d rungs over %d deploys; want 3/3", len(curve.Rungs), len(drv.deployed))
+	}
+	for i, r := range curve.Rungs {
+		dep := drv.deployed[i]
+		if r.MovedNodes == 0 {
+			t.Fatalf("rung %d recorded no mobility; the schedule should have run", i)
+		}
+		if got := drv.moved[dep]; got != r.MovedNodes {
+			t.Fatalf("rung %d: deployment %s absorbed %d moved nodes; the rung moved %d", i, dep, got, r.MovedNodes)
+		}
+	}
+}
+
 // TestAxisValidation pins the per-axis config rejections.
 func TestAxisValidation(t *testing.T) {
 	base := mobileBase()

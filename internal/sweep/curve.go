@@ -69,11 +69,6 @@ type CapacityCurve struct {
 	CliffRung int     `json:"cliff_rung"`
 	CliffRPS  float64 `json:"cliff_rps,omitempty"`
 
-	// MetricsDelta is the movement of every server metric series across
-	// the whole ladder (obs.Delta of scrapes bracketing the sweep;
-	// histogram buckets excluded), nil when the driver has no
-	// exposition to scrape.
-	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
 	// StartUnixMs anchors the sweep in wall time so the journal below
 	// can be read against it.
 	StartUnixMs int64 `json:"start_unix_ms,omitempty"`
@@ -192,13 +187,6 @@ func (c *CapacityCurve) Summary() string {
 	}
 	if c.SkippedRungs > 0 {
 		fmt.Fprintf(&b, "  (%d ladder rungs skipped after collapse)\n", c.SkippedRungs)
-	}
-	if len(c.MetricsDelta) > 0 {
-		fmt.Fprintf(&b, "  metrics: %d series moved", len(c.MetricsDelta))
-		if v, ok := c.MetricsDelta["wasn_routes_total"]; ok {
-			fmt.Fprintf(&b, "  wasn_routes_total +%.0f", v)
-		}
-		b.WriteString("\n")
 	}
 	return b.String()
 }

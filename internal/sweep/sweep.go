@@ -11,9 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/straightpath/wasn/internal/obs"
 	"github.com/straightpath/wasn/internal/serve"
-	"github.com/straightpath/wasn/internal/topo"
 	"github.com/straightpath/wasn/internal/workload"
 )
 
@@ -191,8 +189,6 @@ func ParseConfigFile(path string) (*Config, error) {
 
 // Options tune a sweep run.
 type Options struct {
-	// Progress, when non-nil, is called after each rung completes.
-	Progress func(r Rung)
 	// ProgressWriter, when non-nil, streams live progress while the
 	// ladder runs: one "[sweep]" line as each rung completes, plus the
 	// workload engine's in-run ticker lines for the rung in flight.
@@ -209,10 +205,19 @@ func (o Options) progressf(format string, args ...any) {
 	}
 }
 
+// Span returns the ladder's bounds and the unit of the swept value.
+func (c *Config) Span() (lo, hi float64, unit string) {
+	if c.Axis == AxisRate {
+		return c.MinRateHz, c.MaxRateHz, axisUnit(c.Axis)
+	}
+	return c.MinValue, c.MaxValue, axisUnit(c.Axis)
+}
+
 // Run executes the ladder against one driver and assembles the curve.
-// All rungs share the driver (and therefore the deployment and its
-// route cache — the cached share per rung is part of the curve); any
-// churn a rung leaves behind is revived before the next rung so every
+// Rate and churn rungs share the driver's deployment and its route
+// cache (the cached share per rung is part of the curve); any churn a
+// rung leaves behind is revived before the next rung. Drift and
+// coverage rungs each get a deployment of their own. Either way every
 // rung starts from the pristine topology.
 func Run(drv workload.Driver, cfg *Config, opt Options) (*CapacityCurve, error) {
 	if err := cfg.Validate(); err != nil {
@@ -230,17 +235,9 @@ func Run(drv workload.Driver, cfg *Config, opt Options) (*CapacityCurve, error) 
 		CliffFactor:   cfg.CliffFactor,
 	}
 
-	// The whole-ladder metrics delta: scraped once before the first
-	// rung and once after the last, so the curve records what the sweep
-	// as a whole did to the server (a failed before-scrape disables the
-	// delta rather than failing the sweep).
-	before, beforeErr := drv.ScrapeMetrics()
 	curve.StartUnixMs = time.Now().UnixMilli()
 
-	lo, hi := cfg.MinRateHz, cfg.MaxRateHz
-	if cfg.Axis != AxisRate {
-		lo, hi = cfg.MinValue, cfg.MaxValue
-	}
+	lo, hi, unit := cfg.Span()
 	for i, v := range ladder(lo, hi, cfg.Steps) {
 		r, err := runRung(drv, cfg, v, i, opt)
 		if err != nil {
@@ -248,10 +245,7 @@ func Run(drv workload.Driver, cfg *Config, opt Options) (*CapacityCurve, error) 
 		}
 		curve.Rungs = append(curve.Rungs, r)
 		opt.progressf("rung %d/%d @%g %s: achieved %.0f req/s, delivered %.2f%%, p99=%.1fus",
-			i+1, cfg.Steps, v, axisUnit(cfg.Axis), r.AchievedRPS, 100*r.DeliveryRate, r.Latency.P99us)
-		if opt.Progress != nil {
-			opt.Progress(r)
-		}
+			i+1, cfg.Steps, v, unit, r.AchievedRPS, 100*r.DeliveryRate, r.Latency.P99us)
 		// Collapse cuts the ladder short: rate rungs collapse by failing
 		// to achieve the offered rate, non-rate rungs (fixed rate) by
 		// delivery falling through the floor.
@@ -261,7 +255,7 @@ func Run(drv workload.Driver, cfg *Config, opt Options) (*CapacityCurve, error) 
 		}
 		if cfg.StopOnCollapse && collapsed {
 			curve.SkippedRungs = cfg.Steps - i - 1
-			opt.progressf("collapse at %g %s: skipping %d remaining rungs", v, axisUnit(cfg.Axis), curve.SkippedRungs)
+			opt.progressf("collapse at %g %s: skipping %d remaining rungs", v, unit, curve.SkippedRungs)
 			break
 		}
 	}
@@ -270,11 +264,6 @@ func Run(drv workload.Driver, cfg *Config, opt Options) (*CapacityCurve, error) 
 	if cfg.Mode == ModeBisect && curve.KneeRung > 0 {
 		if err := bisect(drv, cfg, curve, opt); err != nil {
 			return nil, err
-		}
-	}
-	if beforeErr == nil {
-		if after, err := drv.ScrapeMetrics(); err == nil {
-			curve.MetricsDelta = obs.Delta(before, after)
 		}
 	}
 	// The journal of the whole ladder; absent on drivers without the
@@ -317,7 +306,8 @@ func axisUnit(axis string) string {
 // runRung executes the base scenario at one swept value and distills
 // the rung. The scenario value is copied per rung (Run mutates it);
 // the churn schedule is shared read-only and any nodes it left dead
-// are revived afterwards.
+// are revived afterwards. Moves cannot be undone that way, so a drift
+// rung, like a coverage rung, deploys afresh.
 func runRung(drv workload.Driver, cfg *Config, v float64, idx int, opt Options) (Rung, error) {
 	sc := cfg.Scenario // copy
 	sc.Name = fmt.Sprintf("%s@%g", cfg.Scenario.Name, v)
@@ -335,6 +325,7 @@ func runRung(drv workload.Driver, cfg *Config, v float64, idx int, opt Options) 
 		mb := *cfg.Scenario.Mobility
 		mb.DriftFraction = v
 		sc.Mobility = &mb
+		sc.Deployment.Name = sc.Name
 	case AxisCoverage:
 		// Each coverage is a different topology: clear any explicit
 		// deployment name so the driver default-names (and builds) a
@@ -345,10 +336,10 @@ func runRung(drv workload.Driver, cfg *Config, v float64, idx int, opt Options) 
 	default:
 		sc.Arrival.RateHz = v
 	}
-	if idx > 0 && cfg.Axis != AxisCoverage {
+	if idx > 0 && cfg.Axis != AxisCoverage && cfg.Axis != AxisDrift {
 		// The first rung paid the build and primed the cache; repeating
 		// the warmup every rung would only re-skew the cached share.
-		// (Coverage rungs deploy fresh topologies, so each keeps its
+		// (Drift and coverage rungs deploy afresh, so each keeps its
 		// warmup.)
 		sc.WarmupRequests = 0
 	}
@@ -380,24 +371,15 @@ func runRung(drv workload.Driver, cfg *Config, v float64, idx int, opt Options) 
 // reviveResidual brings back every node the rung's churn schedule left
 // dead, so rungs stay comparable.
 func reviveResidual(drv workload.Driver, rep *workload.Report) error {
-	dead := map[topo.NodeID]bool{}
+	var st serve.DeploymentState
 	for _, ev := range rep.Churn {
-		for _, u := range ev.Failed {
-			dead[u] = true
-		}
-		for _, u := range ev.Revived {
-			delete(dead, u)
-		}
+		st.Apply(serve.Mutation{Kind: serve.MutationFail, Nodes: ev.Failed})
+		st.Apply(serve.Mutation{Kind: serve.MutationRevive, Nodes: ev.Revived})
 	}
-	if len(dead) == 0 {
+	if len(st.Failed) == 0 {
 		return nil
 	}
-	nodes := make([]topo.NodeID, 0, len(dead))
-	for u := range dead {
-		nodes = append(nodes, u)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return drv.Mutate(rep.Deployment, serve.Mutation{Kind: serve.MutationRevive, Nodes: nodes})
+	return drv.Mutate(rep.Deployment, serve.Mutation{Kind: serve.MutationRevive, Nodes: st.Failed})
 }
 
 // bisect refines the knee between the last unsaturated and first
@@ -422,9 +404,6 @@ func bisect(drv workload.Driver, cfg *Config, curve *CapacityCurve, opt Options)
 			i+1, cfg.BisectIters, mid, r.AchievedRPS, r.Latency.P99us)
 		sort.Slice(curve.Rungs, func(a, b int) bool { return curve.Rungs[a].OfferedRPS < curve.Rungs[b].OfferedRPS })
 		curve.detect()
-		if opt.Progress != nil {
-			opt.Progress(r)
-		}
 	}
 	return nil
 }

@@ -147,28 +147,20 @@ func TestRunTinySweep(t *testing.T) {
 		},
 		MinRateHz: 500, MaxRateHz: 2000, Steps: 3,
 	}
-	var progress int
 	var prog bytes.Buffer
 	drv := workload.NewInProcess(serve.New(serve.Config{}))
-	curve, err := Run(drv, cfg, Options{
-		Progress:        func(Rung) { progress++ },
-		ProgressWriter:  &prog,
-		ProgressEveryMS: 50,
-	})
+	curve, err := Run(drv, cfg, Options{ProgressWriter: &prog, ProgressEveryMS: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve.Rungs) != 3 || progress != 3 {
-		t.Fatalf("got %d rungs, %d progress calls; want 3/3", len(curve.Rungs), progress)
+	if len(curve.Rungs) != 3 {
+		t.Fatalf("got %d rungs; want 3", len(curve.Rungs))
 	}
 	if n := strings.Count(prog.String(), "[sweep] rung"); n != 3 {
 		t.Fatalf("got %d [sweep] rung progress lines; want 3:\n%s", n, prog.String())
 	}
 	if !strings.Contains(prog.String(), "[workload]") {
 		t.Fatalf("no in-run [workload] ticker lines streamed through:\n%s", prog.String())
-	}
-	if curve.MetricsDelta["wasn_routes_total"] <= 0 {
-		t.Fatalf("curve metrics delta missing wasn_routes_total: %v", curve.MetricsDelta)
 	}
 	for i, r := range curve.Rungs {
 		if i > 0 && r.OfferedRPS <= curve.Rungs[i-1].OfferedRPS {

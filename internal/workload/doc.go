@@ -11,7 +11,8 @@
 //     hotspot destinations, or convergecast (every source reports to
 //     its nearest of K sinks, the paper-native many-to-one pattern);
 //   - a churn schedule — timed fail/revive mutations injected mid-run,
-//     driving the incremental substrate-repair path under live load;
+//     driving the incremental substrate-repair path under live load,
+//     and optionally mobility: seeded move batches every interval;
 //   - a driver — in-process against a serve.Service, or HTTP over
 //     keep-alive connections against a running wasnd or a fleet
 //     router's proxy tier; the same HTTP driver given the router's
@@ -25,6 +26,14 @@
 // (cache hit rate, per-deployment repair counts). Reports serialize to
 // JSON (wasnd -load -out), which wasnd -render draws as a figure.
 //
+// Every scheduled topology change is one firing: the serve.Mutations it
+// applies at its offset, and whether it ends a report phase (churn does,
+// mobility does not). The churn plan is resolved before the run, its
+// dead set folded with serve.DeploymentState.Apply; mobility batches
+// are drawn lazily, one ahead of the clock. One goroutine merges the
+// two in time order, churn first at a tie, and fires each through the
+// driver; Replay fires a trace's mutation lines through the same path.
+//
 // Scenarios are defined as JSON documents (ParseFile) or taken from
 // the canned presets (Preset): steady, hotspot, convergecast, and
 // churn-storm. cmd/wasnd's -load flag is a thin shim over this
@@ -32,8 +41,8 @@
 //
 // Runs can be captured and reproduced: a Recorder wrapped around
 // either driver persists the exact (src, dst, intended-at) request
-// stream and the churn firings to a time-sorted JSONL trace, and
-// Replay re-issues a trace bit-for-bit — churn lines act as barriers,
+// stream and the applied mutations to a time-sorted JSONL trace, and
+// Replay re-issues a trace bit-for-bit — mutation lines act as barriers,
 // so replay outcomes are deterministic and a regression seen once can
 // be replayed against any build (cmd/wasnd -record / -replay;
 // internal/sweep builds its capacity ladders on the same engine).

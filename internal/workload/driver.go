@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/straightpath/wasn/internal/obs"
 	"github.com/straightpath/wasn/internal/serve"
@@ -38,10 +37,6 @@ type Driver interface {
 	Mutate(deployment string, m serve.Mutation) error
 	// Stats snapshots the server counters for the report.
 	Stats() (serve.Stats, error)
-	// ScrapeMetrics parses the driver's current metrics exposition,
-	// keyed by series identity (obs.ParseText) — the engine scrapes
-	// before and after the measured window and reports the delta.
-	ScrapeMetrics() (map[string]float64, error)
 	// Events fetches up to max event-journal entries, oldest first
 	// (max <= 0: the whole retained ring).
 	Events(max int) ([]obs.Event, error)
@@ -96,13 +91,6 @@ func (d *InProcess) Mutate(deployment string, m serve.Mutation) error {
 
 // Stats implements Driver.
 func (d *InProcess) Stats() (serve.Stats, error) { return d.svc.Stats(), nil }
-
-// ScrapeMetrics implements Driver by rendering and re-parsing the
-// service registry — the same round trip an external scraper performs,
-// so the strict parser also exercises the exposition in-process.
-func (d *InProcess) ScrapeMetrics() (map[string]float64, error) {
-	return obs.ParseText(strings.NewReader(d.svc.Registry().Text()))
-}
 
 // Events implements Driver.
 func (d *InProcess) Events(max int) ([]obs.Event, error) {

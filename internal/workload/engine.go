@@ -12,7 +12,6 @@ import (
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/metrics"
-	"github.com/straightpath/wasn/internal/obs"
 	"github.com/straightpath/wasn/internal/serve"
 	"github.com/straightpath/wasn/internal/topo"
 )
@@ -50,27 +49,28 @@ type run struct {
 	drv    Driver
 	sc     *Scenario
 	opts   Options
-	progMu sync.Mutex // serializes progress lines (ticker vs churn)
+	progMu sync.Mutex // serializes progress lines (ticker vs schedule)
 	tr     *traffic
 	dep    string
 	start  time.Time
 	phases []*phaseRec
 	cur    atomic.Int64
-	// failed is a copy-on-write snapshot of the dead-node set; pickers
-	// read it lock-free on every draw, the churn goroutine swaps in a
-	// fresh map per event (events are rare, draws are not).
-	failed    atomic.Pointer[map[topo.NodeID]bool]
+	// live folds the mutations that applied; the firing goroutine owns
+	// it. failed is its dead set, published once per churn firing for
+	// pickers to read lock-free on every draw (firings are rare, draws
+	// are not). Both dead sets are sorted.
+	live      serve.DeploymentState
+	failed    atomic.Pointer[[]topo.NodeID]
 	timeline  []atomic.Int64
 	dropped   atomic.Int64
 	moved     atomic.Int64
 	errSample atomic.Pointer[string]
-	churn     []AppliedChurn // owned by the churn goroutine
-	// churnPlan is the schedule with every victim set resolved up
-	// front — a pure function of the scenario seed. The churn goroutine
-	// applies it; the open-loop generator reads it to know which nodes
-	// are *scheduled* dead at each arrival, so pair picks never depend
-	// on how late an event actually fired.
-	churnPlan []resolvedChurn
+	churn     []AppliedChurn // owned by the firing goroutine
+	// churnPlan is the churn schedule with every victim set resolved up
+	// front — a pure function of the scenario seed. The open-loop
+	// generator reads each firing's scheduled dead set, so pair picks
+	// never depend on how late a firing actually applied.
+	churnPlan []firing
 	// rec is non-nil when the driver is a *Recorder: the engine feeds
 	// it each request's intended arrival offset (the Driver interface
 	// carries no timestamps).
@@ -80,8 +80,8 @@ type run struct {
 // Run executes one scenario against a driver and returns its report.
 // The scenario is validated (and its defaults filled) first; the
 // deployment is registered and built, warmup requests are routed
-// unrecorded, and then the arrival process runs with the churn
-// schedule firing concurrently.
+// unrecorded, and then the arrival process runs with the churn and
+// mobility schedule firing concurrently.
 func Run(drv Driver, sc *Scenario) (*Report, error) {
 	return RunWith(drv, sc, Options{})
 }
@@ -109,25 +109,36 @@ func RunWith(drv Driver, sc *Scenario, opts Options) (*Report, error) {
 		r.rec = rec
 		rec.begin(TraceHeader{Scenario: sc.Name, Deploy: sc.Deployment, Algorithm: sc.Algorithm, Seed: sc.Seed})
 	}
-	empty := map[topo.NodeID]bool{}
-	r.failed.Store(&empty)
+	r.failed.Store(new([]topo.NodeID))
 	if err := r.warmup(); err != nil {
 		return nil, fmt.Errorf("workload: warmup: %w", err)
 	}
 	return r.measure()
 }
 
-func (r *run) alive(u topo.NodeID) bool { return !(*r.failed.Load())[u] }
+func (r *run) alive(u topo.NodeID) bool { return !isDead(*r.failed.Load(), u) }
+
+// isDead reports whether u is in the sorted dead set.
+func isDead(dead []topo.NodeID, u topo.NodeID) bool {
+	_, found := slices.BinarySearch(dead, u)
+	return found
+}
+
+// arrival is one request of the run. t0 is its intended start (the
+// arrival time for open loops, charging queueing delay to latency — no
+// coordinated omission); at is its offset from the run start, the
+// timestamp the trace recorder persists.
+type arrival struct {
+	t0       time.Time
+	at       time.Duration
+	src, dst topo.NodeID
+}
 
 // routeOnce issues one request and records it into the current phase.
-// t0 is the request's intended start (its arrival time for open loops,
-// charging queueing delay to latency — no coordinated omission); at is
-// the same instant as an offset from the run start, the timestamp the
-// trace recorder persists.
-func (r *run) routeOnce(t0 time.Time, at time.Duration, src, dst topo.NodeID) {
-	out, err := r.drv.Route(r.dep, r.sc.Algorithm, src, dst)
+func (r *run) routeOnce(a arrival) {
+	out, err := r.drv.Route(r.dep, r.sc.Algorithm, a.src, a.dst)
 	if r.rec != nil {
-		r.rec.record(at, src, dst, out, err)
+		r.rec.record(a.at, a.src, a.dst, out, err)
 	}
 	ph := r.phases[r.cur.Load()]
 	ph.requests.Add(1)
@@ -137,7 +148,7 @@ func (r *run) routeOnce(t0 time.Time, at time.Duration, src, dst topo.NodeID) {
 		r.errSample.CompareAndSwap(nil, &msg)
 		return
 	}
-	ph.hist.Observe(int64(time.Since(t0)))
+	ph.hist.Observe(int64(time.Since(a.t0)))
 	if out.Delivered {
 		ph.delivered.Add(1)
 	}
@@ -202,17 +213,16 @@ func (r *run) initPhases(churnBoundaries, timelineBuckets int) {
 	r.timeline = make([]atomic.Int64, timelineBuckets)
 }
 
-// openPhase stamps phase i as starting now and directs subsequent
-// samples into it.
-func (r *run) openPhase(i int) {
+// openPhase stamps the next phase as starting now and directs
+// subsequent samples into it. Only the firing goroutine calls it.
+func (r *run) openPhase() {
+	i := r.cur.Load() + 1
 	r.phases[i].startNS.Store(int64(time.Since(r.start)))
-	r.cur.Store(int64(i))
+	r.cur.Store(i)
 }
 
-// measure runs the measured portion: arrival process plus churn
-// schedule, then assembles the report. The driver's metrics are
-// scraped just before and just after the window so the report carries
-// the exact series movement the run caused.
+// measure runs the measured portion: arrival process plus the
+// schedule of topology changes, then assembles the report.
 func (r *run) measure() (*Report, error) {
 	sc := r.sc
 	buckets := 4096 // closed loop: unknown duration, clamp into the tail
@@ -222,32 +232,20 @@ func (r *run) measure() (*Report, error) {
 	r.initPhases(len(sc.Churn), buckets)
 	r.churnPlan = r.resolveChurn()
 
-	// A scrape failure degrades the report (no delta) rather than
-	// failing the run: the HTTP driver may face a wasnd predating
-	// /metrics.
-	before, beforeErr := r.drv.ScrapeMetrics()
-
 	r.start = time.Now()
-	stopChurn := make(chan struct{})
-	churnDone := make(chan struct{})
-	if len(sc.Churn) > 0 {
-		go r.runChurn(stopChurn, churnDone)
-	} else {
-		close(churnDone)
-	}
-	stopProg := make(chan struct{})
-	progDone := make(chan struct{})
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		r.runSchedule(stop)
+	}()
 	if r.opts.Progress != nil {
-		go r.runProgress(stopProg, progDone)
-	} else {
-		close(progDone)
-	}
-	stopMob := make(chan struct{})
-	mobDone := make(chan struct{})
-	if sc.Mobility != nil {
-		go r.runMobility(stopMob, mobDone)
-	} else {
-		close(mobDone)
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			r.runProgress(stop)
+		}()
 	}
 
 	if sc.Arrival.Process == ArrivalClosed {
@@ -256,18 +254,9 @@ func (r *run) measure() (*Report, error) {
 		r.runOpen()
 	}
 	elapsed := time.Since(r.start)
-	close(stopChurn)
-	close(stopProg)
-	close(stopMob)
-	<-churnDone
-	<-progDone
-	<-mobDone
+	close(stop)
+	bg.Wait()
 	rep, err := r.report(elapsed)
-	if rep != nil && beforeErr == nil {
-		if after, aerr := r.drv.ScrapeMetrics(); aerr == nil {
-			rep.MetricsDelta = obs.Delta(before, after)
-		}
-	}
 	if rep != nil {
 		r.attachJournal(rep)
 	}
@@ -289,7 +278,7 @@ func (r *run) attachJournal(rep *Report) {
 }
 
 // progressf emits one progress line, serialized against concurrent
-// emitters (the ticker and the churn goroutine share the writer).
+// emitters (the ticker and the firing goroutine share the writer).
 func (r *run) progressf(format string, args ...any) {
 	if r.opts.Progress == nil {
 		return
@@ -311,8 +300,7 @@ func (r *run) totals() (req, del, errs int64) {
 }
 
 // runProgress streams one status line per period until stopped.
-func (r *run) runProgress(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+func (r *run) runProgress(stop <-chan struct{}) {
 	every := time.Duration(r.opts.ProgressEveryMS) * time.Millisecond
 	if every <= 0 {
 		every = time.Second
@@ -359,7 +347,7 @@ func (r *run) runClosed() {
 			for int(next.Add(1)) <= sc.Arrival.Requests {
 				src, dst := pick()
 				now := time.Now()
-				r.routeOnce(now, now.Sub(r.start), src, dst)
+				r.routeOnce(arrival{t0: now, at: now.Sub(r.start), src: src, dst: dst})
 			}
 		}(w)
 	}
@@ -372,36 +360,20 @@ func (r *run) runClosed() {
 // scheduled time, so queueing under overload is charged to the request.
 //
 // The generator draws each arrival's (src, dst) pair itself — workers
-// only route. Pair picks consult the *resolved* churn plan at the
-// arrival's scheduled offset, not the live dead set, so the request
+// only route. Pair picks consult the *resolved* churn plan's dead set
+// at the arrival's scheduled offset, not the live one, so the request
 // stream is a pure function of the scenario seed: recording the same
 // scenario twice yields bit-identical request lines regardless of
-// worker scheduling or how late a churn event actually applied.
+// worker scheduling or how late a churn firing actually applied.
 func (r *run) runOpen() {
 	sc := r.sc
-	conc := sc.Arrival.Concurrency
-	if conc <= 0 {
-		conc = 4 * runtime.GOMAXPROCS(0)
-	}
-	type arrival struct {
-		t0       time.Time
-		src, dst topo.NodeID
-	}
 	queue := make(chan arrival, openQueueCap)
 	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for a := range queue {
-				r.routeOnce(a.t0, a.t0.Sub(r.start), a.src, a.dst)
-			}
-		}()
-	}
+	r.startWorkers(sc.Arrival.Concurrency, queue, &wg)
 
-	schedDead := make(map[topo.NodeID]bool)
-	nextEv := 0
-	pick := r.tr.picker(0, func(u topo.NodeID) bool { return !schedDead[u] })
+	var schedDead []topo.NodeID
+	plan := r.churnPlan
+	pick := r.tr.picker(0, func(u topo.NodeID) bool { return !isDead(schedDead, u) })
 
 	rng := rand.New(rand.NewPCG(sc.Seed, 0xa5a5a5a5))
 	duration := time.Duration(sc.Arrival.DurationMS) * time.Millisecond
@@ -415,37 +387,37 @@ func (r *run) runOpen() {
 		// Advance the scheduled dead set to this arrival's instant, then
 		// draw the pair before sleeping (the pick depends only on the
 		// schedule, never on wall-clock state).
-		for nextEv < len(r.churnPlan) && time.Duration(r.churnPlan[nextEv].atMS)*time.Millisecond <= offset {
-			for _, u := range r.churnPlan[nextEv].fail {
-				schedDead[u] = true
-			}
-			for _, u := range r.churnPlan[nextEv].revive {
-				delete(schedDead, u)
-			}
-			nextEv++
+		for len(plan) > 0 && plan[0].at <= offset {
+			schedDead, plan = plan[0].dead, plan[1:]
 		}
 		src, dst := pick()
 		at := r.start.Add(offset)
-		// Sleep coarse, spin fine: time.Sleep routinely oversleeps by
-		// hundreds of microseconds, which would be charged to every
-		// request's latency (t0 is the intended arrival). The final
-		// stretch yields the processor instead of blocking, so workers
-		// keep draining on a single-core box.
-		const spin = 200 * time.Microsecond
-		if d := time.Until(at); d > spin {
-			time.Sleep(d - spin)
-		}
-		for time.Now().Before(at) {
-			runtime.Gosched()
-		}
+		pace(at)
 		select {
-		case queue <- arrival{t0: at, src: src, dst: dst}:
+		case queue <- arrival{t0: at, at: offset, src: src, dst: dst}:
 		default:
 			r.dropped.Add(1)
 		}
 	}
 	close(queue)
 	wg.Wait()
+}
+
+// startWorkers starts conc workers (default 4×GOMAXPROCS) that route
+// every arrival of queue until it closes.
+func (r *run) startWorkers(conc int, queue <-chan arrival, wg *sync.WaitGroup) {
+	if conc <= 0 {
+		conc = 4 * runtime.GOMAXPROCS(0)
+	}
+	for w := 0; w < conc; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := range queue {
+				r.routeOnce(a)
+			}
+		}()
+	}
 }
 
 // wallOffset maps cumulative on-period time to a wall-clock offset:
@@ -464,140 +436,83 @@ func (r *run) wallOffset(onTime float64) time.Duration {
 	return time.Duration((float64(full)*cycle + rem) * float64(time.Second))
 }
 
-// resolvedChurn is one churn firing with its victim sets fixed before
-// the run starts.
-type resolvedChurn struct {
-	atMS   int
-	fail   []topo.NodeID
-	revive []topo.NodeID
+// pace blocks until t. It sleeps coarse and spins fine: time.Sleep
+// routinely oversleeps by hundreds of microseconds, which would be
+// charged to every request's latency (latency runs from the intended
+// arrival). The final stretch yields the processor instead of
+// blocking, so workers keep draining on a single-core box.
+func pace(t time.Time) {
+	const spin = 200 * time.Microsecond
+	if d := time.Until(t); d > spin {
+		time.Sleep(d - spin)
+	}
+	for time.Now().Before(t) {
+		runtime.Gosched()
+	}
+}
+
+// firing is one scheduled topology change of a run: the mutations it
+// applies, in order, at offset at from the run start. A churn firing
+// (phase) opens the next report phase, and when the engine resolved it
+// dead holds the scheduled dead set after it, sorted; a mobility firing
+// is one move batch inside its phase.
+type firing struct {
+	at    time.Duration
+	muts  []serve.Mutation
+	phase bool
+	dead  []topo.NodeID
 }
 
 // resolveChurn fixes every churn event's victims up front, walking the
-// schedule with the same seeded rng and the same draw order the live
-// churn goroutine used to, so the resolved plan is a pure function of
-// the scenario seed. The plan assumes every event applies (a driver
-// error at fire time leaves the *live* dead set behind the scheduled
-// one, but never changes what was scheduled — recorded traces stay
-// deterministic even across transient driver failures).
-func (r *run) resolveChurn() []resolvedChurn {
+// schedule with one seeded rng and folding the scheduled dead set with
+// serve.DeploymentState.Apply, so the plan is a pure function of the
+// scenario seed. The plan assumes every event applies (a driver error
+// at fire time leaves the *live* dead set behind the scheduled one, but
+// never changes what was scheduled — recorded traces stay deterministic
+// even across transient driver failures).
+func (r *run) resolveChurn() []firing {
 	rng := rand.New(rand.NewPCG(r.sc.Seed, 0xc0ffee))
-	deadSet := make(map[topo.NodeID]bool)
-	plan := make([]resolvedChurn, 0, len(r.sc.Churn))
+	var st serve.DeploymentState
+	plan := make([]firing, 0, len(r.sc.Churn))
 	for _, ev := range r.sc.Churn {
-		rc := resolvedChurn{atMS: ev.AtMS}
-		rc.fail = append(append([]topo.NodeID{}, ev.Fail...), r.tr.randomVictims(rng, ev.FailRandom, deadSet)...)
-		for _, u := range rc.fail {
-			deadSet[u] = true
-		}
-		rc.revive = append([]topo.NodeID{}, ev.Revive...)
-		if ev.ReviveAll || ev.ReviveRandom > 0 {
-			// Deterministic order: the dead set is a map, so sort before
-			// picking or appending.
-			dead := make([]topo.NodeID, 0, len(deadSet))
-			for u := range deadSet {
-				dead = append(dead, u)
-			}
-			slices.Sort(dead)
-			if ev.ReviveAll {
-				rc.revive = append(rc.revive, dead...)
-			} else {
-				for j := 0; j < ev.ReviveRandom && len(dead) > 0; j++ {
-					i := rng.IntN(len(dead))
-					rc.revive = append(rc.revive, dead[i])
-					dead = append(dead[:i], dead[i+1:]...)
-				}
+		fail := append(slices.Clone(ev.Fail), r.tr.randomVictims(rng, ev.FailRandom, st.Failed)...)
+		st.Apply(serve.Mutation{Kind: serve.MutationFail, Nodes: fail})
+		revive := slices.Clone(ev.Revive)
+		if ev.ReviveAll {
+			revive = append(revive, st.Failed...)
+		} else {
+			dead := slices.Clone(st.Failed)
+			for j := 0; j < ev.ReviveRandom && len(dead) > 0; j++ {
+				i := rng.IntN(len(dead))
+				revive = append(revive, dead[i])
+				dead = slices.Delete(dead, i, i+1)
 			}
 		}
-		for _, u := range rc.revive {
-			delete(deadSet, u)
+		st.Apply(serve.Mutation{Kind: serve.MutationRevive, Nodes: revive})
+		f := firing{at: time.Duration(ev.AtMS) * time.Millisecond, phase: true, dead: st.Failed}
+		for _, m := range []serve.Mutation{{Kind: serve.MutationFail, Nodes: fail}, {Kind: serve.MutationRevive, Nodes: revive}} {
+			if len(m.Nodes) > 0 {
+				f.muts = append(f.muts, m)
+			}
 		}
-		plan = append(plan, rc)
+		plan = append(plan, f)
 	}
 	return plan
 }
 
-// runChurn fires the resolved plan: each event fails/revives its
-// precomputed victims through the driver, swaps the copy-on-write
-// dead-set snapshot, and opens the next phase.
-func (r *run) runChurn(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for i, ev := range r.churnPlan {
-		timer.Reset(time.Duration(ev.atMS)*time.Millisecond - time.Since(r.start))
-		select {
-		case <-stop:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-
-		cur := *r.failed.Load()
-		next := make(map[topo.NodeID]bool, len(cur))
-		for u := range cur {
-			next[u] = true
-		}
-		applied := AppliedChurn{AtMS: ev.atMS}
-		if len(ev.fail) > 0 {
-			if err := r.drv.Mutate(r.dep, serve.Mutation{Kind: serve.MutationFail, Nodes: ev.fail}); err != nil {
-				applied.Err = err.Error()
-			} else {
-				applied.Failed = ev.fail
-				for _, u := range ev.fail {
-					next[u] = true
-				}
-			}
-		}
-		if len(ev.revive) > 0 && applied.Err == "" {
-			if err := r.drv.Mutate(r.dep, serve.Mutation{Kind: serve.MutationRevive, Nodes: ev.revive}); err != nil {
-				applied.Err = err.Error()
-			} else {
-				applied.Revived = ev.revive
-				for _, u := range ev.revive {
-					delete(next, u)
-				}
-			}
-		}
-		r.failed.Store(&next)
-		applied.AppliedMS = float64(time.Since(r.start).Microseconds()) / 1000
-		r.churn = append(r.churn, applied)
-		if applied.Err != "" {
-			r.progressf("churn @%dms failed to apply: %s", ev.atMS, applied.Err)
-		} else {
-			r.progressf("churn @%dms: failed=%d revived=%d -> %s",
-				ev.atMS, len(applied.Failed), len(applied.Revived), r.phases[i+1].name)
-		}
-		if r.rec != nil {
-			// Recorded at the *scheduled* offset, not the applied wall
-			// time: re-recording a replay then reproduces the original
-			// churn lines bit-for-bit.
-			at := time.Duration(ev.atMS) * time.Millisecond
-			r.rec.recordChurn(at, traceKindFail, applied.Failed)
-			r.rec.recordChurn(at, traceKindRevive, applied.Revived)
-		}
-		// Open the next phase: samples recorded from here on belong to
-		// the post-event topology (in-flight requests may straddle the
-		// boundary; with events rare relative to requests the smear is
-		// negligible).
-		r.openPhase(i + 1)
-	}
-}
-
-// runMobility drives the scenario's position churn: every IntervalMS it
-// advances the mobile sinks one step along their seeded random-waypoint
-// walks, redraws a seeded DriftFraction of the nodes with Gaussian
-// drift, and ships the batch through Driver.Mutate. The walk state lives
+// mobility returns the scenario's move batches as a lazy generator:
+// each call advances the mobile sinks one step along their seeded
+// random-waypoint walks, redraws a seeded DriftFraction of the nodes
+// with Gaussian drift, and returns the batch of the next interval that
+// moves anything, or false once the run is over. The walk state lives
 // entirely on the offline position snapshot, so the k-th batch is a
 // pure function of the scenario — wall-clock only decides *when* a
-// batch applies, never what it contains — and the recorder logs each
-// batch at its scheduled offset. Mobility ticks do not open report
-// phases (they are continuous background churn, not schedule
-// boundaries); their volume lands in Report.MovedNodes.
-func (r *run) runMobility(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+// batch applies, never what it contains.
+func (r *run) mobility() func() (firing, bool) {
 	mb := r.sc.Mobility
+	if mb == nil {
+		return func() (firing, bool) { return firing{}, false }
+	}
 	rng := rand.New(rand.NewPCG(r.sc.Seed, 0x6d6f62696c697479))
 	pos := append([]geom.Point(nil), r.tr.positions...)
 	field := r.tr.field
@@ -616,77 +531,137 @@ func (r *run) runMobility(stop <-chan struct{}, done chan<- struct{}) {
 			sinks = append(sinks, r.tr.members[i])
 		}
 	}
-	isSink := make(map[topo.NodeID]bool, len(sinks))
 	waypoint := make([]geom.Point, len(sinks))
 	randPoint := func() geom.Point {
 		return geom.Pt(field.Min.X+rng.Float64()*field.Width(), field.Min.Y+rng.Float64()*field.Height())
 	}
-	for i, s := range sinks {
-		isSink[s] = true
+	for i := range sinks {
 		waypoint[i] = randPoint()
 	}
 
 	step := mb.SinkSpeed * float64(mb.IntervalMS) / 1000
 	interval := time.Duration(mb.IntervalMS) * time.Millisecond
 	duration := time.Duration(r.sc.Arrival.DurationMS) * time.Millisecond
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
+	k := 0
+	return func() (firing, bool) {
+		for {
+			k++
+			at := time.Duration(k) * interval
+			if at >= duration {
+				return firing{}, false
+			}
+			var moves []topo.Move
+			for i, s := range sinks {
+				p := pos[s]
+				for {
+					d := geom.Dist(p, waypoint[i])
+					if d > step {
+						t := step / d
+						p = geom.Pt(p.X+(waypoint[i].X-p.X)*t, p.Y+(waypoint[i].Y-p.Y)*t)
+						break
+					}
+					p = waypoint[i]
+					waypoint[i] = randPoint()
+				}
+				pos[s] = p
+				moves = append(moves, topo.Move{Node: s, X: p.X, Y: p.Y})
+			}
+			if mb.DriftFraction > 0 {
+				for _, u := range r.tr.members {
+					if slices.Contains(sinks, u) || rng.Float64() >= mb.DriftFraction {
+						continue
+					}
+					p := geom.Pt(pos[u].X+rng.NormFloat64()*mb.DriftSigma, pos[u].Y+rng.NormFloat64()*mb.DriftSigma)
+					p.X = min(max(p.X, field.Min.X), field.Max.X)
+					p.Y = min(max(p.Y, field.Min.Y), field.Max.Y)
+					pos[u] = p
+					moves = append(moves, topo.Move{Node: u, X: p.X, Y: p.Y})
+				}
+			}
+			if len(moves) > 0 {
+				return firing{at: at, muts: []serve.Mutation{{Kind: serve.MutationMove, Moves: moves}}}, true
+			}
+		}
 	}
-	for k := 1; ; k++ {
-		at := time.Duration(k) * interval
-		if at >= duration {
-			return
-		}
-		// Compute the batch before waiting: the schedule is deterministic
-		// even if a tick fires late.
-		var moves []topo.Move
-		for i, s := range sinks {
-			p := pos[s]
-			for {
-				d := geom.Dist(p, waypoint[i])
-				if d > step {
-					t := step / d
-					p = geom.Pt(p.X+(waypoint[i].X-p.X)*t, p.Y+(waypoint[i].Y-p.Y)*t)
-					break
-				}
-				p = waypoint[i]
-				waypoint[i] = randPoint()
-			}
-			pos[s] = p
-			moves = append(moves, topo.Move{Node: s, X: p.X, Y: p.Y})
-		}
-		if mb.DriftFraction > 0 {
-			for _, u := range r.tr.members {
-				if isSink[u] || rng.Float64() >= mb.DriftFraction {
-					continue
-				}
-				p := geom.Pt(pos[u].X+rng.NormFloat64()*mb.DriftSigma, pos[u].Y+rng.NormFloat64()*mb.DriftSigma)
-				p.X = min(max(p.X, field.Min.X), field.Max.X)
-				p.Y = min(max(p.Y, field.Min.Y), field.Max.Y)
-				pos[u] = p
-				moves = append(moves, topo.Move{Node: u, X: p.X, Y: p.Y})
-			}
-		}
-		if len(moves) == 0 {
-			continue
-		}
+}
 
-		timer.Reset(at - time.Since(r.start))
-		select {
-		case <-stop:
-			timer.Stop()
-			return
-		case <-timer.C:
+// runSchedule fires the run's topology changes in time order: the
+// resolved churn plan merged with the mobility batches, which are drawn
+// one ahead of the clock, never for the whole run. Churn fires first at
+// a tie. It returns when the schedule runs out or when stop closes
+// before the next firing is due; a firing that came due while an
+// earlier one was still applying fires even if stop has closed since,
+// so a slow mutation never drops the ones queued behind it.
+func (r *run) runSchedule(stop <-chan struct{}) {
+	plan, nextMove := r.churnPlan, r.mobility()
+	move, moving := nextMove()
+	for len(plan) > 0 || moving {
+		var f firing
+		if len(plan) > 0 && (!moving || plan[0].at <= move.at) {
+			f, plan = plan[0], plan[1:]
+		} else {
+			f = move
+			move, moving = nextMove()
 		}
-		if err := r.drv.Mutate(r.dep, serve.Mutation{Kind: serve.MutationMove, Moves: moves}); err != nil {
-			r.progressf("mobility @%dms failed to apply: %v", at/time.Millisecond, err)
-			continue
+		if wait := f.at - time.Since(r.start); wait > 0 {
+			timer := time.NewTimer(wait)
+			select {
+			case <-stop:
+				timer.Stop()
+				return
+			case <-timer.C:
+			}
 		}
-		r.moved.Add(int64(len(moves)))
+		r.fire(f)
+	}
+}
+
+// fire applies one firing's mutations through the driver, stopping at
+// the first that fails, and records each applied one at the firing's
+// scheduled offset, not its wall-clock time, so re-recording a replay
+// reproduces the original lines bit for bit. A churn firing then
+// publishes the live dead set and opens the next phase: samples
+// recorded from there on belong to the post-firing topology (in-flight
+// requests may straddle the boundary; with firings rare relative to
+// requests the smear is negligible). Mobility firings are continuous
+// background churn, not phase boundaries; their volume lands in
+// Report.MovedNodes.
+func (r *run) fire(f firing) {
+	applied := AppliedChurn{AtMS: int(f.at / time.Millisecond)}
+	for _, m := range f.muts {
+		if err := r.drv.Mutate(r.dep, m); err != nil {
+			applied.Err = err.Error()
+			break
+		}
 		if r.rec != nil {
-			r.rec.recordMove(at, moves)
+			r.rec.recordMutation(f.at, m)
 		}
+		r.live.Apply(m)
+		switch m.Kind {
+		case serve.MutationFail:
+			applied.Failed = m.Nodes
+		case serve.MutationRevive:
+			applied.Revived = m.Nodes
+		default:
+			r.moved.Add(int64(len(m.Moves)))
+		}
+	}
+	if !f.phase {
+		if applied.Err != "" {
+			r.progressf("mobility @%dms failed to apply: %s", applied.AtMS, applied.Err)
+		}
+		return
+	}
+	dead := r.live.Failed
+	r.failed.Store(&dead)
+	applied.AppliedMS = float64(time.Since(r.start).Microseconds()) / 1000
+	r.churn = append(r.churn, applied)
+	r.openPhase()
+	if applied.Err != "" {
+		r.progressf("churn @%dms failed to apply: %s", applied.AtMS, applied.Err)
+	} else {
+		r.progressf("churn @%dms: failed=%d revived=%d -> %s",
+			applied.AtMS, len(applied.Failed), len(applied.Revived), r.phases[r.cur.Load()].name)
 	}
 }
 

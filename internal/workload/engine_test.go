@@ -255,12 +255,9 @@ func TestTrafficDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunWithProgressAndMetricsDelta pins the live-progress stream and
-// the before/after metrics scrape: a churny open-loop run must emit
-// ticker and churn lines to the Progress writer, and the report's
-// MetricsDelta must show the routes the run drove plus the churn it
-// applied, derived from the server's own exposition.
-func TestRunWithProgressAndMetricsDelta(t *testing.T) {
+// TestRunWithProgress pins the live-progress stream: a churny open-loop
+// run must emit ticker and churn lines to the Progress writer.
+func TestRunWithProgress(t *testing.T) {
 	sc := &Scenario{
 		Name:       "progress",
 		Deployment: tinyDeployment,
@@ -283,23 +280,5 @@ func TestRunWithProgressAndMetricsDelta(t *testing.T) {
 	}
 	if !strings.Contains(out, "churn @100ms") || !strings.Contains(out, "churn @200ms") {
 		t.Fatalf("churn events not narrated:\n%s", out)
-	}
-	if rep.MetricsDelta == nil {
-		t.Fatal("report has no metrics delta from the in-process driver")
-	}
-	if d := rep.MetricsDelta["wasn_routes_total"]; d < float64(rep.Requests) {
-		t.Fatalf("wasn_routes_total moved %+.0f; want >= %d requests", d, rep.Requests)
-	}
-	if d := rep.MetricsDelta["wasn_failed_nodes_total"]; d != 2 {
-		t.Fatalf("wasn_failed_nodes_total moved %+.0f; want 2", d)
-	}
-	// The delta keys are full series identities: the per-algorithm
-	// outcome series must be present for the scenario's algorithm.
-	if d := rep.MetricsDelta[`wasn_routes_computed_total{algorithm="SLGF2",outcome="delivered"}`]; d <= 0 {
-		t.Fatalf("per-algorithm computed series did not move: %v", rep.MetricsDelta)
-	}
-	// Summary must surface the delta without drowning the report.
-	if s := rep.Summary(); !strings.Contains(s, "series moved") {
-		t.Fatalf("summary does not mention the metrics delta:\n%s", s)
 	}
 }

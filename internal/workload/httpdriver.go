@@ -43,7 +43,7 @@ const fleetBinaryConns = 8
 // re-fetches the map and retries against the new owner until
 // fleetRetryWindow expires, so a kill -9 shows up as a latency blip,
 // not an error burst — the property the fleet-chaos CI job gates on.
-// Stats and metrics are summed across the replicas.
+// Stats are summed across the replicas.
 type HTTP struct {
 	base    string
 	hc      *http.Client
@@ -297,27 +297,6 @@ func (d *HTTP) Stats() (serve.Stats, error) {
 		return agg.PerDeployment[i].Name < agg.PerDeployment[j].Name
 	})
 	return agg, nil
-}
-
-// ScrapeMetrics implements Driver. With a shard map the target is the
-// router: its wasn_fleet_* series merge with each replica series summed
-// across the replicas that answer (distinct names, so the merge is
-// collision-free).
-func (d *HTTP) ScrapeMetrics() (map[string]float64, error) {
-	out, err := serve.ScrapeMetrics(d.hc, d.base+"/metrics")
-	if err != nil {
-		return nil, err
-	}
-	for _, addr := range d.replicaAddrs() {
-		vals, err := serve.ScrapeMetrics(d.hc, addr+"/metrics")
-		if err != nil {
-			continue // dead replica mid-scrape: sum the rest
-		}
-		for k, v := range vals {
-			out[k] += v
-		}
-	}
-	return out, nil
 }
 
 // Events implements Driver (GET /events) — against a fleet router, its

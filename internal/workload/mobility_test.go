@@ -6,6 +6,9 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
+
+	"github.com/straightpath/wasn/internal/serve"
 )
 
 var updateTrace = flag.Bool("update-trace", false, "rewrite testdata/mobile-churn.trace.golden from the current engine")
@@ -141,5 +144,45 @@ func TestChurnProcessExpansionDeterminism(t *testing.T) {
 	// The original scenario must be untouched — sweep reuses it.
 	if sc.ChurnProcess == nil || len(sc.Churn) != 0 {
 		t.Fatal("expandChurn mutated its receiver")
+	}
+}
+
+// slowMover delays every move batch by lag before passing it on.
+type slowMover struct {
+	Driver
+	lag time.Duration
+}
+
+func (d slowMover) Mutate(deployment string, m serve.Mutation) error {
+	if m.Kind == serve.MutationMove {
+		time.Sleep(d.lag)
+	}
+	return d.Driver.Mutate(deployment, m)
+}
+
+// TestSlowMoveDropsNoFiring pins that a slow mutation never drops the
+// firings queued behind it: the first move batch outlasts the whole
+// run, yet the churn event and the second batch that came due meanwhile
+// still fire, even though the run has ended by the time they can.
+func TestSlowMoveDropsNoFiring(t *testing.T) {
+	sc := &Scenario{
+		Name:       "slow-move",
+		Deployment: tinyDeployment,
+		Algorithm:  "SLGF2",
+		Arrival:    Arrival{Process: ArrivalPoisson, RateHz: 500, DurationMS: 300},
+		Traffic:    Traffic{Pattern: TrafficConvergecast, Sinks: 2},
+		Churn:      []ChurnEvent{{AtMS: 150, FailRandom: 1}},
+		Mobility:   &Mobility{Sinks: 1, IntervalMS: 100},
+		Seed:       3,
+	}
+	rep, err := Run(slowMover{Driver: newInProcess(), lag: 250 * time.Millisecond}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Churn) != 1 || len(rep.Churn[0].Failed) != 1 {
+		t.Fatalf("churn = %+v; want the 150ms event applied", rep.Churn)
+	}
+	if rep.MovedNodes != 2 {
+		t.Fatalf("moved %d nodes; want both one-sink batches (100ms, 200ms)", rep.MovedNodes)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/straightpath/wasn/internal/serve"
 	"github.com/straightpath/wasn/internal/topo"
 )
 
@@ -24,6 +26,11 @@ const (
 	traceKindMove    = "m"
 	traceKindSummary = "s"
 )
+
+// traceKinds names the trace line of each mutation kind.
+var traceKinds = [...]string{
+	serve.MutationFail: traceKindFail, serve.MutationRevive: traceKindRevive, serve.MutationMove: traceKindMove,
+}
 
 // traceVersion is bumped whenever the line format changes incompatibly.
 const traceVersion = 1
@@ -152,27 +159,29 @@ func (rec *Recorder) record(at time.Duration, src, dst topo.NodeID, out Outcome,
 	sh.mu.Unlock()
 }
 
-// recordChurn captures one applied churn firing at its scheduled
-// offset (scheduled, not wall-clock, so re-recording a replay
-// reproduces the original churn lines bit-for-bit).
-func (rec *Recorder) recordChurn(at time.Duration, kind string, nodes []topo.NodeID) {
-	if len(nodes) == 0 {
+// recordMutation captures one applied mutation at its scheduled
+// offset as a fail, revive or move line; an empty one leaves no line.
+func (rec *Recorder) recordMutation(at time.Duration, m serve.Mutation) {
+	if len(m.Nodes) == 0 && len(m.Moves) == 0 {
 		return
 	}
+	ev := TraceEvent{Kind: traceKinds[m.Kind], At: int64(at), Nodes: slices.Clone(m.Nodes), Moves: slices.Clone(m.Moves)}
 	rec.mu.Lock()
-	rec.churn = append(rec.churn, TraceEvent{Kind: kind, At: int64(at), Nodes: append([]topo.NodeID(nil), nodes...)})
+	rec.churn = append(rec.churn, ev)
 	rec.mu.Unlock()
 }
 
-// recordMove captures one applied mobility batch at its scheduled
-// offset.
-func (rec *Recorder) recordMove(at time.Duration, moves []topo.Move) {
-	if len(moves) == 0 {
-		return
+// firing turns a fail, revive or move line back into the firing that
+// recorded it: a fail or revive line opens a report phase, a move line
+// stays inside its phase, as in the engine's schedule.
+func (ev TraceEvent) firing() firing {
+	m := serve.Mutation{Kind: serve.MutationKind(slices.Index(traceKinds[:], ev.Kind))}
+	if m.Kind == serve.MutationMove {
+		m.Moves = ev.Moves
+	} else {
+		m.Nodes = ev.Nodes
 	}
-	rec.mu.Lock()
-	rec.churn = append(rec.churn, TraceEvent{Kind: traceKindMove, At: int64(at), Moves: append([]topo.Move(nil), moves...)})
-	rec.mu.Unlock()
+	return firing{at: time.Duration(ev.At), muts: []serve.Mutation{m}, phase: m.Kind != serve.MutationMove}
 }
 
 // traceEventRank orders kinds at the same instant: topology mutations

@@ -206,16 +206,19 @@ func TestReplayPaced(t *testing.T) {
 	}
 }
 
+// garbageTraces are documents ReadTrace must reject, by what is wrong
+// with them.
+var garbageTraces = map[string]string{
+	"no header":     `{"t":"r","at":1,"src":0,"dst":1}`,
+	"unknown kind":  `{"t":"h","v":1,"scenario":"x","deployment":{"model":"fa","n":10,"seed":1},"algorithm":"GF"}` + "\n" + `{"t":"x","at":1}`,
+	"wrong version": `{"t":"h","v":99,"scenario":"x","deployment":{"model":"fa","n":10,"seed":1},"algorithm":"GF"}`,
+	"not json":      `nope`,
+	"no requests":   `{"t":"h","v":1,"scenario":"x","deployment":{"model":"fa","n":10,"seed":1},"algorithm":"GF"}`,
+}
+
 // TestReadTraceRejectsGarbage pins the parser's error paths.
 func TestReadTraceRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"no header":     `{"t":"r","at":1,"src":0,"dst":1}`,
-		"unknown kind":  `{"t":"h","v":1,"scenario":"x","deployment":{"model":"fa","n":10,"seed":1},"algorithm":"GF"}` + "\n" + `{"t":"x","at":1}`,
-		"wrong version": `{"t":"h","v":99,"scenario":"x","deployment":{"model":"fa","n":10,"seed":1},"algorithm":"GF"}`,
-		"not json":      `nope`,
-		"no requests":   `{"t":"h","v":1,"scenario":"x","deployment":{"model":"fa","n":10,"seed":1},"algorithm":"GF"}`,
-	}
-	for name, doc := range cases {
+	for name, doc := range garbageTraces {
 		if _, err := ReadTrace(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: ReadTrace accepted %q", name, doc)
 		}

@@ -2,12 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
-
-	"github.com/straightpath/wasn/internal/serve"
-	"github.com/straightpath/wasn/internal/topo"
 )
 
 // ReplayOptions tune trace replay. The zero value replays as fast as
@@ -25,12 +21,13 @@ type ReplayOptions struct {
 }
 
 // Replay re-issues a recorded trace against a driver: the identical
-// (src, dst, intended-at) request stream, with each recorded churn
-// firing applied at its place in the stream. Requests between two
-// churn firings route concurrently; a churn line is a barrier — the
-// pool drains, the mutation applies, and a new report phase opens — so
-// every request routes against exactly the topology its position in
-// the trace dictates. That makes replay outcomes deterministic: two
+// (src, dst, intended-at) request stream, with each recorded fail,
+// revive and move line fired at its place in the stream. Requests
+// between two mutation lines route concurrently; a mutation line is a
+// barrier — the pool drains and the line fires as the engine fires its
+// schedule (a fail or revive line opens a new report phase) — so every
+// request routes against exactly the topology its position in the
+// trace dictates. That makes replay outcomes deterministic: two
 // replays of one trace yield identical delivery and error counts, and
 // replaying through a fresh Recorder reproduces the trace's request
 // and churn lines byte-for-byte.
@@ -78,7 +75,7 @@ func Replay(drv Driver, tr *Trace, opt ReplayOptions) (*Report, error) {
 	// engine treats continuous mobility.
 	churnLines := 0
 	for _, ev := range events {
-		if ev.Kind == traceKindFail || ev.Kind == traceKindRevive {
+		if ev.Kind != traceKindRequest && ev.Kind != traceKindMove {
 			churnLines++
 		}
 	}
@@ -88,88 +85,32 @@ func Replay(drv Driver, tr *Trace, opt ReplayOptions) (*Report, error) {
 	}
 	r.initPhases(churnLines, buckets)
 
-	conc := opt.Concurrency
-	if conc <= 0 {
-		conc = 4 * runtime.GOMAXPROCS(0)
-	}
-
-	type item struct {
-		t0       time.Time
-		at       time.Duration
-		src, dst topo.NodeID
-	}
 	var wg sync.WaitGroup
-	var queue chan item
+	var queue chan arrival
 	startPool := func() {
-		queue = make(chan item, 1024)
-		for w := 0; w < conc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for it := range queue {
-					r.routeOnce(it.t0, it.at, it.src, it.dst)
-				}
-			}()
-		}
+		queue = make(chan arrival, 1024)
+		r.startWorkers(opt.Concurrency, queue, &wg)
 	}
 
 	r.start = time.Now()
 	startPool()
-	phase := 0
 	for _, ev := range events {
-		at := time.Duration(ev.At)
-		switch ev.Kind {
-		case traceKindRequest:
-			t0 := time.Now()
-			if opt.Paced {
-				t0 = r.start.Add(at)
-				const spin = 200 * time.Microsecond
-				if d := time.Until(t0); d > spin {
-					time.Sleep(d - spin)
-				}
-				for time.Now().Before(t0) {
-					runtime.Gosched()
-				}
-			}
-			queue <- item{t0: t0, at: at, src: ev.Src, dst: ev.Dst}
-		case traceKindMove:
-			// Mobility barrier: drain, move, resume inside the same phase.
+		if ev.Kind != traceKindRequest {
+			// Barrier: drain in-flight requests, fire the mutation line
+			// as the engine does, restart the pool.
 			close(queue)
 			wg.Wait()
-			if err := drv.Mutate(dep, serve.Mutation{Kind: serve.MutationMove, Moves: ev.Moves}); err == nil {
-				r.moved.Add(int64(len(ev.Moves)))
-				if r.rec != nil {
-					r.rec.recordMove(at, ev.Moves)
-				}
-			}
+			r.fire(ev.firing())
 			startPool()
-		default:
-			// Churn barrier: drain in-flight requests, mutate, open the
-			// next phase, restart the pool.
-			close(queue)
-			wg.Wait()
-			applied := AppliedChurn{AtMS: int(at / time.Millisecond)}
-			m := serve.Mutation{Kind: serve.MutationRevive, Nodes: ev.Nodes}
-			if ev.Kind == traceKindFail {
-				m.Kind = serve.MutationFail
-			}
-			switch err := drv.Mutate(dep, m); {
-			case err != nil:
-				applied.Err = err.Error()
-			case m.Kind == serve.MutationFail:
-				applied.Failed = ev.Nodes
-			default:
-				applied.Revived = ev.Nodes
-			}
-			if applied.Err == "" && r.rec != nil {
-				r.rec.recordChurn(at, ev.Kind, ev.Nodes)
-			}
-			applied.AppliedMS = float64(time.Since(r.start).Microseconds()) / 1000
-			r.churn = append(r.churn, applied)
-			phase++
-			r.openPhase(phase)
-			startPool()
+			continue
 		}
+		at := time.Duration(ev.At)
+		t0 := time.Now()
+		if opt.Paced {
+			t0 = r.start.Add(at)
+			pace(t0)
+		}
+		queue <- arrival{t0: t0, at: at, src: ev.Src, dst: ev.Dst}
 	}
 	close(queue)
 	wg.Wait()

@@ -103,11 +103,6 @@ type Report struct {
 	// Server is the driver's end-of-run /stats snapshot (cache hit
 	// rate, per-deployment repair counters), nil if unavailable.
 	Server *serve.Stats `json:"server_stats,omitempty"`
-	// MetricsDelta is the movement of every server metric series across
-	// the measured window (obs.Delta of the before/after scrapes;
-	// histogram buckets excluded), nil when the driver has no
-	// exposition to scrape.
-	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
 	// StartUnixMs anchors the measured window in wall time so the
 	// journal below — stamped in server wall time — can be read against
 	// AppliedMS offsets.
@@ -149,13 +144,6 @@ func (r *Report) Summary() string {
 		for _, d := range r.Server.PerDeployment {
 			fmt.Fprintf(&b, "  [%s epoch=%d failed=%d repairs=%d]",
 				d.Name, d.Epoch, d.FailedNodes, d.Repairs)
-		}
-		b.WriteString("\n")
-	}
-	if len(r.MetricsDelta) > 0 {
-		fmt.Fprintf(&b, "  metrics: %d series moved", len(r.MetricsDelta))
-		if v, ok := r.MetricsDelta["wasn_routes_total"]; ok {
-			fmt.Fprintf(&b, "  wasn_routes_total +%.0f", v)
 		}
 		b.WriteString("\n")
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/straightpath/wasn/internal/geom"
 	"github.com/straightpath/wasn/internal/topo"
@@ -161,17 +162,15 @@ func (tr *traffic) picker(seed uint64, alive func(topo.NodeID) bool) func() (src
 }
 
 // randomVictims picks up to k distinct scenario-seeded churn victims:
-// alive, unprotected members. Fewer than k are returned when the pool
-// runs dry.
-func (tr *traffic) randomVictims(rng *rand.Rand, k int, failed map[topo.NodeID]bool) []topo.NodeID {
+// unprotected members outside the sorted dead set. Fewer than k are
+// returned when the pool runs dry.
+func (tr *traffic) randomVictims(rng *rand.Rand, k int, dead []topo.NodeID) []topo.NodeID {
 	var out []topo.NodeID
-	taken := make(map[topo.NodeID]bool, k)
 	for tries := 0; len(out) < k && tries < 64*k+64; tries++ {
 		u := tr.members[rng.IntN(len(tr.members))]
-		if tr.protected[u] || failed[u] || taken[u] {
+		if tr.protected[u] || isDead(dead, u) || slices.Contains(out, u) {
 			continue
 		}
-		taken[u] = true
 		out = append(out, u)
 	}
 	return out
